@@ -350,15 +350,24 @@ def decompose_batch(
 
     x_re_bits / x_im_bits have shape (samples, K) for K links and hold the
     integer numerators of the discrete inputs.  The discrete products are
-    evaluated in int64, so the result agrees exactly with the scalar path
-    as long as magnitudes stay in range (gains up to 2**16 and bit depth
-    up to 16 are comfortably safe).
+    evaluated in int64.  With Q the largest integer part of a gain
+    component and K links, every int64 intermediate stays in range when
+    bit_length(Q) + bit_depth + bit_length(K) + 2 <= 63; beyond that the
+    call raises ChannelError instead of wrapping around.
     """
     if x_re_bits.shape != x_im_bits.shape or x_re_bits.ndim != 2:
         raise LengthMismatch("input bit arrays must share a (samples, links) shape")
     if x_re_bits.shape[1] != len(gains):
         raise LengthMismatch(f"{x_re_bits.shape[1]} input columns vs {len(gains)} gains")
     n = bit_depth
+    # |q x| < Q 2**n bounds each product numerator by 2**(bits(Q) + n + 1);
+    # y', floor(y) and the carry stay below 8 K Q.
+    q_max = max((abs(math.trunc(c)) for g in gains for c in (g.re, g.im)), default=0)
+    if q_max.bit_length() + n + len(gains).bit_length() + 2 > 63:
+        raise ChannelError(
+            f"gain integer parts up to {q_max} at bit depth {n} over {len(gains)} "
+            "links can overflow int64"
+        )
     den = 1 << n
     g_re = np.array([g.re for g in gains], dtype=np.float64)
     g_im = np.array([g.im for g in gains], dtype=np.float64)

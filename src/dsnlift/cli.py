@@ -5,9 +5,10 @@ table of a network, ``pipeline`` runs a full experiment from a config
 file into an output directory, and ``bounds`` estimates the per-node
 noise-gap entropies of a network against its kappa reference.
 
-Exit codes: 0 success, 2 parse or validation failure, 3 base-code search
-exhausted, 4 pruning or lifting produced an empty result.  Human-readable
-text goes to stdout; machine-readable artifacts are files.
+Exit codes: 0 success, 2 parse or validation failure or an input beyond
+the exact numeric range, 3 base-code search exhausted, 4 pruning or
+lifting produced an empty result.  Human-readable text goes to stdout;
+machine-readable artifacts are files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import compute_bit_depth, quantize_gain
+from .channel import ChannelError, compute_bit_depth, quantize_gain
 from .gaussian import ConfigError, verify_genie_bounds
 from .lifting import EmptyResult
 from .network import ParseError, SchemaError, load_network, validate
@@ -162,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, ConfigError) as exc:
+    except (ParseError, SchemaError, ConfigError, ChannelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

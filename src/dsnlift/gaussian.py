@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ComplexGain, DiscreteSymbol, Zint, compute_bit_depth, decompose_batch
 from .codes import ProductCode, RelayMap, trace_all
-from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, kappa, kappa_mimo
+from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
 from .network import RelayNetwork, layer_decomposition
 
 __all__ = [
@@ -277,7 +277,7 @@ def simulate_lifted(
         raise ConfigError("need at least one trial")
     pruned = lifted.pruned
     layered = layer_decomposition(net)
-    slots = sorted(pruned.sets, key=lambda s: [s] if isinstance(s, int) else list(s))
+    slots = sorted(pruned.sets, key=_slot_key)
     slot_is_block = all(isinstance(s, int) for s in slots)
     if layered is not None and not slot_is_block:
         raise ConfigError("layered network needs per-node pruned sets")

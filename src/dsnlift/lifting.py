@@ -24,8 +24,9 @@ from .typicality import (
     FiniteDistribution,
     TooLarge,
     TypicalSet,
+    _radix_codes,
+    _typical_digit_rows,
     entropy,
-    is_strongly_typical,
 )
 
 __all__ = [
@@ -112,7 +113,8 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _slot_seed_key(slot: SlotKey) -> list[int]:
+def _slot_key(slot: SlotKey) -> list[int]:
+    """Canonical order of slots, also their seed suffix: [node] or [node, t]."""
     return [slot] if isinstance(slot, int) else [slot[0], slot[1]]
 
 
@@ -135,12 +137,6 @@ class PrunedSets:
     eta: float | str
     n_rep: int
     symbols_per_slot: int
-
-    def index_of(self, slot: SlotKey, vector: tuple) -> int | None:
-        try:
-            return self.sets[slot].index(vector)
-        except ValueError:
-            return None
 
 
 def prune_sets(
@@ -178,7 +174,7 @@ def prune_sets(
     sizes: dict[SlotKey, int] = {}
     exponents: dict[SlotKey, float] = {}
     starved: list[SlotKey] = []
-    for slot, ts in sorted(typical_sets.items(), key=lambda kv: _slot_seed_key(kv[0])):
+    for slot, ts in sorted(typical_sets.items(), key=lambda kv: _slot_key(kv[0])):
         exponent = n_rep * (symbols_per_slot * k_eff + 2.0 * eta_for(ts))
         exponents[slot] = exponent
         size = _round_half_away(len(ts.vectors) * 2.0 ** (-exponent))
@@ -192,7 +188,7 @@ def prune_sets(
     bounds: dict[SlotKey, tuple[float, float]] = {}
     for slot, ts in typical_sets.items():
         rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed] + _slot_seed_key(slot))
+            np.random.SeedSequence([master_seed] + _slot_key(slot))
         )
         order = rng.permutation(len(ts.vectors))[: sizes[slot]]
         chosen = tuple(sorted(ts.vectors[i] for i in order))
@@ -252,6 +248,32 @@ def _slot_values_by_message(
     return values
 
 
+def _member_index(
+    codes: np.ndarray, members: Sequence[tuple], rank: Mapping, n_rep: int
+) -> np.ndarray:
+    """Position in ``members`` of the vector behind each code, -1 if absent.
+
+    Codes are base-len(rank) numbers over the symbol ranks in ``rank``.  A
+    member of another length or with a symbol outside ``rank`` can match
+    no reception and is left out of the lookup.
+    """
+    known = [
+        i for i, vec in enumerate(members)
+        if len(vec) == n_rep and all(v in rank for v in vec)
+    ]
+    digits = np.array([[rank[v] for v in members[i]] for i in known], dtype=np.int64)
+    member_codes = _radix_codes(digits.reshape(-1, n_rep), len(rank))
+    order = np.argsort(member_codes, kind="stable")
+    sorted_codes = member_codes[order]
+    # side="right" picks the last of equal members, as a dict over them would.
+    pos = np.searchsorted(sorted_codes, codes, side="right") - 1
+    found = pos >= 0
+    found[found] = sorted_codes[pos[found]] == codes[found]
+    index = np.full(len(codes), -1, dtype=np.int64)
+    index[found] = np.asarray(known, dtype=np.int64)[order][pos[found]]
+    return index
+
+
 def build_lifted_code(
     net: RelayNetwork,
     product: ProductCode,
@@ -267,37 +289,41 @@ def build_lifted_code(
     deterministic and codewords are distinct, joint typicality of the
     (source, receptions) tuple sequence reduces to typicality of the
     base-message digit sequence under the uniform message law, which is
-    how it is evaluated here.  An empty result is valid and reported as
-    such, not an error.
+    how it is evaluated here: once per type class of the digit rows, with
+    the exact rule on one representative per class.  Each slot's
+    reception vector is then coded as an int64 over the ranks of the
+    slot's symbols in tuple order, so codes sort like the vectors they
+    stand for, and membership and provenance come from a binary search of
+    the pruned set's sorted codes.  An empty result is valid and reported
+    as such, not an error.
     """
     if product.codeword_count > budget:
         raise TooLarge(
             f"{product.codeword_count} codewords exceed the enumeration budget {budget}"
         )
-    slots = sorted(pruned.sets, key=_slot_seed_key)
+    slots = sorted(pruned.sets, key=_slot_key)
     values = _slot_values_by_message(net, product, slots)
-    index_maps: dict[SlotKey, dict] = {
-        slot: {vec: i for i, vec in enumerate(pruned.sets[slot])} for slot in slots
-    }
     K = product.base.message_count
+    n_rep = product.n_rep
     uniform = FiniteDistribution.uniform(tuple(range(K)))
+    digits = _typical_digit_rows(range(K), uniform, n_rep, epsilon)
 
-    survivors: list[int] = []
-    provenance: dict[int, dict[SlotKey, int]] = {}
-    for ci in range(product.codeword_count):
-        digits = product.message_tuple(ci)
-        if not is_strongly_typical(digits, uniform, epsilon):
-            continue
-        prov: dict[SlotKey, int] = {}
-        for slot in slots:
-            vec = tuple(values[slot][d] for d in digits)
-            idx = index_maps[slot].get(vec)
-            if idx is None:
-                break
-            prov[slot] = idx
-        else:
-            survivors.append(ci)
-            provenance[ci] = prov
+    members: dict[SlotKey, np.ndarray] = {}
+    for slot in slots:
+        rank = {v: r for r, v in enumerate(sorted(set(values[slot])))}
+        message_rank = np.array([rank[v] for v in values[slot]], dtype=np.int64)
+        codes = _radix_codes(message_rank[digits], len(rank))
+        index = _member_index(codes, pruned.sets[slot], rank, n_rep)
+        hit = index >= 0
+        digits = digits[hit]
+        members = {s: m[hit] for s, m in members.items()}
+        members[slot] = index[hit]
+
+    survivors = _radix_codes(digits, K).tolist()
+    provenance: dict[int, dict[SlotKey, int]] = {ci: {} for ci in survivors}
+    for slot in slots:
+        for ci, i in zip(survivors, members[slot].tolist()):
+            provenance[ci][slot] = i
     return LiftedCode(
         codeword_indices=tuple(survivors),
         provenance=provenance,

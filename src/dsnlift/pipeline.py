@@ -43,6 +43,7 @@ from .gaussian import (
 from .lifting import (
     EmptyResult,
     KappaParams,
+    _slot_key,
     build_lifted_code,
     prune_sets,
     rate_report,
@@ -430,9 +431,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "epsilon_2": ts.epsilon_2,
                     "envelope": list(ts.envelope),
                 }
-                for slot, ts in sorted(
-                    tsets.items(), key=lambda kv: [kv[0]] if isinstance(kv[0], int) else list(kv[0])
-                )
+                for slot, ts in sorted(tsets.items(), key=lambda kv: _slot_key(kv[0]))
             ],
             "config_hash": digest,
         },
@@ -471,9 +470,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                         _vector_doc(v, scheduling == "layered") for v in pruned.sets[slot]
                     ],
                 }
-                for slot in sorted(
-                    pruned.sets, key=lambda s: [s] if isinstance(s, int) else list(s)
-                )
+                for slot in sorted(pruned.sets, key=_slot_key)
             ],
             "config_hash": digest,
         },
@@ -493,8 +490,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "slots": [
                         {"slot": _slot_doc(s), "member": m}
                         for s, m in sorted(
-                            lifted.provenance[ci].items(),
-                            key=lambda kv: [kv[0]] if isinstance(kv[0], int) else list(kv[0]),
+                            lifted.provenance[ci].items(), key=lambda kv: _slot_key(kv[0])
                         )
                     ],
                 }
@@ -570,12 +566,12 @@ def _simulation_doc(sim: SimulationResult, digest: str) -> dict:
         "message_error_rate": sim.message_error_rate,
         "block_errors": [
             {"slot": _slot_doc(s), "errors": v} for s, v in sorted(
-                sim.block_errors.items(), key=lambda kv: [kv[0]] if isinstance(kv[0], int) else list(kv[0])
+                sim.block_errors.items(), key=lambda kv: _slot_key(kv[0])
             )
         ],
         "decode_failures": [
             {"slot": _slot_doc(s), "failures": v} for s, v in sorted(
-                sim.decode_failures.items(), key=lambda kv: [kv[0]] if isinstance(kv[0], int) else list(kv[0])
+                sim.decode_failures.items(), key=lambda kv: _slot_key(kv[0])
             )
         ],
         "avg_power": {str(k): v for k, v in sorted(sim.avg_power.items())},

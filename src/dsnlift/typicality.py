@@ -6,6 +6,13 @@ the final entropy values are floats.  Typicality uses the robust
 multiplicative criterion: a sequence is epsilon-typical for a law p when
 every symbol frequency f(a) satisfies |f(a)/L - p(a)| <= epsilon * p(a),
 and symbols of probability zero never occur.
+
+The criterion depends on a sequence only through its type, the histogram
+of its symbols.  Typical sets are therefore decided once per type class:
+the exact rational test runs on one representative vector per class, and
+the kept classes are expanded with numpy over int64 digit rows.  Digits
+index the support in tuple order (``sorted(support)``), so the code order
+of digit rows is the sorted order of the vectors they spell.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .codes import ProductCode, RelayCode, trace_all
 from .network import RelayNetwork
@@ -245,34 +254,47 @@ class TypicalSet:
     def node(self) -> int:
         return self.slot if isinstance(self.slot, int) else self.slot[0]
 
-    def flattened(self) -> list[list]:
-        """Vectors with block structure flattened away, for serialization."""
-        out = []
-        for vec in self.vectors:
-            flat: list = []
-            for v in vec:
-                if isinstance(v, tuple) and v and isinstance(v[0], tuple):
-                    flat.extend(list(pair) for pair in v)
-                else:
-                    flat.append(list(v))
-            out.append(flat)
-        return out
+
+def _typical_digit_rows(
+    support: Sequence[Hashable], dist: FiniteDistribution, n_rep: int, epsilon: float
+) -> np.ndarray:
+    """Rows of ``support``-digits, length n_rep, whose vectors are typical.
+
+    All ``len(support)**n_rep`` rows are scanned in lexicographic order.
+    is_strongly_typical decides once per type class, on the class's
+    non-decreasing representative; a row's class is found by sorting its
+    digits.  Returns the kept rows as an int64 array in row order.
+    """
+    k = len(support)
+    kept = [
+        rep for rep in itertools.combinations_with_replacement(range(k), n_rep)
+        if is_strongly_typical(tuple(support[d] for d in rep), dist, epsilon)
+    ]
+    rows = np.indices((k,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
+    kept_types = _radix_codes(np.asarray(kept, dtype=np.int64).reshape(-1, n_rep), k)
+    return rows[np.isin(_radix_codes(np.sort(rows, axis=1), k), kept_types)]
+
+
+def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
+    """Base-``radix`` int64 code of each digit row, first column most significant."""
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for col in rows.T:
+        codes *= radix
+        codes += col
+    return codes
 
 
 def _typical_vectors(
     dist: FiniteDistribution, n_rep: int, epsilon: float, budget: int
 ) -> tuple[tuple, ...]:
-    support = [s for s, p in dist.items() if p > 0]
+    support = sorted(s for s, p in dist.items() if p > 0)
     if len(support) ** n_rep > budget:
         raise TooLarge(
             f"{len(support)}**{n_rep} candidate vectors exceed the budget {budget}"
         )
-    out = []
-    for vec in itertools.product(support, repeat=n_rep):
-        if is_strongly_typical(vec, dist, epsilon):
-            out.append(vec)
-    out.sort()
-    return tuple(out)
+    rows = _typical_digit_rows(support, dist, n_rep, epsilon)
+    columns = [[support[d] for d in col] for col in rows.T.tolist()]
+    return tuple(zip(*columns))
 
 
 def _build_set(

@@ -243,6 +243,83 @@ def test_decompose_batch_matches_scalar():
         assert batch.v_im[i] == pytest.approx(d.v.imag, abs=1e-9)
 
 
+def _dyadic_gains(draw, links: int, int_bits: int) -> list[ComplexGain]:
+    # Integer parts below 2**int_bits plus a quarter-step fraction, so the
+    # float views of every product stay exact dyadics.
+    comp = st.builds(
+        lambda sign, whole, quarter: sign * (whole + quarter / 4),
+        st.sampled_from((-1, 1)),
+        st.integers(0, (1 << int_bits) - 1),
+        st.integers(0, 3),
+    )
+    return [ComplexGain(draw(comp), draw(comp)) for _ in range(links)]
+
+
+def _bit_rows(draw, links: int, n: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    bits = st.lists(st.integers(0, (1 << n) - 1), min_size=rows * links, max_size=rows * links)
+    xr = np.array(draw(bits), dtype=np.int64).reshape(rows, links)
+    xi = np.array(draw(bits), dtype=np.int64).reshape(rows, links)
+    return xr, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), links=st.integers(1, 3), n=st.integers(1, 40))
+def test_decompose_batch_equals_scalar_below_float_limit(data, links, n):
+    # Every term has at most int_bits + n + links.bit_length() + 3 <= 52
+    # significant bits, so both paths compute exactly and must agree bit
+    # for bit, carry included.
+    int_bits = data.draw(st.integers(0, 49 - n - links.bit_length()))
+    gains = _dyadic_gains(data.draw, links, int_bits)
+    xr, xi = _bit_rows(data.draw, links, n, rows=4)
+    noise = st.floats(min_value=-4, max_value=4, allow_nan=False)
+    zr = np.array([data.draw(noise) for _ in range(4)])
+    zi = np.array([data.draw(noise) for _ in range(4)])
+    batch = decompose_batch(gains, xr, xi, n, zr, zi)
+    vf = batch.v_floor
+    for i in range(4):
+        inputs = [DiscreteSymbol(int(xr[i, k]), int(xi[i, k]), n) for k in range(links)]
+        d = decompose_received(inputs, gains, complex(zr[i], zi[i]))
+        assert (int(batch.yp_re[i]), int(batch.yp_im[i])) == d.y_prime
+        assert (batch.v_re[i], batch.v_im[i]) == (d.v.real, d.v.imag)
+        assert (int(vf[0][i]), int(vf[1][i])) == floor_parts(d.v)
+        assert (int(batch.c_re[i]), int(batch.c_im[i])) == d.c
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    links=st.integers(1, 4),
+    n=st.integers(1, 62),
+    int_bits=st.integers(0, 62),
+)
+def test_decompose_batch_exact_up_to_int64_limit_and_rejects_beyond(data, links, n, int_bits):
+    whole = st.integers(-(1 << int_bits), 1 << int_bits)
+    gains = [ComplexGain(float(data.draw(whole)), float(data.draw(whole))) for _ in range(links)]
+    quantized = [quantize_gain(g) for g in gains]
+    q_max = max(max(abs(q.re), abs(q.im)) for q in quantized)
+    xr, xi = _bit_rows(data.draw, links, n, rows=3)
+    z = np.zeros(3)
+    if q_max.bit_length() + n + links.bit_length() + 2 > 63:
+        with pytest.raises(ChannelError):
+            decompose_batch(gains, xr, xi, n, z, z)
+        return
+    batch = decompose_batch(gains, xr, xi, n, z, z)
+    for i in range(3):
+        inputs = [DiscreteSymbol(int(xr[i, k]), int(xi[i, k]), n) for k in range(links)]
+        assert (int(batch.yp_re[i]), int(batch.yp_im[i])) == superposition_output(
+            inputs, quantized
+        )
+
+
+def test_decompose_batch_rejects_the_wrapping_gain():
+    # Unguarded, the int64 products wrap and y' comes out (-1, -1) instead
+    # of (8589934591, 8589934591).
+    gains = [ComplexGain(2.0**33 + 0.5, 0.0)]
+    x = np.array([[(1 << 33) - 1]], dtype=np.int64)
+    with pytest.raises(ChannelError):
+        decompose_batch(gains, x, x, 33, np.zeros(1), np.zeros(1))
+
+
 def _diag(g0: QuantizedGain, g1: QuantizedGain):
     zero = QuantizedGain(0, 0)
     return ((g0, zero), (zero, g1))

@@ -1,10 +1,11 @@
 """Kappa constants, typical-set pruning and code-lifting tests."""
 
+import dataclasses
 import math
 
 import pytest
 
-from dsnlift.codes import build_product_code, trace_all
+from dsnlift.codes import ProductCode, build_product_code, trace_all
 from dsnlift.lifting import (
     EmptyResult,
     KappaParams,
@@ -14,7 +15,14 @@ from dsnlift.lifting import (
     prune_sets,
     rate_report,
 )
-from dsnlift.typicality import FiniteDistribution, TypicalSet, enumerate_typical_receptions
+from dsnlift.network import load_network
+from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
+from dsnlift.typicality import (
+    FiniteDistribution,
+    TypicalSet,
+    enumerate_typical_receptions,
+    is_strongly_typical,
+)
 
 
 def _manual_set(vector_count: int, n_rep: int, eps2: float = 0.5) -> TypicalSet:
@@ -220,3 +228,89 @@ def test_lifted_cardinality_tracks_pruning_exponent(diamond_net, diamond_code):
     # Expected: log2 |C0| - M n_rep N kappa = 16 - 12 = 4 bits, so the
     # survivor count should be within a few bits of 2**4.
     assert 0 < math.log2(lifted.count) < 8
+
+
+def _reference_lift(net, product, pruned, epsilon):
+    """The per-codeword loop: dict lookups of tuple reception vectors."""
+    traces = trace_all(net, product.base)
+    slots = sorted(pruned.sets, key=lambda s: [s] if isinstance(s, int) else list(s))
+    values = {
+        slot: [
+            tr.received[slot] if isinstance(slot, int) else tr.received[slot[0]][slot[1] - 1]
+            for tr in traces
+        ]
+        for slot in slots
+    }
+    index_maps = {slot: {vec: i for i, vec in enumerate(pruned.sets[slot])} for slot in slots}
+    uniform = FiniteDistribution.uniform(tuple(range(product.base.message_count)))
+    survivors, provenance = [], {}
+    for ci in range(product.codeword_count):
+        digits = product.message_tuple(ci)
+        if not is_strongly_typical(digits, uniform, epsilon):
+            continue
+        prov = {}
+        for slot in slots:
+            idx = index_maps[slot].get(tuple(values[slot][d] for d in digits))
+            if idx is None:
+                break
+            prov[slot] = idx
+        else:
+            survivors.append(ci)
+            provenance[ci] = prov
+    return tuple(survivors), provenance
+
+
+def _shipped_setup(name, n_rep, epsilon):
+    cfg = load_config(read_input_text(f"{name}_pipeline"))
+    net = load_network(read_input_text(cfg.network))
+    base, _ = _load_base_code(cfg, net)
+    product = ProductCode(base, n_rep)
+    sets, symbols_per_slot, _ = _typical_sets(net, product, epsilon)
+    return net, product, sets, symbols_per_slot, cfg.kappa_override
+
+
+@pytest.mark.parametrize(
+    "name, n_rep, set_epsilon, lift_epsilon",
+    [
+        ("line", 6, 3.0, 3.0),
+        ("line", 8, 0.5, 0.5),
+        ("diamond", 3, 3.0, 3.0),
+        ("diamond", 4, 0.5, 0.5),
+        ("diamond", 4, 3.0, 0.0),
+        ("diamond", 3, 3.0, 0.0),  # no balanced digit row: an empty code
+        ("nonlayered", 6, 3.0, 3.0),
+        ("nonlayered", 8, 1.0, 1.0),
+    ],
+)
+def test_lift_matches_per_codeword_loop(name, n_rep, set_epsilon, lift_epsilon):
+    net, product, sets, symbols_per_slot, override = _shipped_setup(name, n_rep, set_epsilon)
+    params = KappaParams.for_network(net, override=override / 2)
+    for seed in range(4):
+        pruned = prune_sets(sets, params, eta=0.0, master_seed=seed, symbols_per_slot=symbols_per_slot)
+        lifted = build_lifted_code(net, product, pruned, lift_epsilon)
+        survivors, provenance = _reference_lift(net, product, pruned, lift_epsilon)
+        assert lifted.codeword_indices == survivors
+        assert lifted.provenance == provenance
+        assert [list(p) for p in lifted.provenance.values()] == [list(p) for p in provenance.values()]
+    if (name, n_rep, lift_epsilon) == ("diamond", 3, 0.0):
+        assert survivors == ()
+
+
+def test_lift_ignores_foreign_and_matches_duplicate_members(diamond_net, diamond_code):
+    # A hand-made pruned set: unsorted, with a vector of symbols no node
+    # receives, one of the wrong length and a repeated member.  The lookup
+    # must behave like a dict over the set: last duplicate wins.
+    product, sets = _diamond_sets(diamond_net, diamond_code, n_rep=2, epsilon=3.0)
+    params = KappaParams.for_network(diamond_net, override=0.0)
+    pruned = prune_sets(sets, params, eta=0.0, master_seed=3, symbols_per_slot=2)
+    members = list(reversed(pruned.sets[1]))[:6]
+    foreign = (((99, 99), (99, 99)),) * 2
+    odd = members[0][:1]
+    edited = dict(pruned.sets)
+    edited[1] = (foreign, members[2], odd) + tuple(members) + (members[4],)
+    pruned = dataclasses.replace(pruned, sets=edited)
+    lifted = build_lifted_code(diamond_net, product, pruned, epsilon=3.0)
+    survivors, provenance = _reference_lift(diamond_net, product, pruned, 3.0)
+    assert lifted.codeword_indices == survivors
+    assert lifted.provenance == provenance
+    assert len(survivors) == 6

@@ -312,3 +312,18 @@ def test_cli_bounds_reports_kappa_reference(tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["kappa_reference"] == pytest.approx(15.459431618637297)
     assert len(doc["entries"]) == 2
+
+
+def test_cli_bounds_int64_overflow_exits_2(tmp_path, capsys):
+    # Bit depth 33 with a gain of 2**33: the batch decomposition's int64
+    # products would wrap, so the command must refuse instead of reporting.
+    doc = {
+        "nodes": 2,
+        "antenna_mode": "scalar",
+        "edges": [{"from": 0, "to": 1, "gain": {"re": "8589934592.5", "im": "0"}}],
+    }
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(doc))
+    rc = cli.main(["bounds", "--network", str(p), "--samples", "100"])
+    assert rc == cli.EXIT_INPUT
+    assert "overflow int64" in capsys.readouterr().err

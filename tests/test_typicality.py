@@ -1,10 +1,14 @@
 """Exact distribution, strong-typicality and typical-set enumeration tests."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dsnlift import typicality
 from dsnlift.codes import build_product_code
 from dsnlift.typicality import (
     FiniteDistribution,
@@ -176,3 +180,71 @@ def test_marginal_sums_to_one():
     )
     marg = joint.marginal(("a",))
     assert dict(marg.table) == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+
+
+def _reference_typical_vectors(dist, n_rep, epsilon):
+    """The per-vector loop: every candidate vector checked on its own."""
+    support = [s for s, p in dist.items() if p > 0]
+    out = [
+        vec for vec in itertools.product(support, repeat=n_rep)
+        if is_strongly_typical(vec, dist, epsilon)
+    ]
+    out.sort()
+    return tuple(out)
+
+
+# Symbol pools whose repr order differs from their tuple order: "10" < "9",
+# and "(10, 0)" < "(9, 0)".
+SYMBOL_POOLS = (
+    (9, 10, 0, 11, 2),
+    ((10, 0), (9, 0), (0, -1), (2, 5)),
+    (((9, 0), (1, 1)), ((10, 0), (0, 0)), ((10, 0), (-3, 2))),
+)
+
+
+@st.composite
+def _laws(draw):
+    pool = draw(st.sampled_from(SYMBOL_POOLS))
+    k = draw(st.integers(1, min(4, len(pool))))
+    symbols = draw(st.permutations(pool))[:k]
+    counts = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    if not any(counts):
+        counts[0] = 1
+    return FiniteDistribution.from_counts(dict(zip(symbols, counts)))
+
+
+HALF = FiniteDistribution((9, 10), (Fraction(1, 2), Fraction(1, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dist=_laws(),
+    n_rep=st.integers(1, 5),
+    epsilon=st.one_of(
+        st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.5, 1.0, 3.0)),
+        st.floats(min_value=0.0, max_value=4.0),
+    ),
+)
+# On the closed boundary: |3/4 - 1/2| = 0.5 * 1/2 and |3/5 - 1/2| = 0.2 * 1/2.
+@example(dist=HALF, n_rep=4, epsilon=0.5)
+@example(dist=HALF, n_rep=5, epsilon=0.2)
+@example(dist=HALF, n_rep=4, epsilon=0.25)
+def test_typical_vectors_match_per_vector_loop(dist, n_rep, epsilon):
+    got = typicality._typical_vectors(dist, n_rep, epsilon, budget=1 << 20)
+    assert got == _reference_typical_vectors(dist, n_rep, epsilon)
+
+
+def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_code):
+    calls = []
+
+    def counted(seq, dist, epsilon):
+        calls.append(seq)
+        return is_strongly_typical(seq, dist, epsilon)
+
+    monkeypatch.setattr(typicality, "is_strongly_typical", counted)
+    product = build_product_code(diamond_code, 8)
+    ts = enumerate_typical_receptions(diamond_net, product, 1, epsilon=0.5)
+    # Four equiprobable blocks, n_rep = 8: C(11, 3) = 165 types.
+    assert len(calls) == 165
+    assert len({tuple(sorted(c)) for c in calls}) == 165
+    assert 0 < len(ts.vectors) < 4**8
