@@ -36,7 +36,6 @@ __all__ = [
     "DecompositionBatch",
     "compute_bit_depth",
     "quantize_gain",
-    "quantize_gain_mimo",
     "superposition_output",
     "gaussian_output",
     "decompose_received",
@@ -214,13 +213,6 @@ def quantize_gain(h: ComplexGain) -> QuantizedGain:
 
 Mimo = tuple[tuple[ComplexGain, ComplexGain], tuple[ComplexGain, ComplexGain]]
 MimoQ = tuple[tuple[QuantizedGain, QuantizedGain], tuple[QuantizedGain, QuantizedGain]]
-
-
-def quantize_gain_mimo(h: Mimo) -> MimoQ:
-    return (
-        (quantize_gain(h[0][0]), quantize_gain(h[0][1])),
-        (quantize_gain(h[1][0]), quantize_gain(h[1][1])),
-    )
 
 
 def _trunc_product(g: QuantizedGain, x: DiscreteSymbol) -> Zint:

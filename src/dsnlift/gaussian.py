@@ -9,6 +9,18 @@ floored noise and the carry, whose sum upper-bounds the information gap
 between the discrete and the noisy reception and must stay under the
 node-count constant kappa.
 
+Every decision goes through one decode kernel, _decode; decode_to_set is
+its one-row call.  A candidate set is laid out once as the real matrix
+[Re c, Im c]^T with its squared norms.  Trials go through in chunks of
+512, each one real matrix product of [Re y, Im y] with that matrix,
+written into one 512 x |S| float64 buffer that every chunk of the slot
+reuses and finished in place to |y|^2 + |c|^2 - 2 Re<y, c>, clamped at
+zero.  Memory per decision slot is that buffer (16 MB at |S| = 4096),
+whatever the trial count.  A slot's candidate, offset and re-encode rows
+are built once per distinct reception block (block scheduling) or symbol
+(interleaved scheduling) and gathered with an integer (|S|, n_rep) index
+array; the interleaved destination decodes each distinct reception once.
+
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
 or [seed, 1, node, t] (interleaved) drives the noise at one decision
@@ -18,13 +30,13 @@ slot.  Rerunning with the same seed reproduces every draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, DiscreteSymbol, Zint, compute_bit_depth, decompose_batch
-from .codes import ProductCode, RelayMap, trace_all
+from .channel import ComplexGain, Zint, compute_bit_depth, decompose_batch
+from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
 from .network import RelayNetwork, layer_decomposition
 
@@ -73,13 +85,65 @@ def _noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np
 
 # --- decoding --------------------------------------------------------------
 
+# Trials per kernel step.  It bounds the distance buffer at _CHUNK x |S|.
+_CHUNK = 512
 
-def _distance_sq(y: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    # y: (..., L); cands: (S, L) -> squared distances (..., S)
-    yy = np.sum(np.abs(y) ** 2, axis=-1, keepdims=True)
-    cc = np.sum(np.abs(cands) ** 2, axis=-1)
-    cross = y @ np.conj(cands).T
-    return np.maximum(yy + cc - 2.0 * cross.real, 0.0)
+
+def _decode(
+    y: np.ndarray, effective: np.ndarray, method: str, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode each row of ``y`` (trials, L) to a row of ``effective`` (|S|, L).
+
+    Returns (chosen index, failure flag) per trial.  "ml" picks the
+    nearest candidate, ties to the lowest index.  "threshold" picks the
+    unique candidate whose mean per-symbol log-likelihood (base 2) clears
+    the threshold; a trial where no candidate or several do is flagged
+    and keeps the ML index, so a simulation can go on re-encoding.
+
+    Squared distances are |y|^2 + |c|^2 - 2 Re<y, c>, clamped at zero.
+    The cross term is one real product of [Re y, Im y] with the candidate
+    matrix [Re c, Im c]^T, premultiplied by -2, chunk by chunk into one
+    reused (_CHUNK, |S|) buffer.  Exact copies of a candidate are scored
+    once, as the first copy: BLAS may round identical columns apart, and
+    the lowest-index rule must not depend on that.
+    """
+    if method not in ("ml", "threshold"):
+        raise ConfigError(f"unknown decode method {method!r}")
+    trials, L = y.shape
+    # Adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes.
+    cands = np.concatenate((effective.real, effective.imag), axis=1) + 0.0
+    # Copies are numbered in order of first appearance.
+    copy_of: dict[bytes, int] = {}
+    group = np.asarray([copy_of.setdefault(c.tobytes(), len(copy_of)) for c in cands])
+    _, first, copies = np.unique(group, return_index=True, return_counts=True)
+    cands = cands[first]
+    cross = np.ascontiguousarray(cands.T * -2.0)
+    cc = np.einsum("ij,ij->i", cands, cands)
+    rows = min(_CHUNK, trials)
+    y_buf = np.empty((rows, 2 * L))
+    d2_buf = np.empty((rows, len(cc)))
+    chosen = np.empty(trials, dtype=np.int64)
+    failed = np.zeros(trials, dtype=bool)
+    for lo in range(0, trials, _CHUNK):
+        hi = min(lo + _CHUNK, trials)
+        yr, d2 = y_buf[: hi - lo], d2_buf[: hi - lo]
+        yr[:, :L] = y[lo:hi].real
+        yr[:, L:] = y[lo:hi].imag
+        np.matmul(yr, cross, out=d2)
+        d2 += cc
+        d2 += np.einsum("ij,ij->i", yr, yr)[:, None]
+        np.maximum(d2, 0.0, out=d2)
+        ml = d2.argmin(axis=1)
+        if method == "ml":
+            chosen[lo:hi] = first[ml]
+            continue
+        d2 /= L
+        d2 *= LOG2E
+        passing = np.subtract(-math.log2(math.pi), d2, out=d2) > threshold
+        unique = passing @ copies == 1
+        chosen[lo:hi] = first[np.where(unique, passing.argmax(axis=1), ml)]
+        failed[lo:hi] = ~unique
+    return chosen, failed
 
 
 def decode_to_set(
@@ -119,18 +183,9 @@ def decode_to_set(
         if off.shape != cands.shape:
             raise ConfigError("offsets shape does not match candidates")
         cands = cands + off
-    d2 = _distance_sq(y[None, :], cands)[0]
-    if method == "ml":
-        return int(np.argmin(d2))
-    if method == "threshold":
-        thr = DEFAULT_THRESHOLD if threshold is None else float(threshold)
-        L = y.shape[0]
-        mean_loglik = -math.log2(math.pi) - (d2 / L) * LOG2E
-        passing = np.flatnonzero(mean_loglik > thr)
-        if passing.size == 1:
-            return int(passing[0])
-        return None
-    raise ConfigError(f"unknown decode method {method!r}")
+    thr = DEFAULT_THRESHOLD if threshold is None else float(threshold)
+    chosen, failed = _decode(y[None, :], cands, method, thr)
+    return None if failed[0] else int(chosen[0])
 
 
 # --- simulation ------------------------------------------------------------
@@ -161,87 +216,71 @@ class SimulationResult:
     scheduling: str
 
 
-def _flatten_blocks(vec: tuple, layered: bool) -> list[Zint]:
-    if layered:
-        out: list[Zint] = []
-        for block in vec:
-            out.extend(block)
-        return out
-    return list(vec)
+def _value_index(vectors: Sequence[tuple]) -> tuple[list, np.ndarray]:
+    """Distinct values of a slot's candidates, and where each use finds its own.
+
+    A value is what one use of the base code leaves at the slot: a block
+    of N symbols under block scheduling, one symbol under interleaved
+    scheduling.  Returns the values in order of first appearance and the
+    (|S|, n_rep) int array of value positions.
+    """
+    position: dict = {}
+    index = [[position.setdefault(v, len(position)) for v in vec] for vec in vectors]
+    return list(position), np.asarray(index, dtype=np.int64)
 
 
-def _complex_rows(vectors: Sequence[tuple], layered: bool) -> np.ndarray:
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Per-candidate rows (|S|, n_rep * width) from per-value rows."""
+    return table[index].reshape(len(index), -1)
+
+
+def _perturbations(net: RelayNetwork, traces: Sequence[NetworkTrace], node: int) -> np.ndarray:
+    """v = sum of gain times sent symbol - y', per base message and time: (K, N).
+
+    The perturbation is a function of what the in-neighbours actually
+    transmitted.  Decoders use, per reception value, the v of the lowest
+    base message that produces it (see _offset_rows); this is exact
+    whenever the reception determines the in-neighbour transmissions and
+    a bounded approximation otherwise.
+    """
+    in_edges = net.in_edges(node)
     rows = []
-    for vec in vectors:
-        flat = _flatten_blocks(vec, layered)
-        rows.append([complex(re, im) for re, im in flat])
+    for tr in traces:
+        row = []
+        for t, (re, im) in enumerate(tr.received[node]):
+            acc = 0j
+            for e in in_edges:
+                acc += e.gain.as_complex() * tr.transmitted[e.src][t].as_complex()  # type: ignore[union-attr]
+            row.append(acc - complex(re, im))
+        rows.append(row)
     return np.asarray(rows, dtype=np.complex128)
 
 
-def _chunked_decode(
-    y: np.ndarray,
-    effective: np.ndarray,
-    method: str,
-    threshold: float,
-    chunk: int = 2048,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized decode_to_set over a trial axis.
-
-    Returns (chosen index, failure flag) per trial.  Failures only occur
-    for the threshold method; they fall back to the ML index so the
-    simulation can keep going, and are flagged.
-    """
-    trials = y.shape[0]
-    L = y.shape[1]
-    chosen = np.empty(trials, dtype=np.int64)
-    failed = np.zeros(trials, dtype=bool)
-    for lo in range(0, trials, chunk):
-        hi = min(lo + chunk, trials)
-        d2 = _distance_sq(y[lo:hi], effective)
-        ml = np.argmin(d2, axis=1)
-        if method == "threshold":
-            mean_loglik = -math.log2(math.pi) - (d2 / L) * LOG2E
-            passing = mean_loglik > threshold
-            n_pass = passing.sum(axis=1)
-            unique = n_pass == 1
-            idx = np.where(unique, np.argmax(passing, axis=1), ml)
-            chosen[lo:hi] = idx
-            failed[lo:hi] = ~unique
-        else:
-            chosen[lo:hi] = ml
-    return chosen, failed
+def _offset_rows(v: np.ndarray, received: Sequence, values: Sequence) -> np.ndarray:
+    """Row of ``v`` of the lowest base message whose reception is each value."""
+    first: dict = {}
+    for m, r in enumerate(received):
+        first.setdefault(r, m)
+    return v[[first[x] for x in values]]
 
 
-def _v_blocks(net: RelayNetwork, product: ProductCode, node: int) -> dict:
-    """Per distinct reception block at a node, one canonical perturbation block.
-
-    The perturbation v is a function of what the in-neighbours actually
-    transmitted.  When several base messages produce the same reception
-    block, the block of the lowest message index is used; this is exact
-    whenever the reception determines the in-neighbour transmissions and a
-    bounded approximation otherwise.
-    """
-    traces = trace_all(net, product.base)
-    in_edges = net.in_edges(node)
-    out: dict = {}
-    for tr in traces:
-        block = tr.received[node]
-        if block in out:
-            continue
-        N = product.base.block_length
-        v = []
-        for t in range(N):
-            acc = 0j
-            for e in in_edges:
-                x = tr.transmitted[e.src][t].as_complex()
-                acc += e.gain.as_complex() * x  # type: ignore[union-attr]
-            v.append(acc - complex(block[t][0], block[t][1]))
-        out[block] = v
-    return out
+def _message_index(digits: np.ndarray, K: int) -> np.ndarray:
+    """Product-code message per row of base digits, -1 where a digit is -1."""
+    index = np.zeros(len(digits), dtype=np.int64)
+    for column in digits.T:
+        index = index * K + column
+    return np.where((digits >= 0).all(axis=1), index, -1)
 
 
-def _reencode_block(relay_map: RelayMap, block: tuple, N: int) -> list[DiscreteSymbol]:
-    return [relay_map.emit(t, block) for t in range(1, N + 1)]
+def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
+    """Source symbols of every lifted codeword: (count, n_rep, N) complex."""
+    book = np.asarray(
+        [[s.as_complex() for s in cw] for cw in product.base.codebook], dtype=np.complex128
+    )
+    digits = np.asarray(
+        [product.message_tuple(ci) for ci in lifted.codeword_indices], dtype=np.int64
+    )
+    return book[digits.reshape(lifted.count, product.n_rep)]
 
 
 def simulate_lifted(
@@ -291,7 +330,6 @@ def simulate_lifted(
         raise ConfigError("code bit depth does not match the network")
 
     n_rep = product.n_rep
-    N = product.base.block_length
     threshold_val = DEFAULT_THRESHOLD if threshold is None else float(threshold)
 
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
@@ -299,22 +337,24 @@ def simulate_lifted(
     true_codewords = np.asarray(lifted.codeword_indices, dtype=np.int64)[pick]
     true_slot_idx = {
         slot: np.asarray(
-            [lifted.provenance[int(ci)][slot] for ci in true_codewords], dtype=np.int64
-        )
+            [lifted.provenance[ci][slot] for ci in lifted.codeword_indices], dtype=np.int64
+        )[pick]
         for slot in slots
     }
+    source = _source_symbols(product, lifted)[pick]
+    traces = trace_all(net, product.base)
 
     if slot_is_block:
         result = _simulate_layered(
-            net, product, lifted, layered, trials, noise, method, threshold_val,
-            use_offsets, true_codewords, true_slot_idx,
+            net, product, pruned, layered, traces, noise, method, threshold_val,
+            use_offsets, source, true_codewords, true_slot_idx,
         )
     else:
         result = _simulate_interleaved(
-            net, product, lifted, trials, noise, method, threshold_val,
-            use_offsets, true_codewords, true_slot_idx,
+            net, product, pruned, traces, noise, method, threshold_val,
+            use_offsets, source, true_codewords, true_slot_idx,
         )
-    chosen_dest, msg_errors, block_errors, failures, avg_power = result
+    msg_errors, block_errors, failures, avg_power = result
 
     batches: list[tuple[int, int, int]] = []
     for lo in range(0, trials, batch_rows):
@@ -337,62 +377,50 @@ def simulate_lifted(
     )
 
 
-def _simulate_layered(
-    net, product, lifted, layered, trials, noise, method, threshold,
-    use_offsets, true_codewords, true_slot_idx,
-):
-    pruned = lifted.pruned
-    N = product.base.block_length
-    n_rep = product.n_rep
-    L = N * n_rep
-    dest = net.destination
+def _layered_tables(
+    net: RelayNetwork,
+    base: RelayCode,
+    pruned: PrunedSets,
+    traces: Sequence[NetworkTrace],
+    use_offsets: bool,
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray]:
+    """Per node: effective candidate rows; per relay: re-encoded rows;
+    at the destination: the message of each candidate (-1 if none).
 
-    cand_arrays: dict[int, np.ndarray] = {}
+    Every row is built once per distinct reception block and gathered
+    into the (|S|, n_rep * N) arrays.
+    """
+    N = base.block_length
     effective: dict[int, np.ndarray] = {}
     reencode: dict[int, np.ndarray] = {}
-    decoded_msg: dict[int, np.ndarray] = {}
+    messages = np.empty(0, dtype=np.int64)
     for j in range(1, net.node_count):
-        vectors = pruned.sets[j]
-        cand = _complex_rows(vectors, layered=True)
-        cand_arrays[j] = cand
+        blocks, index = _value_index(pruned.sets[j])
+        rows = np.asarray([[complex(re, im) for re, im in b] for b in blocks], dtype=np.complex128)
         if use_offsets:
-            vb = _v_blocks(net, product, j)
-            offs = np.asarray(
-                [
-                    [v for block in vec for v in vb[block]]
-                    for vec in vectors
-                ],
-                dtype=np.complex128,
-            )
-            effective[j] = cand + offs
+            received = [tr.received[j] for tr in traces]
+            rows = rows + _offset_rows(_perturbations(net, traces, j), received, blocks)
+        effective[j] = _gather(rows, index)
+        if j == net.destination:
+            digits = np.asarray([base.decoder.get(b, -1) for b in blocks], dtype=np.int64)
+            messages = _message_index(digits[index], base.message_count)
         else:
-            effective[j] = cand
-        if j != dest:
-            relay_map = product.base.relay_maps[j]
-            rows = []
-            for vec in vectors:
-                syms: list[complex] = []
-                for block in vec:
-                    syms.extend(s.as_complex() for s in _reencode_block(relay_map, block, N))
-                rows.append(syms)
-            reencode[j] = np.asarray(rows, dtype=np.complex128)
-        else:
-            table = []
-            for vec in vectors:
-                flat = tuple(pair for block in vec for pair in block)
-                d = product.decode(flat)
-                table.append(-1 if d is None else d)
-            decoded_msg[j] = np.asarray(table, dtype=np.int64)
+            rm = base.relay_maps[j]
+            sent = [[rm.emit(t, b).as_complex() for t in range(1, N + 1)] for b in blocks]
+            reencode[j] = _gather(np.asarray(sent, dtype=np.complex128), index)
+    return effective, reencode, messages
 
-    source_words = np.asarray(
-        [[s.as_complex() for s in product.codeword(ci)] for ci in lifted.codeword_indices],
-        dtype=np.complex128,
-    )
-    index_in_lifted = {ci: k for k, ci in enumerate(lifted.codeword_indices)}
-    tx: dict[int, np.ndarray] = {
-        net.source: source_words[[index_in_lifted[int(ci)] for ci in true_codewords]]
-    }
 
+def _simulate_layered(
+    net, product, pruned, layered, traces, noise, method, threshold,
+    use_offsets, source, true_codewords, true_slot_idx,
+):
+    trials, n_rep, N = source.shape
+    L = N * n_rep
+    dest = net.destination
+    effective, reencode, messages = _layered_tables(net, product.base, pruned, traces, use_offsets)
+
+    tx: dict[int, np.ndarray] = {net.source: source.reshape(trials, L)}
     block_errors = {j: 0 for j in range(1, net.node_count)}
     failures = {j: 0 for j in range(1, net.node_count)}
     power = {net.source: float(np.mean(np.abs(tx[net.source]) ** 2))}
@@ -404,104 +432,109 @@ def _simulate_layered(
             y = _noise(rng, (trials, L), noise.scale)
             for e in net.in_edges(j):
                 y = y + e.gain.as_complex() * tx[e.src]
-            chosen, failed = _chunked_decode(y, effective[j], method, threshold)
+            chosen, failed = _decode(y, effective[j], method, threshold)
             block_errors[j] = int((chosen != true_slot_idx[j]).sum())
             failures[j] = int(failed.sum())
             if j == dest:
-                decoded = decoded_msg[j][chosen]
-                msg_errors = decoded != true_codewords
+                msg_errors = messages[chosen] != true_codewords
             else:
                 tx[j] = reencode[j][chosen]
                 power[j] = float(np.mean(np.abs(tx[j]) ** 2))
-    return None, msg_errors, block_errors, failures, power
+    return msg_errors, block_errors, failures, power
+
+
+def _interleaved_tables(
+    net: RelayNetwork,
+    base: RelayCode,
+    pruned: PrunedSets,
+    traces: Sequence[NetworkTrace],
+    use_offsets: bool,
+) -> tuple[dict, dict, dict]:
+    """Per (node, t) slot: effective candidate rows (|S|, n_rep); for a
+    relay slot with t < N, the symbols the relay sends at t + 1 after
+    deciding each candidate (|S|, n_rep); and the slot's distinct symbols
+    with the (|S|, n_rep) index array into them.
+
+    Every row is built once per distinct symbol and gathered.  A causal
+    map at t + 1 reads only the symbol decided at t.
+    """
+    effective: dict[SlotKey, np.ndarray] = {}
+    reencode: dict[SlotKey, np.ndarray] = {}
+    symbols: dict[SlotKey, tuple[list, np.ndarray]] = {}
+    v = {
+        j: _perturbations(net, traces, j) for j in range(1, net.node_count)
+    } if use_offsets else {}
+    for slot, vectors in pruned.sets.items():
+        node, t = slot
+        values, index = _value_index(vectors)
+        rows = np.asarray([complex(re, im) for re, im in values], dtype=np.complex128)
+        if use_offsets:
+            received = [tr.received[node][t - 1] for tr in traces]
+            rows = rows + _offset_rows(v[node][:, t - 1], received, values)
+        effective[slot] = _gather(rows, index)
+        symbols[slot] = (values, index)
+        if node != net.destination and t < base.block_length:
+            rm = base.relay_maps[node]
+            sent = [rm.emit(t + 1, (val,) * t).as_complex() for val in values]
+            reencode[slot] = _gather(np.asarray(sent, dtype=np.complex128), index)
+    return effective, reencode, symbols
+
+
+def _destination_messages(
+    base: RelayCode, symbols: Sequence[tuple[list, np.ndarray]], chosen: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Message decoded per trial from the destination's N interleaved decisions.
+
+    ``symbols[t - 1]`` and ``chosen[t - 1]`` are the destination slot's
+    symbol table and decisions at time t.  Each use's reception is the
+    tuple of its symbols at t = 1..N; the decoder runs once per distinct
+    reception.  -1 marks a trial with a use the decoder does not know.
+    """
+    trials, n_rep = chosen[0].shape[0], symbols[0][1].shape[1]
+    # Number the distinct receptions one symbol at a time, so that the
+    # key stays below trials * n_rep * max table size for any N.
+    key = np.zeros(trials * n_rep, dtype=np.int64)
+    for (values, index), c in zip(symbols, chosen):
+        _, key = np.unique(key * len(values) + index[c].reshape(-1), return_inverse=True)
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    uses = [index[c].reshape(-1)[first].tolist() for (_, index), c in zip(symbols, chosen)]
+    digit = np.asarray(
+        [
+            base.decoder.get(tuple(values[k] for (values, _), k in zip(symbols, ks)), -1)
+            for ks in zip(*uses)
+        ],
+        dtype=np.int64,
+    )
+    return _message_index(digit[key.reshape(-1)].reshape(trials, n_rep), base.message_count)
 
 
 def _simulate_interleaved(
-    net, product, lifted, trials, noise, method, threshold,
-    use_offsets, true_codewords, true_slot_idx,
+    net, product, pruned, traces, noise, method, threshold,
+    use_offsets, source, true_codewords, true_slot_idx,
 ):
-    pruned = lifted.pruned
-    N = product.base.block_length
-    n_rep = product.n_rep
+    trials, n_rep, N = source.shape
     dest = net.destination
     base = product.base
     for j, rm in base.relay_maps.items():
         if not rm.causal:
             raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
-
-    traces = trace_all(net, base)
-    v_sym: dict[SlotKey, dict] = {}
-    for slot in pruned.sets:
-        node, t = slot
-        per_value: dict = {}
-        in_edges = net.in_edges(node)
-        for tr in traces:
-            val = tr.received[node][t - 1]
-            if val in per_value:
-                continue
-            acc = 0j
-            for e in in_edges:
-                acc += e.gain.as_complex() * tr.transmitted[e.src][t - 1].as_complex()
-            per_value[val] = acc - complex(val[0], val[1])
-        v_sym[slot] = per_value
-
-    cand: dict[SlotKey, np.ndarray] = {}
-    effective: dict[SlotKey, np.ndarray] = {}
-    cand_values: dict[SlotKey, tuple] = {}
-    for slot, vectors in pruned.sets.items():
-        arr = _complex_rows(vectors, layered=False)
-        cand[slot] = arr
-        cand_values[slot] = vectors
-        if use_offsets:
-            offs = np.asarray(
-                [[v_sym[slot][sym] for sym in vec] for vec in vectors],
-                dtype=np.complex128,
-            )
-            effective[slot] = arr + offs
-        else:
-            effective[slot] = arr
-
-    index_in_lifted = {ci: k for k, ci in enumerate(lifted.codeword_indices)}
-    src_syms = np.asarray(
-        [
-            [[s.as_complex() for s in base.codebook[d]] for d in product.message_tuple(ci)]
-            for ci in lifted.codeword_indices
-        ],
-        dtype=np.complex128,
-    )  # (count, n_rep, N)
-    src_by_trial = src_syms[[index_in_lifted[int(ci)] for ci in true_codewords]]
+    effective, reencode, symbols = _interleaved_tables(net, base, pruned, traces, use_offsets)
 
     block_errors = {s: 0 for s in pruned.sets}
     failures = {s: 0 for s in pruned.sets}
     power_acc = {j: 0.0 for j in range(net.node_count)}
-    zero = DiscreteSymbol.zero(base.bit_depth)
-
-    # Decoded symbol values per node per use, grown one t at a time.
-    decoded_syms: dict[int, list[np.ndarray]] = {j: [] for j in range(1, net.node_count)}
-    tx_t: dict[int, np.ndarray] = {}
     relays = [j for j in range(1, net.node_count) if j != dest]
-    dest_choice: dict[int, np.ndarray] = {}
+    chosen_at: dict[SlotKey, np.ndarray] = {}
+    tx_t: dict[int, np.ndarray] = {}
 
     for t in range(1, N + 1):
-        tx_t[net.source] = src_by_trial[:, :, t - 1]
+        tx_t[net.source] = source[:, :, t - 1]
         for j in relays:
-            rm = base.relay_maps[j]
             if t == 1:
-                sym = rm.emit(1, ())
+                sym = base.relay_maps[j].emit(1, ())
                 tx_t[j] = np.full((trials, n_rep), sym.as_complex(), dtype=np.complex128)
             else:
-                prev = decoded_syms[j][t - 2]  # (trials, n_rep) of complex ints
-                out = np.empty((trials, n_rep), dtype=np.complex128)
-                emit_cache: dict = {}
-                flat = prev.reshape(-1)
-                uniq = np.unique(flat)
-                for u in uniq:
-                    key = (int(u.real), int(u.imag))
-                    s = rm.emit(t, (key,) * (t - 1))
-                    emit_cache[u] = s.as_complex()
-                lut = np.vectorize(lambda u: emit_cache[u])
-                out = lut(flat).reshape(trials, n_rep)
-                tx_t[j] = out
+                tx_t[j] = reencode[(j, t - 1)][chosen_at[(j, t - 1)]]
         tx_t[dest] = np.zeros((trials, n_rep), dtype=np.complex128)
         for j in range(net.node_count):
             if j in tx_t:
@@ -513,39 +546,24 @@ def _simulate_interleaved(
             y = _noise(rng, (trials, n_rep), noise.scale)
             for e in net.in_edges(j):
                 y = y + e.gain.as_complex() * tx_t[e.src]
-            chosen, failed = _chunked_decode(y, effective[slot], method, threshold)
+            chosen, failed = _decode(y, effective[slot], method, threshold)
             block_errors[slot] = int((chosen != true_slot_idx[slot]).sum())
             failures[slot] = int(failed.sum())
-            vec_arr = cand[slot][chosen]  # (trials, n_rep) complex ints
-            decoded_syms[j].append(vec_arr)
-            if j == dest:
-                dest_choice[t] = chosen
+            chosen_at[slot] = chosen
 
-    # Destination: reassemble per-use receptions from its decoded slots.
-    msg_errors = np.ones(trials, dtype=bool)
-    dest_vectors = {t: cand_values[(dest, t)] for t in range(1, N + 1)}
-    for trial in range(trials):
-        digits = []
-        ok = True
-        for use in range(n_rep):
-            reception = tuple(
-                dest_vectors[t][int(dest_choice[t][trial])][use] for t in range(1, N + 1)
-            )
-            d = base.decoder.get(reception)
-            if d is None:
-                ok = False
-                break
-            digits.append(d)
-        if ok:
-            msg_errors[trial] = product.message_index(digits) != int(true_codewords[trial])
-
+    decoded = _destination_messages(
+        base,
+        [symbols[(dest, t)] for t in range(1, N + 1)],
+        [chosen_at[(dest, t)] for t in range(1, N + 1)],
+    )
+    msg_errors = decoded != true_codewords
     symbols_total = trials * n_rep * N
     power = {
         j: power_acc[j] / symbols_total
         for j in range(net.node_count)
         if j == net.source or j in relays
     }
-    return None, msg_errors, block_errors, failures, power
+    return msg_errors, block_errors, failures, power
 
 
 # --- cell entropies and genie bounds ---------------------------------------
@@ -771,16 +789,7 @@ def verify_genie_bounds(
             )
             entries.append(entry)
 
-    entries = [
-        BoundEntry(
-            node=e.node, antenna=e.antenna, links=e.links,
-            h_v=e.h_v, h_z=e.h_z, h_c=e.h_c,
-            ci_v=e.ci_v, ci_z=e.ci_z, ci_c=e.ci_c,
-            gap_sum=e.gap_sum, bound_estimate=e.bound_estimate,
-            margin=reference - e.bound_estimate, ci_halfwidth=e.ci_halfwidth,
-        )
-        for e in entries
-    ]
+    entries = [replace(e, margin=reference - e.bound_estimate) for e in entries]
     return BoundReport(
         mode=net.antenna_mode,
         samples=samples,
