@@ -83,17 +83,21 @@ def _grid(value: int, shift: int, mult: int, bit_depth: int) -> int:
 class RelayMap:
     """Deterministic map from reception history to the next symbol.
 
-    ``emit(t, visible)`` produces the symbol for local time t (1-based).
-    Under the layered scheduler ``visible`` is the node's full reception
-    block; under the synchronous scheduler it is the strict prefix
-    y'(1..t-1).  Causal maps only ever touch index t-2, so the two views
-    agree wherever both are legal.
+    ``emit(t, visible)`` produces the symbol for local time t (1-based)
+    from the node's full reception block (layered scheduler) or the strict
+    prefix y'(1..t-1) (synchronous scheduler).  Either way a map reads one
+    symbol, which ``_pick`` selects: y(t) for block maps, y(t-1) for causal
+    maps, None at t=1.  Subclasses map that symbol in ``emit_from(t, y)``,
+    which a scheduler that already knows the symbol calls directly.
     """
 
     causal: bool = False
     bit_depth: int
 
     def emit(self, t: int, visible: Sequence[Zint]) -> DiscreteSymbol:
+        return self.emit_from(t, self._pick(t, visible))
+
+    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
         raise NotImplementedError
 
     def _pick(self, t: int, visible: Sequence[Zint]) -> Zint | None:
@@ -115,8 +119,8 @@ class QuantizeForward(RelayMap):
     shift: int = 0
     causal: bool = False
 
-    def emit(self, t: int, visible: Sequence[Zint]) -> DiscreteSymbol:
-        y = self._pick(t, visible) or (0, 0)
+    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
+        y = y or (0, 0)
         n = self.bit_depth
         return DiscreteSymbol(_grid(y[0], self.shift, 1, n), _grid(y[1], self.shift, 1, n), n)
 
@@ -129,8 +133,8 @@ class ModuloMap(RelayMap):
     mult: int = 1
     causal: bool = False
 
-    def emit(self, t: int, visible: Sequence[Zint]) -> DiscreteSymbol:
-        y = self._pick(t, visible) or (0, 0)
+    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
+        y = y or (0, 0)
         n = self.bit_depth
         return DiscreteSymbol(_grid(y[0], 0, self.mult, n), _grid(y[1], 0, self.mult, n), n)
 
@@ -154,8 +158,7 @@ class TableMap(RelayMap):
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", dict(self.entries))
 
-    def emit(self, t: int, visible: Sequence[Zint]) -> DiscreteSymbol:
-        y = self._pick(t, visible)
+    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
         bits = self._table.get((t, y), self.default)
         return DiscreteSymbol(bits[0], bits[1], self.bit_depth)
 

@@ -17,9 +17,10 @@ written into one 512 x |S| float64 buffer that every chunk of the slot
 reuses and finished in place to |y|^2 + |c|^2 - 2 Re<y, c>, clamped at
 zero.  Memory per decision slot is that buffer (16 MB at |S| = 4096),
 whatever the trial count.  A slot's candidate, offset and re-encode rows
-are built once per distinct reception block (block scheduling) or symbol
-(interleaved scheduling) and gathered with an integer (|S|, n_rep) index
-array; the interleaved destination decodes each distinct reception once.
+are built once per value of the pruned set's alphabet, a reception block
+(block scheduling) or symbol (interleaved scheduling), and gathered with
+the set's (|S|, n_rep) digit rows; the interleaved destination decodes
+each distinct reception once.
 
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
@@ -39,6 +40,7 @@ from .channel import ComplexGain, Zint, compute_bit_depth, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
 from .network import RelayNetwork, layer_decomposition
+from .typicality import ReceptionVectors, _radix_codes
 
 __all__ = [
     "ConfigError",
@@ -59,6 +61,8 @@ __all__ = [
 
 LOG2E = math.log2(math.e)
 DEFAULT_THRESHOLD = -6.0
+# Trials per row of SimulationResult.batches.
+_BATCH_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -216,19 +220,6 @@ class SimulationResult:
     scheduling: str
 
 
-def _value_index(vectors: Sequence[tuple]) -> tuple[list, np.ndarray]:
-    """Distinct values of a slot's candidates, and where each use finds its own.
-
-    A value is what one use of the base code leaves at the slot: a block
-    of N symbols under block scheduling, one symbol under interleaved
-    scheduling.  Returns the values in order of first appearance and the
-    (|S|, n_rep) int array of value positions.
-    """
-    position: dict = {}
-    index = [[position.setdefault(v, len(position)) for v in vec] for vec in vectors]
-    return list(position), np.asarray(index, dtype=np.int64)
-
-
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Per-candidate rows (|S|, n_rep * width) from per-value rows."""
     return table[index].reshape(len(index), -1)
@@ -264,14 +255,6 @@ def _offset_rows(v: np.ndarray, received: Sequence, values: Sequence) -> np.ndar
     return v[[first[x] for x in values]]
 
 
-def _message_index(digits: np.ndarray, K: int) -> np.ndarray:
-    """Product-code message per row of base digits, -1 where a digit is -1."""
-    index = np.zeros(len(digits), dtype=np.int64)
-    for column in digits.T:
-        index = index * K + column
-    return np.where((digits >= 0).all(axis=1), index, -1)
-
-
 def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
     """Source symbols of every lifted codeword: (count, n_rep, N) complex."""
     book = np.asarray(
@@ -292,7 +275,6 @@ def simulate_lifted(
     method: str = "ml",
     threshold: float | None = None,
     use_offsets: bool = True,
-    batch_rows: int = 4096,
 ) -> SimulationResult:
     """Transport messages of a lifted code through the Gaussian network.
 
@@ -357,8 +339,8 @@ def simulate_lifted(
     msg_errors, block_errors, failures, avg_power = result
 
     batches: list[tuple[int, int, int]] = []
-    for lo in range(0, trials, batch_rows):
-        hi = min(lo + batch_rows, trials)
+    for lo in range(0, trials, _BATCH_ROWS):
+        hi = min(lo + _BATCH_ROWS, trials)
         batches.append((lo, hi - lo, int(msg_errors[lo:hi].sum())))
     total_errors = int(msg_errors.sum())
     return SimulationResult(
@@ -387,23 +369,23 @@ def _layered_tables(
     """Per node: effective candidate rows; per relay: re-encoded rows;
     at the destination: the message of each candidate (-1 if none).
 
-    Every row is built once per distinct reception block and gathered
-    into the (|S|, n_rep * N) arrays.
+    Every row is built once per reception block of the node's alphabet
+    and gathered with its digit rows into the (|S|, n_rep * N) arrays.
     """
     N = base.block_length
     effective: dict[int, np.ndarray] = {}
     reencode: dict[int, np.ndarray] = {}
     messages = np.empty(0, dtype=np.int64)
     for j in range(1, net.node_count):
-        blocks, index = _value_index(pruned.sets[j])
+        blocks, index = pruned.sets[j].alphabet, pruned.sets[j].digits
         rows = np.asarray([[complex(re, im) for re, im in b] for b in blocks], dtype=np.complex128)
         if use_offsets:
             received = [tr.received[j] for tr in traces]
             rows = rows + _offset_rows(_perturbations(net, traces, j), received, blocks)
         effective[j] = _gather(rows, index)
         if j == net.destination:
-            digits = np.asarray([base.decoder.get(b, -1) for b in blocks], dtype=np.int64)
-            messages = _message_index(digits[index], base.message_count)
+            digits = np.asarray([base.decoder.get(b, -1) for b in blocks], dtype=np.int64)[index]
+            messages = np.where((digits >= 0).all(axis=1), _radix_codes(digits, base.message_count), -1)
         else:
             rm = base.relay_maps[j]
             sent = [[rm.emit(t, b).as_complex() for t in range(1, N + 1)] for b in blocks]
@@ -449,63 +431,61 @@ def _interleaved_tables(
     pruned: PrunedSets,
     traces: Sequence[NetworkTrace],
     use_offsets: bool,
-) -> tuple[dict, dict, dict]:
-    """Per (node, t) slot: effective candidate rows (|S|, n_rep); for a
-    relay slot with t < N, the symbols the relay sends at t + 1 after
-    deciding each candidate (|S|, n_rep); and the slot's distinct symbols
-    with the (|S|, n_rep) index array into them.
+) -> tuple[dict, dict]:
+    """Per (node, t) slot: effective candidate rows (|S|, n_rep); and for
+    a relay slot with t < N, the symbols the relay sends at t + 1 after
+    deciding each candidate (|S|, n_rep).
 
-    Every row is built once per distinct symbol and gathered.  A causal
-    map at t + 1 reads only the symbol decided at t.
+    Every row is built once per symbol of the slot's alphabet and
+    gathered with its digit rows.  A causal map at t + 1 reads only the
+    symbol decided at t.
     """
     effective: dict[SlotKey, np.ndarray] = {}
     reencode: dict[SlotKey, np.ndarray] = {}
-    symbols: dict[SlotKey, tuple[list, np.ndarray]] = {}
     v = {
         j: _perturbations(net, traces, j) for j in range(1, net.node_count)
     } if use_offsets else {}
     for slot, vectors in pruned.sets.items():
         node, t = slot
-        values, index = _value_index(vectors)
+        values, index = vectors.alphabet, vectors.digits
         rows = np.asarray([complex(re, im) for re, im in values], dtype=np.complex128)
         if use_offsets:
             received = [tr.received[node][t - 1] for tr in traces]
             rows = rows + _offset_rows(v[node][:, t - 1], received, values)
         effective[slot] = _gather(rows, index)
-        symbols[slot] = (values, index)
         if node != net.destination and t < base.block_length:
             rm = base.relay_maps[node]
-            sent = [rm.emit(t + 1, (val,) * t).as_complex() for val in values]
+            sent = [rm.emit_from(t + 1, val).as_complex() for val in values]
             reencode[slot] = _gather(np.asarray(sent, dtype=np.complex128), index)
-    return effective, reencode, symbols
+    return effective, reencode
 
 
 def _destination_messages(
-    base: RelayCode, symbols: Sequence[tuple[list, np.ndarray]], chosen: Sequence[np.ndarray]
+    base: RelayCode, sets: Sequence[ReceptionVectors], chosen: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Message decoded per trial from the destination's N interleaved decisions.
 
-    ``symbols[t - 1]`` and ``chosen[t - 1]`` are the destination slot's
-    symbol table and decisions at time t.  Each use's reception is the
-    tuple of its symbols at t = 1..N; the decoder runs once per distinct
-    reception.  -1 marks a trial with a use the decoder does not know.
+    ``sets[t - 1]`` and ``chosen[t - 1]`` are the destination's pruned set
+    and decisions at time t.  Each use's reception is the tuple of its
+    symbols at t = 1..N; the decoder runs once per distinct reception.  -1
+    marks a trial with a use the decoder does not know.
     """
-    trials, n_rep = chosen[0].shape[0], symbols[0][1].shape[1]
+    trials, n_rep = chosen[0].shape[0], sets[0].digits.shape[1]
     # Number the distinct receptions one symbol at a time, so that the
-    # key stays below trials * n_rep * max table size for any N.
+    # key stays below trials * n_rep * max alphabet size for any N.
     key = np.zeros(trials * n_rep, dtype=np.int64)
-    for (values, index), c in zip(symbols, chosen):
-        _, key = np.unique(key * len(values) + index[c].reshape(-1), return_inverse=True)
+    for s, c in zip(sets, chosen):
+        _, key = np.unique(key * len(s.alphabet) + s.digits[c].reshape(-1), return_inverse=True)
     _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    uses = [index[c].reshape(-1)[first].tolist() for (_, index), c in zip(symbols, chosen)]
+    uses = [s.digits[c].reshape(-1)[first].tolist() for s, c in zip(sets, chosen)]
     digit = np.asarray(
         [
-            base.decoder.get(tuple(values[k] for (values, _), k in zip(symbols, ks)), -1)
+            base.decoder.get(tuple(s.alphabet[k] for s, k in zip(sets, ks)), -1)
             for ks in zip(*uses)
         ],
         dtype=np.int64,
-    )
-    return _message_index(digit[key.reshape(-1)].reshape(trials, n_rep), base.message_count)
+    )[key.reshape(-1)].reshape(trials, n_rep)
+    return np.where((digit >= 0).all(axis=1), _radix_codes(digit, base.message_count), -1)
 
 
 def _simulate_interleaved(
@@ -518,7 +498,7 @@ def _simulate_interleaved(
     for j, rm in base.relay_maps.items():
         if not rm.causal:
             raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
-    effective, reencode, symbols = _interleaved_tables(net, base, pruned, traces, use_offsets)
+    effective, reencode = _interleaved_tables(net, base, pruned, traces, use_offsets)
 
     block_errors = {s: 0 for s in pruned.sets}
     failures = {s: 0 for s in pruned.sets}
@@ -531,7 +511,7 @@ def _simulate_interleaved(
         tx_t[net.source] = source[:, :, t - 1]
         for j in relays:
             if t == 1:
-                sym = base.relay_maps[j].emit(1, ())
+                sym = base.relay_maps[j].emit_from(1, None)
                 tx_t[j] = np.full((trials, n_rep), sym.as_complex(), dtype=np.complex128)
             else:
                 tx_t[j] = reencode[(j, t - 1)][chosen_at[(j, t - 1)]]
@@ -553,7 +533,7 @@ def _simulate_interleaved(
 
     decoded = _destination_messages(
         base,
-        [symbols[(dest, t)] for t in range(1, N + 1)],
+        [pruned.sets[(dest, t)] for t in range(1, N + 1)],
         [chosen_at[(dest, t)] for t in range(1, N + 1)],
     )
     msg_errors = decoded != true_codewords

@@ -22,6 +22,7 @@ from .codes import ProductCode, trace_all
 from .network import RelayNetwork
 from .typicality import (
     FiniteDistribution,
+    ReceptionVectors,
     TooLarge,
     TypicalSet,
     _radix_codes,
@@ -122,14 +123,15 @@ def _slot_key(slot: SlotKey) -> list[int]:
 class PrunedSets:
     """Per-slot random subsets of the typical reception vectors.
 
-    sets[slot] is sorted canonically; the position of a vector in that
-    order is its index for provenance and decoding.  Selection draws a
-    seeded partial shuffle per slot, with the slot's generator derived
-    from the master seed and the slot key, so slots are independent and
-    the whole object is reproducible from master_seed alone.
+    sets[slot] keeps the typical set's alphabet and the chosen digit rows
+    in their sorted order; the position of a vector in that order is its
+    index for provenance and decoding.  Selection draws a seeded partial
+    shuffle per slot, with the slot's generator derived from the master
+    seed and the slot key, so slots are independent and the whole object
+    is reproducible from master_seed alone.
     """
 
-    sets: dict[SlotKey, tuple[tuple, ...]]
+    sets: dict[SlotKey, ReceptionVectors]
     exponents: dict[SlotKey, float]
     bounds: dict[SlotKey, tuple[float, float]]
     master_seed: int
@@ -184,15 +186,14 @@ def prune_sets(
     if starved:
         raise EmptyResult(starved)
 
-    sets: dict[SlotKey, tuple[tuple, ...]] = {}
+    sets: dict[SlotKey, ReceptionVectors] = {}
     bounds: dict[SlotKey, tuple[float, float]] = {}
     for slot, ts in typical_sets.items():
         rng = np.random.default_rng(
             np.random.SeedSequence([master_seed] + _slot_key(slot))
         )
         order = rng.permutation(len(ts.vectors))[: sizes[slot]]
-        chosen = tuple(sorted(ts.vectors[i] for i in order))
-        sets[slot] = chosen
+        sets[slot] = ReceptionVectors(ts.vectors.alphabet, ts.vectors.digits[np.sort(order)])
         h = entropy(ts.dist)
         lo = 2.0 ** (
             n_rep * (h - symbols_per_slot * k_eff - 3.0 * ts.epsilon_2)
@@ -248,32 +249,6 @@ def _slot_values_by_message(
     return values
 
 
-def _member_index(
-    codes: np.ndarray, members: Sequence[tuple], rank: Mapping, n_rep: int
-) -> np.ndarray:
-    """Position in ``members`` of the vector behind each code, -1 if absent.
-
-    Codes are base-len(rank) numbers over the symbol ranks in ``rank``.  A
-    member of another length or with a symbol outside ``rank`` can match
-    no reception and is left out of the lookup.
-    """
-    known = [
-        i for i, vec in enumerate(members)
-        if len(vec) == n_rep and all(v in rank for v in vec)
-    ]
-    digits = np.array([[rank[v] for v in members[i]] for i in known], dtype=np.int64)
-    member_codes = _radix_codes(digits.reshape(-1, n_rep), len(rank))
-    order = np.argsort(member_codes, kind="stable")
-    sorted_codes = member_codes[order]
-    # side="right" picks the last of equal members, as a dict over them would.
-    pos = np.searchsorted(sorted_codes, codes, side="right") - 1
-    found = pos >= 0
-    found[found] = sorted_codes[pos[found]] == codes[found]
-    index = np.full(len(codes), -1, dtype=np.int64)
-    index[found] = np.asarray(known, dtype=np.int64)[order][pos[found]]
-    return index
-
-
 def build_lifted_code(
     net: RelayNetwork,
     product: ProductCode,
@@ -290,12 +265,12 @@ def build_lifted_code(
     (source, receptions) tuple sequence reduces to typicality of the
     base-message digit sequence under the uniform message law, which is
     how it is evaluated here: once per type class of the digit rows, with
-    the exact rule on one representative per class.  Each slot's
-    reception vector is then coded as an int64 over the ranks of the
-    slot's symbols in tuple order, so codes sort like the vectors they
-    stand for, and membership and provenance come from a binary search of
-    the pruned set's sorted codes.  An empty result is valid and reported
-    as such, not an error.
+    the exact rule on one representative per class.  Each base message
+    is mapped to its digit in the slot's alphabet, so a codeword's
+    reception vector at the slot is a digit row of the pruned set's kind,
+    and membership and provenance come from one binary search of the
+    set's sorted codes.  An empty result is valid and reported as such,
+    not an error.
     """
     if product.codeword_count > budget:
         raise TooLarge(
@@ -310,11 +285,16 @@ def build_lifted_code(
 
     members: dict[SlotKey, np.ndarray] = {}
     for slot in slots:
-        rank = {v: r for r, v in enumerate(sorted(set(values[slot])))}
-        message_rank = np.array([rank[v] for v in values[slot]], dtype=np.int64)
-        codes = _radix_codes(message_rank[digits], len(rank))
-        index = _member_index(codes, pruned.sets[slot], rank, n_rep)
-        hit = index >= 0
+        vectors = pruned.sets[slot]
+        if vectors.digits.shape[1] != n_rep:
+            raise ValueError(f"pruned set at slot {slot} has rows of another length than {n_rep}")
+        digit_of = {v: d for d, v in enumerate(vectors.alphabet)}
+        rows = np.array([digit_of.get(v, -1) for v in values[slot]], dtype=np.int64)[digits]
+        codes = _radix_codes(rows, len(vectors.alphabet))
+        index = np.searchsorted(vectors.codes, codes)
+        # A message whose value is outside the alphabet is in no vector.
+        hit = (rows >= 0).all(axis=1) & (index < len(vectors))
+        hit[hit] = vectors.codes[index[hit]] == codes[hit]
         digits = digits[hit]
         members = {s: m[hit] for s, m in members.items()}
         members[slot] = index[hit]

@@ -369,12 +369,6 @@ def _slot_doc(slot) -> Any:
     return slot if isinstance(slot, int) else list(slot)
 
 
-def _vector_doc(vec, layered: bool) -> list:
-    if layered:
-        return [[[p[0], p[1]] for p in block] for block in vec]
-    return [[p[0], p[1]] for p in vec]
-
-
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
@@ -466,9 +460,8 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "slot": _slot_doc(slot),
                     "exponent": pruned.exponents[slot],
                     "count_bounds": list(pruned.bounds[slot]),
-                    "vectors": [
-                        _vector_doc(v, scheduling == "layered") for v in pruned.sets[slot]
-                    ],
+                    # Alphabet values are tuples, which JSON writes as arrays.
+                    "vectors": list(pruned.sets[slot]),
                 }
                 for slot in sorted(pruned.sets, key=_slot_key)
             ],

@@ -10,9 +10,9 @@ and symbols of probability zero never occur.
 The criterion depends on a sequence only through its type, the histogram
 of its symbols.  Typical sets are therefore decided once per type class:
 the exact rational test runs on one representative vector per class, and
-the kept classes are expanded with numpy over int64 digit rows.  Digits
-index the support in tuple order (``sorted(support)``), so the code order
-of digit rows is the sorted order of the vectors they spell.
+the kept classes are expanded with numpy over int64 digit rows.  With the
+slot's alphabet in tuple order (``sorted(support)``) those rows make a
+ReceptionVectors, the one form every later stage reads reception vectors in.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "TooLarge",
     "FiniteDistribution",
     "JointDistribution",
+    "ReceptionVectors",
     "TypicalSet",
     "entropy",
     "conditional_entropy",
@@ -232,6 +234,50 @@ def jointly_strongly_typical(
     return is_strongly_typical(zipped, joint.as_finite(), epsilon)
 
 
+@dataclass(frozen=True, eq=False)
+class ReceptionVectors(Sequence):
+    """Sorted, distinct reception vectors of one slot, as int64 digit rows.
+
+    ``alphabet`` holds the slot's values in tuple order; row i of the
+    (count, n_rep) int64 ``digits`` spells vector i, one alphabet index per
+    use.  Rows are unique and ascend in their base-len(alphabet) ``codes``,
+    which is tuple order.  As a sequence, item i is vector i as a tuple.
+    """
+
+    alphabet: tuple
+    digits: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = self.digits
+        if not isinstance(d, np.ndarray) or d.dtype != np.int64 or d.ndim != 2:
+            raise ValueError("digits must be a 2-D int64 array")
+        if tuple(sorted(set(self.alphabet))) != self.alphabet:
+            raise ValueError("alphabet must be a tuple of distinct values in sorted order")
+        if len(self.alphabet) ** d.shape[1] > 1 << 63:
+            raise ValueError("codes of these rows do not fit in int64")
+        if d.size and (d.min() < 0 or d.max() >= len(self.alphabet)):
+            raise ValueError("digit outside the alphabet")
+        if (np.diff(self.codes) <= 0).any():
+            raise ValueError("rows must be distinct and in ascending code order")
+
+    @property
+    def codes(self) -> np.ndarray:
+        return _radix_codes(self.digits, len(self.alphabet))
+
+    def __len__(self) -> int:
+        return len(self.digits)
+
+    def __getitem__(self, i: int) -> tuple:
+        return tuple(self.alphabet[d] for d in self.digits[i].tolist())
+
+    def __iter__(self):
+        return (tuple(self.alphabet[d] for d in row) for row in self.digits.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, ReceptionVectors) and self.alphabet == other.alphabet
+                and np.array_equal(self.digits, other.digits))
+
+
 @dataclass(frozen=True)
 class TypicalSet:
     """Epsilon-typical vectors of one reception variable.
@@ -239,14 +285,14 @@ class TypicalSet:
     ``slot`` identifies the variable: a node id for block-scheduled
     (layered) operation, or a (node, t) pair for interleaved operation
     where t is the 1-based symbol index inside the base block.  Vectors
-    are length-n_rep tuples of slot values, stored sorted.
+    are length-n_rep digit rows over the slot's support, in sorted order.
     """
 
     slot: int | tuple[int, int]
     epsilon: float
     n_rep: int
     dist: FiniteDistribution
-    vectors: tuple[tuple, ...]
+    vectors: ReceptionVectors
     epsilon_2: float
     envelope: tuple[float, float]
 
@@ -286,15 +332,13 @@ def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
 
 def _typical_vectors(
     dist: FiniteDistribution, n_rep: int, epsilon: float, budget: int
-) -> tuple[tuple, ...]:
-    support = sorted(s for s, p in dist.items() if p > 0)
+) -> ReceptionVectors:
+    support = tuple(sorted(s for s, p in dist.items() if p > 0))
     if len(support) ** n_rep > budget:
         raise TooLarge(
             f"{len(support)}**{n_rep} candidate vectors exceed the budget {budget}"
         )
-    rows = _typical_digit_rows(support, dist, n_rep, epsilon)
-    columns = [[support[d] for d in col] for col in rows.T.tolist()]
-    return tuple(zip(*columns))
+    return ReceptionVectors(support, _typical_digit_rows(support, dist, n_rep, epsilon))
 
 
 def _build_set(

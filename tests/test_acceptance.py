@@ -6,6 +6,7 @@ criterion.  Stated runtime budgets are asserted alongside the numeric
 tolerances, so a regression in either shows up here.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -547,17 +548,75 @@ def test_criterion_10_interleaving_and_causal_schedule(nonlayered_net, tmp_path)
 # ---------------------------------------------------------------------------
 
 
+# sha256 of every artifact the shipped pipeline configs write.  A change that
+# alters any of these bytes is a re-baseline and must say so.
+SHIPPED_ARTIFACT_SHA256 = {
+    "line": {
+        "base_code.json": "d222bd3e9af076f6225aee706990109dec9c79662b6aed5ac8e58aec75ad6ad2",
+        "bound_report.json": "557d46333e30b0058590fc569eb3ad7fb30717ba2549884daedd6cc4896f1fc6",
+        "config.json": "7d9eba0f165bc96e2cb0a7d568524934646e6ae5cae28ef3646a7ae9373e970f",
+        "lifted_code.json": "6bc3823bbf17889591ed5c6c4fd6a2470ebd9566ae387c61f8e1fb09ef2e67f6",
+        "product_code.json": "62dadb04c0f4f28c04fe47af1d428b242c47a820fa17bbbdd8957dd495dcdc49",
+        "pruned_sets.json": "ab435decc6da8d2b6dade749c68b4fa0540630aa4aee501e6bdfdd1f17380ed4",
+        "rate_report.json": "3963c4a24b5f836772f55664e9fc684559ce1d127bd3f7d36b239955a992d025",
+        "simulation.csv": "c6781702df71593b2f9971aea94590000912a1a94e40a7b528eb4af2c57427bf",
+        "simulation.json": "ca41b554538406d8350b19d757e91f003bdc2badc51801d02fc947655b777f2c",
+        "typical_sets.json": "5de58226e81dae08b28a8afe8dc48a8a8ef12e19f60651861e3966d388c5b740",
+    },
+    "diamond": {
+        "base_code.json": "1c4573e61e9ff75f1e796e48e9075c58beaaaf76daee0752d75695b66cc9f75f",
+        "bound_report.json": "cd2e1ea13634fd4ca233053cf386723297c49f1d44c954a24587625d7acb1f24",
+        "config.json": "c51213c48e4c045a076b231225643f7004d76231f1f069d80fcc8cdf57a8a54c",
+        "lifted_code.json": "43efa50cbfb1622b6b7974e4a71887a7223077cc327f7006dc9a9b71e096f7be",
+        "product_code.json": "5b93be760751b1901ab50b64098d085327786943ca471545aa2d8c23e322a7f9",
+        "pruned_sets.json": "229f2c1c70af11f05de3def62de28bc1b23db9bbcac1a1086b2ae7ff9e8a45c0",
+        "rate_report.json": "6e10f464d77441eb2b44032e2211455bc0d79fdd1c6351dc7c533f15ad1af146",
+        "simulation.csv": "9929db3577b5dc0c265a6b5369f06559cd5c5b7a805b4171a822679dc9794766",
+        "simulation.json": "1eb88610930415d169a86170841b6364938654e3e7d10b0ac2bdd00baf091e55",
+        "typical_sets.json": "43e1072b8dbeda40c109d7f6bb854662509043531e5c283081b080c3cdefc2ec",
+    },
+    "nonlayered": {
+        "base_code.json": "2ac4bd4fb6a0d7035acded553d11daa5e3ac9e3e7f6fa89872af25292dea8d5f",
+        "bound_report.json": "1b3d893dd2484c4c70f66fcbd7e8bcc497c3134edfa70c543deb6d8f9b186c1e",
+        "config.json": "aaa20534f73e575d3a8ebe30bd1e9e00eba97ba843900983a97be9193dba85d1",
+        "lifted_code.json": "4eedc786f0afa71ed2b2d2ab438c19ff899d74e7a8a090977a72da773456612f",
+        "product_code.json": "75c34c1c2bb8222ca102db8f4c231cf7ae3459db0afa8e49ced880bbce907f70",
+        "pruned_sets.json": "dc24d7dbafaf5eedfe9205476d5b85d97e402dcfcac3026253dbf33473e12e8d",
+        "rate_report.json": "f313e3d2b967e144421bb2e3c9899064637ccdbcb5a700c98548fe1b9b9bbf0c",
+        "simulation.csv": "c357ead370da1b209ece09d4f21c93c096014f4b97e6b016588a9cbca49435f1",
+        "simulation.json": "74101d0cf0990432f82ddbbdacc2ec0a111fd5a627b58d416e8d409fdc7289bb",
+        "typical_sets.json": "bb3a1d563b5055128ea8cbc30a00752e73489c8d58782430ab41459f20329dbc",
+    },
+}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+
+
+def _run_shipped(name: str, out_dir) -> dict[str, str]:
+    rc = cli.main(["pipeline", "--config", f"{name}_pipeline", "--out", str(out_dir)])
+    assert rc == 0
+    return _digests(out_dir)
+
+
+@pytest.mark.parametrize("name", ["line", "nonlayered"])
+def test_shipped_artifacts_match_pinned_digests(name, tmp_path):
+    assert _run_shipped(name, tmp_path) == SHIPPED_ARTIFACT_SHA256[name]
+
+
 def test_criterion_11_pipeline_byte_reproducibility(tmp_path):
     t0 = time.monotonic()
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        rc = cli.main(["pipeline", "--config", "diamond_pipeline", "--out", str(out)])
-        assert rc == 0
+        _run_shipped("diamond", out)
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    # The diamond run doubles as the pin of the shipped diamond artifacts.
+    assert _digests(outs[0]) == SHIPPED_ARTIFACT_SHA256["diamond"]
     elapsed = time.monotonic() - t0
     _report(11, f"two pipeline runs produced byte-identical {names}, {elapsed:.0f}s")

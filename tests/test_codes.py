@@ -92,6 +92,35 @@ def test_causal_maps_read_the_previous_symbol():
     assert m.emit(2, ((1, 1),)) == DiscreteSymbol(0, 1, 1)
 
 
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda causal: QuantizeForward(bit_depth=2, shift=1, causal=causal),
+        lambda causal: ModuloMap(bit_depth=2, mult=3, causal=causal),
+        lambda causal: TableMap(
+            bit_depth=2,
+            entries=(
+                ((1, None), (1, 0)), ((1, (3, 1)), (2, 3)), ((2, (3, 1)), (0, 1)),
+                ((2, (6, 0)), (3, 3)), ((3, (6, 0)), (1, 2)), ((3, (-2, 5)), (2, 1)),
+            ),
+            default=(3, 0),
+            causal=causal,
+        ),
+    ],
+    ids=["quantize_forward", "modulo", "table"],
+)
+def test_emit_is_emit_from_of_the_one_picked_symbol(make, causal):
+    m = make(causal)
+    block = ((3, 1), (6, 0), (-2, 5))
+    for t in range(1, len(block) + 1):
+        # Block maps see the whole block; causal maps see the prefix y(1..t-1).
+        visible = block[: t - 1] if causal else block
+        y = m._pick(t, visible)
+        assert y == ((block[t - 2] if t >= 2 else None) if causal else block[t - 1])
+        assert m.emit(t, visible) == m.emit_from(t, y)
+
+
 def test_relay_code_validation():
     sym = DiscreteSymbol(0, 0, 1)
     with pytest.raises(ValueError):

@@ -285,7 +285,7 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
     base, pruned, dest = product.base, lifted.pruned, net.destination
     N = base.block_length
     traces = trace_all(net, base)
-    effective, reencode, symbols = _interleaved_tables(net, base, pruned, traces, use_offsets)
+    effective, reencode = _interleaved_tables(net, base, pruned, traces, use_offsets)
     want_effective, want_reencode = _reference_interleaved_tables(net, base, pruned, use_offsets)
     _same(effective, want_effective)
     _same(reencode, want_reencode)
@@ -293,12 +293,12 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
     rng = np.random.default_rng(5)
     trials = 3000
     chosen = [rng.integers(len(pruned.sets[(dest, t)]), size=trials) for t in range(1, N + 1)]
-    dest_symbols = [symbols[(dest, t)] for t in range(1, N + 1)]
+    dest_sets = [pruned.sets[(dest, t)] for t in range(1, N + 1)]
     # A decoder that misses some receptions, so that -1 shows up too.
     partial = dataclasses.replace(base, decoder=dict(list(base.decoder.items())[1:]))
     decoded = []
     for code in (base, partial):
-        decoded.append(_destination_messages(code, dest_symbols, chosen))
+        decoded.append(_destination_messages(code, dest_sets, chosen))
         # True messages: half the decoded ones, half random.
         true = np.where(
             rng.random(trials) < 0.5, decoded[-1], rng.integers(product.codeword_count, size=trials)

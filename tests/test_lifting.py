@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from dsnlift.codes import ProductCode, build_product_code, trace_all
@@ -19,6 +20,7 @@ from dsnlift.network import load_network
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
 from dsnlift.typicality import (
     FiniteDistribution,
+    ReceptionVectors,
     TypicalSet,
     enumerate_typical_receptions,
     is_strongly_typical,
@@ -26,16 +28,13 @@ from dsnlift.typicality import (
 
 
 def _manual_set(vector_count: int, n_rep: int, eps2: float = 0.5) -> TypicalSet:
-    """A synthetic typical set with a chosen cardinality."""
-    if n_rep == 1:
-        symbols = tuple(range(vector_count))
-        vectors = tuple((s,) for s in symbols)
-    else:
-        assert n_rep == 2
-        side = math.isqrt(vector_count)
-        assert side * side == vector_count
-        symbols = tuple(range(side))
-        vectors = tuple((a, b) for a in symbols for b in symbols)
+    """A synthetic typical set with a chosen cardinality: every row over range(side)."""
+    assert n_rep in (1, 2)
+    side = vector_count if n_rep == 1 else math.isqrt(vector_count)
+    assert side**n_rep == vector_count
+    symbols = tuple(range(side))
+    digits = np.indices((side,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
+    vectors = ReceptionVectors(symbols, digits)
     dist = FiniteDistribution.uniform(symbols)
     return TypicalSet(
         slot=1,
@@ -296,21 +295,59 @@ def test_lift_matches_per_codeword_loop(name, n_rep, set_epsilon, lift_epsilon):
         assert survivors == ()
 
 
-def test_lift_ignores_foreign_and_matches_duplicate_members(diamond_net, diamond_code):
-    # A hand-made pruned set: unsorted, with a vector of symbols no node
-    # receives, one of the wrong length and a repeated member.  The lookup
-    # must behave like a dict over the set: last duplicate wins.
+def _rows(rows, dtype=np.int64):
+    return np.asarray(rows, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "alphabet, digits",
+    [
+        ((0, 1), _rows([[0, 2], [1, 0]])),  # a digit outside the alphabet
+        ((0, 1), _rows([[0, -1], [1, 0]])),  # a negative digit
+        ((0, 1), _rows([0, 1])),  # rows that are not 2-D
+        ((0, 1), _rows([[[0], [1]]])),  # nor 3-D
+        ((0, 1), _rows([[0, 1], [1, 0]], np.int32)),  # not int64
+        ((0, 1), [[0, 1], [1, 0]]),  # not an array
+        ((0, 1), _rows([[0, 1], [0, 1]])),  # a duplicate row
+        ((0, 1), _rows([[1, 0], [0, 1]])),  # rows out of order
+        ((1, 0), _rows([[0, 1], [1, 0]])),  # an alphabet out of tuple order
+        ((0, 0), _rows([[0, 1], [1, 0]])),  # a repeated alphabet value
+        ((0, 1), _rows([[0] * 64])),  # codes past int64
+    ],
+)
+def test_reception_vectors_reject_malformed_rows(alphabet, digits):
+    with pytest.raises(ValueError):
+        ReceptionVectors(alphabet, digits)
+
+
+def test_reception_vectors_sequence_face():
+    vectors = ReceptionVectors(((0, 1), (2, 0)), np.asarray([[0, 0], [0, 1], [1, 0]], dtype=np.int64))
+    assert len(vectors) == 3
+    assert vectors[1] == ((0, 1), (2, 0))
+    assert list(vectors) == [vectors[i] for i in range(3)]
+    assert vectors == ReceptionVectors(vectors.alphabet, vectors.digits.copy())
+    assert vectors != ReceptionVectors(vectors.alphabet, vectors.digits[1:])
+    assert vectors.codes.tolist() == [0, 1, 2]
+
+
+def test_lift_with_a_narrow_alphabet_and_rows_of_another_length(diamond_net, diamond_code):
+    # A hand-made set at slot 1 whose alphabet leaves out one block that
+    # node 1 receives: codewords using that block are in no vector.
     product, sets = _diamond_sets(diamond_net, diamond_code, n_rep=2, epsilon=3.0)
     params = KappaParams.for_network(diamond_net, override=0.0)
     pruned = prune_sets(sets, params, eta=0.0, master_seed=3, symbols_per_slot=2)
-    members = list(reversed(pruned.sets[1]))[:6]
-    foreign = (((99, 99), (99, 99)),) * 2
-    odd = members[0][:1]
-    edited = dict(pruned.sets)
-    edited[1] = (foreign, members[2], odd) + tuple(members) + (members[4],)
-    pruned = dataclasses.replace(pruned, sets=edited)
-    lifted = build_lifted_code(diamond_net, product, pruned, epsilon=3.0)
-    survivors, provenance = _reference_lift(diamond_net, product, pruned, 3.0)
+    full = pruned.sets[1]
+    keep = (full.digits > 0).all(axis=1)
+    narrow = ReceptionVectors(full.alphabet[1:], full.digits[keep] - 1)
+    edited = dataclasses.replace(pruned, sets={**pruned.sets, 1: narrow})
+    lifted = build_lifted_code(diamond_net, product, edited, epsilon=3.0)
+    survivors, provenance = _reference_lift(diamond_net, product, edited, 3.0)
     assert lifted.codeword_indices == survivors
     assert lifted.provenance == provenance
-    assert len(survivors) == 6
+    assert len(survivors) == 9
+
+    wide = ReceptionVectors(full.alphabet, full.digits[:, [0, 1, 1]])
+    with pytest.raises(ValueError):
+        build_lifted_code(
+            diamond_net, product, dataclasses.replace(pruned, sets={**pruned.sets, 1: wide}), 3.0
+        )

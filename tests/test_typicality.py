@@ -231,7 +231,7 @@ HALF = FiniteDistribution((9, 10), (Fraction(1, 2), Fraction(1, 2)))
 @example(dist=HALF, n_rep=4, epsilon=0.25)
 def test_typical_vectors_match_per_vector_loop(dist, n_rep, epsilon):
     got = typicality._typical_vectors(dist, n_rep, epsilon, budget=1 << 20)
-    assert got == _reference_typical_vectors(dist, n_rep, epsilon)
+    assert tuple(got) == _reference_typical_vectors(dist, n_rep, epsilon)
 
 
 def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_code):
