@@ -28,7 +28,6 @@ __all__ = [
     "EmptyGainList",
     "GainBelowUnit",
     "LengthMismatch",
-    "AntennaMismatch",
     "ComplexGain",
     "QuantizedGain",
     "DiscreteSymbol",
@@ -60,10 +59,6 @@ class GainBelowUnit(ChannelError):
 
 
 class LengthMismatch(ChannelError):
-    pass
-
-
-class AntennaMismatch(ChannelError):
     pass
 
 

@@ -1,13 +1,18 @@
 """Running lifted codes on the noisy network and checking the price.
 
 Two halves.  The simulation half transports a lifted code through the
-Gaussian network: every non-source node decodes its noisy reception to a
-member of its pruned decision set, re-encodes deterministically, and the
-destination maps its decision back to a message.  The verification half
-estimates, per node, the entropies of the floored perturbation, the
-floored noise and the carry, whose sum upper-bounds the information gap
-between the discrete and the noisy reception and must stay under the
-node-count constant kappa.
+Gaussian network in one walk over decision slots.  A slot is a node plus
+the base-block times it decides: all N of them for a block slot j, or
+one time t for an interleaved slot (j, t).  Layered networks walk block
+slots level by level; other networks walk interleaved slots in (t, node)
+order.  At each slot the node decodes its noisy reception to a member of
+its pruned decision set.  A relay re-encodes deterministically every
+time whose relay-map read falls in the slot, and the destination joins
+its decisions, in time order, into receptions it maps back to a message.
+The verification half estimates, per node, the entropies of the floored
+perturbation, the floored noise and the carry, whose sum upper-bounds the
+information gap between the discrete and the noisy reception and must
+stay under the node-count constant kappa.
 
 Every decision goes through one decode kernel, _decode; decode_to_set is
 its one-row call.  A candidate set is laid out once as the real matrix
@@ -18,9 +23,8 @@ reuses and finished in place to |y|^2 + |c|^2 - 2 Re<y, c>, clamped at
 zero.  Memory per decision slot is that buffer (16 MB at |S| = 4096),
 whatever the trial count.  A slot's candidate, offset and re-encode rows
 are built once per value of the pruned set's alphabet, a reception block
-(block scheduling) or symbol (interleaved scheduling), and gathered with
-the set's (|S|, n_rep) digit rows; the interleaved destination decodes
-each distinct reception once.
+or symbol, and gathered with the set's (|S|, n_rep) digit rows; the
+destination decodes each distinct reception once.
 
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
@@ -40,7 +44,7 @@ from .channel import ComplexGain, Zint, compute_bit_depth, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
 from .network import RelayNetwork, layer_decomposition
-from .typicality import ReceptionVectors, _radix_codes
+from .typicality import ReceptionVectors, _radix_codes, _slot_node, _slot_values
 
 __all__ = [
     "ConfigError",
@@ -266,6 +270,97 @@ def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
     return book[digits.reshape(lifted.count, product.n_rep)]
 
 
+def _slot_symbols(slot: SlotKey, alphabet: Sequence, N: int) -> tuple[slice, list[tuple]]:
+    """The base-block times ``slot`` covers (0-based), and each value of its
+    alphabet spelled as the symbols received at those times."""
+    if isinstance(slot, int):
+        return slice(0, N), list(alphabet)
+    t = slot[1]
+    return slice(t - 1, t), [(value,) for value in alphabet]
+
+
+@dataclass(frozen=True)
+class _SlotTable:
+    """One decision slot, as the walk reads it.
+
+    ``effective`` holds the candidate rows (|S|, n_rep * width) over the
+    0-based ``times`` the slot covers.  A relay's decision sets its
+    symbols at ``sends`` (None if at no time), and ``reencode`` holds them
+    per candidate (|S|, n_rep * width of sends).
+    """
+
+    times: slice
+    effective: np.ndarray
+    sends: slice | None
+    reencode: np.ndarray | None
+
+
+def _slot_tables(
+    net: RelayNetwork,
+    base: RelayCode,
+    pruned: PrunedSets,
+    traces: Sequence[NetworkTrace],
+    use_offsets: bool,
+) -> dict[SlotKey, _SlotTable]:
+    """The table of every slot, each row built once per value of the slot's
+    alphabet and gathered with the set's (|S|, n_rep) digit rows.
+
+    A relay map's symbol at time u reads the reception at u (block maps)
+    or at u - 1 (causal maps), so a decision over some times sets every u
+    whose read falls among them.  A causal map's time 1 reads nothing and
+    is no slot's to set.
+    """
+    N = base.block_length
+    v = {j: _perturbations(net, traces, j) for j in range(1, net.node_count)} if use_offsets else {}
+    tables: dict[SlotKey, _SlotTable] = {}
+    for slot, vectors in pruned.sets.items():
+        node, index = _slot_node(slot), vectors.digits
+        times, blocks = _slot_symbols(slot, vectors.alphabet, N)
+        rows = np.asarray([[complex(re, im) for re, im in b] for b in blocks], dtype=np.complex128)
+        if use_offsets:
+            rows = rows + _offset_rows(v[node][:, times], _slot_values(traces, slot), vectors.alphabet)
+        sends = reencode = None
+        if node != net.destination:
+            rm = base.relay_maps[node]
+            lag = int(rm.causal)
+            us = range(times.start + lag, min(times.stop + lag, N))
+            if us:
+                # The i-th time set reads the i-th symbol the slot covers.
+                sent = [[rm.emit_from(u + 1, y).as_complex() for u, y in zip(us, b)] for b in blocks]
+                sends, reencode = slice(us.start, us.stop), _gather(np.asarray(sent), index)
+        tables[slot] = _SlotTable(times, _gather(rows, index), sends, reencode)
+    return tables
+
+
+def _destination_messages(
+    base: RelayCode, sets: Mapping[SlotKey, ReceptionVectors], chosen: Mapping[SlotKey, np.ndarray]
+) -> np.ndarray:
+    """Message decoded per trial from the destination's decisions.
+
+    ``chosen`` holds, per destination slot, the decided index into the
+    slot's pruned set ``sets[slot]`` for every trial.  Taken in time
+    order, the slots' decided values join into each use's length-N
+    reception; the decoder runs once per distinct reception.  -1 marks a
+    trial with a use the decoder does not know.
+    """
+    slots = sorted(chosen, key=_slot_key)
+    digits = [sets[s].digits[chosen[s]].reshape(-1) for s in slots]
+    trials = len(chosen[slots[0]])
+    # Number the distinct receptions one slot at a time, so that the key
+    # stays below trials * n_rep * max alphabet size for any N.
+    key = np.zeros(len(digits[0]), dtype=np.int64)
+    for s, d in zip(slots, digits):
+        _, key = np.unique(key * len(sets[s].alphabet) + d, return_inverse=True)
+    _, first, key = np.unique(key, return_index=True, return_inverse=True)
+    blocks = [_slot_symbols(s, sets[s].alphabet, base.block_length)[1] for s in slots]
+    uses = zip(*(d[first].tolist() for d in digits))
+    digit = np.asarray(
+        [base.decoder.get(tuple(y for b, k in zip(blocks, ks) for y in b[k]), -1) for ks in uses],
+        dtype=np.int64,
+    )[key.reshape(-1)].reshape(trials, -1)
+    return np.where((digit >= 0).all(axis=1), _radix_codes(digit, base.message_count), -1)
+
+
 def simulate_lifted(
     net: RelayNetwork,
     product: ProductCode,
@@ -279,12 +374,14 @@ def simulate_lifted(
     """Transport messages of a lifted code through the Gaussian network.
 
     Per trial a codeword is drawn uniformly from the lifted code and sent.
-    On layered networks nodes proceed level by level, each decoding its
-    whole noisy block to its pruned set and re-encoding with the base
-    relay map per use.  On other networks the interleaved schedule runs:
-    decisions happen per base-symbol index t on vectors of the t-th
-    symbols of all uses, and relay maps must be causal.  Decode errors at
-    relays propagate downstream exactly as they would physically.
+    The walk visits decision slots: on layered networks a slot is a node's
+    whole noisy block and nodes go level by level; on other networks the
+    interleaved schedule runs, a slot is the t-th symbol of every use at
+    a node, slots go in (t, node) order, and relay maps must be causal.
+    At each slot the node decodes to its pruned set and a relay re-encodes
+    what its decision sets with the base relay map per use; the
+    destination never transmits.  Decode errors at relays propagate
+    downstream exactly as they would physically.
 
     With use_offsets the decoder centres each candidate at reception plus
     its canonical perturbation; otherwise the perturbation is left inside
@@ -297,6 +394,7 @@ def simulate_lifted(
     if trials < 1:
         raise ConfigError("need at least one trial")
     pruned = lifted.pruned
+    base = product.base
     layered = layer_decomposition(net)
     slots = sorted(pruned.sets, key=_slot_key)
     slot_is_block = all(isinstance(s, int) for s in slots)
@@ -304,40 +402,54 @@ def simulate_lifted(
         raise ConfigError("layered network needs per-node pruned sets")
     if layered is None and slot_is_block:
         raise ConfigError("non-layered network needs per-(node, t) pruned sets")
-    expected_nodes = set(range(1, net.node_count))
-    got_nodes = {s if isinstance(s, int) else s[0] for s in slots}
-    if got_nodes != expected_nodes:
-        raise ConfigError(f"pruned sets cover nodes {sorted(got_nodes)}, need {sorted(expected_nodes)}")
-    if compute_bit_depth(net.all_gain_components()) != product.base.bit_depth:
+    n_rep, N = product.n_rep, base.block_length
+    nodes = range(1, net.node_count)
+    expected = list(nodes) if slot_is_block else [(j, t) for t in range(1, N + 1) for j in nodes]
+    if set(slots) != set(expected):
+        raise ConfigError(f"pruned sets cover slots {slots}, need {sorted(expected, key=_slot_key)}")
+    if compute_bit_depth(net.all_gain_components()) != base.bit_depth:
         raise ConfigError("code bit depth does not match the network")
+    dest = net.destination
+    relays = [j for j in nodes if j != dest]
+    if layered is None:
+        for j in relays:
+            if not base.relay_maps[j].causal:
+                raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
+        order = expected
+    else:
+        order = [j for level in layered.levels[1:] for j in sorted(level)]
 
-    n_rep = product.n_rep
     threshold_val = DEFAULT_THRESHOLD if threshold is None else float(threshold)
-
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
     pick = msg_rng.integers(lifted.count, size=trials)
     true_codewords = np.asarray(lifted.codeword_indices, dtype=np.int64)[pick]
-    true_slot_idx = {
-        slot: np.asarray(
-            [lifted.provenance[ci][slot] for ci in lifted.codeword_indices], dtype=np.int64
-        )[pick]
-        for slot in slots
-    }
-    source = _source_symbols(product, lifted)[pick]
-    traces = trace_all(net, product.base)
+    tables = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
 
-    if slot_is_block:
-        result = _simulate_layered(
-            net, product, pruned, layered, traces, noise, method, threshold_val,
-            use_offsets, source, true_codewords, true_slot_idx,
-        )
-    else:
-        result = _simulate_interleaved(
-            net, product, pruned, traces, noise, method, threshold_val,
-            use_offsets, source, true_codewords, true_slot_idx,
-        )
-    msg_errors, block_errors, failures, avg_power = result
+    # Every node's transmissions over the trials, uses and base-block times.
+    tx = {j: np.zeros((trials, n_rep, N), dtype=np.complex128) for j in range(net.node_count)}
+    tx[net.source] = _source_symbols(product, lifted)[pick]
+    for j in relays:
+        if base.relay_maps[j].causal:
+            tx[j][:, :, 0] = base.relay_maps[j].emit_from(1, None).as_complex()
+    block_errors = dict.fromkeys(slots, 0)
+    failures = dict.fromkeys(slots, 0)
+    decided: dict[SlotKey, np.ndarray] = {}
+    for slot in order:
+        j, table = _slot_node(slot), tables[slot]
+        rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1] + _slot_key(slot)))
+        y = _noise(rng, (trials, table.effective.shape[1]), noise.scale)
+        for e in net.in_edges(j):
+            y = y + e.gain.as_complex() * tx[e.src][:, :, table.times].reshape(trials, -1)
+        chosen, failed = _decode(y, table.effective, method, threshold_val)
+        true_idx = [lifted.provenance[ci][slot] for ci in lifted.codeword_indices]
+        block_errors[slot] = int((chosen != np.asarray(true_idx, dtype=np.int64)[pick]).sum())
+        failures[slot] = int(failed.sum())
+        if j == dest:
+            decided[slot] = chosen
+        elif table.sends is not None:
+            tx[j][:, :, table.sends] = table.reencode[chosen].reshape(trials, n_rep, -1)
 
+    msg_errors = _destination_messages(base, pruned.sets, decided) != true_codewords
     batches: list[tuple[int, int, int]] = []
     for lo in range(0, trials, _BATCH_ROWS):
         hi = min(lo + _BATCH_ROWS, trials)
@@ -347,9 +459,9 @@ def simulate_lifted(
         trials=trials,
         message_errors=total_errors,
         message_error_rate=total_errors / trials,
-        block_errors={s: int(v) for s, v in block_errors.items()},
-        decode_failures={s: int(v) for s, v in failures.items()},
-        avg_power={j: float(p) for j, p in avg_power.items()},
+        block_errors=block_errors,
+        decode_failures=failures,
+        avg_power={j: float(np.mean(np.abs(x) ** 2)) for j, x in tx.items() if j != dest},
         noise_seed=noise.seed,
         noise_scale=noise.scale,
         method=method,
@@ -357,193 +469,6 @@ def simulate_lifted(
         batches=batches,
         scheduling="layered" if slot_is_block else "interleaved",
     )
-
-
-def _layered_tables(
-    net: RelayNetwork,
-    base: RelayCode,
-    pruned: PrunedSets,
-    traces: Sequence[NetworkTrace],
-    use_offsets: bool,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], np.ndarray]:
-    """Per node: effective candidate rows; per relay: re-encoded rows;
-    at the destination: the message of each candidate (-1 if none).
-
-    Every row is built once per reception block of the node's alphabet
-    and gathered with its digit rows into the (|S|, n_rep * N) arrays.
-    """
-    N = base.block_length
-    effective: dict[int, np.ndarray] = {}
-    reencode: dict[int, np.ndarray] = {}
-    messages = np.empty(0, dtype=np.int64)
-    for j in range(1, net.node_count):
-        blocks, index = pruned.sets[j].alphabet, pruned.sets[j].digits
-        rows = np.asarray([[complex(re, im) for re, im in b] for b in blocks], dtype=np.complex128)
-        if use_offsets:
-            received = [tr.received[j] for tr in traces]
-            rows = rows + _offset_rows(_perturbations(net, traces, j), received, blocks)
-        effective[j] = _gather(rows, index)
-        if j == net.destination:
-            digits = np.asarray([base.decoder.get(b, -1) for b in blocks], dtype=np.int64)[index]
-            messages = np.where((digits >= 0).all(axis=1), _radix_codes(digits, base.message_count), -1)
-        else:
-            rm = base.relay_maps[j]
-            sent = [[rm.emit(t, b).as_complex() for t in range(1, N + 1)] for b in blocks]
-            reencode[j] = _gather(np.asarray(sent, dtype=np.complex128), index)
-    return effective, reencode, messages
-
-
-def _simulate_layered(
-    net, product, pruned, layered, traces, noise, method, threshold,
-    use_offsets, source, true_codewords, true_slot_idx,
-):
-    trials, n_rep, N = source.shape
-    L = N * n_rep
-    dest = net.destination
-    effective, reencode, messages = _layered_tables(net, product.base, pruned, traces, use_offsets)
-
-    tx: dict[int, np.ndarray] = {net.source: source.reshape(trials, L)}
-    block_errors = {j: 0 for j in range(1, net.node_count)}
-    failures = {j: 0 for j in range(1, net.node_count)}
-    power = {net.source: float(np.mean(np.abs(tx[net.source]) ** 2))}
-    msg_errors = np.ones(trials, dtype=bool)
-
-    for level in layered.levels[1:]:
-        for j in sorted(level):
-            rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1, j]))
-            y = _noise(rng, (trials, L), noise.scale)
-            for e in net.in_edges(j):
-                y = y + e.gain.as_complex() * tx[e.src]
-            chosen, failed = _decode(y, effective[j], method, threshold)
-            block_errors[j] = int((chosen != true_slot_idx[j]).sum())
-            failures[j] = int(failed.sum())
-            if j == dest:
-                msg_errors = messages[chosen] != true_codewords
-            else:
-                tx[j] = reencode[j][chosen]
-                power[j] = float(np.mean(np.abs(tx[j]) ** 2))
-    return msg_errors, block_errors, failures, power
-
-
-def _interleaved_tables(
-    net: RelayNetwork,
-    base: RelayCode,
-    pruned: PrunedSets,
-    traces: Sequence[NetworkTrace],
-    use_offsets: bool,
-) -> tuple[dict, dict]:
-    """Per (node, t) slot: effective candidate rows (|S|, n_rep); and for
-    a relay slot with t < N, the symbols the relay sends at t + 1 after
-    deciding each candidate (|S|, n_rep).
-
-    Every row is built once per symbol of the slot's alphabet and
-    gathered with its digit rows.  A causal map at t + 1 reads only the
-    symbol decided at t.
-    """
-    effective: dict[SlotKey, np.ndarray] = {}
-    reencode: dict[SlotKey, np.ndarray] = {}
-    v = {
-        j: _perturbations(net, traces, j) for j in range(1, net.node_count)
-    } if use_offsets else {}
-    for slot, vectors in pruned.sets.items():
-        node, t = slot
-        values, index = vectors.alphabet, vectors.digits
-        rows = np.asarray([complex(re, im) for re, im in values], dtype=np.complex128)
-        if use_offsets:
-            received = [tr.received[node][t - 1] for tr in traces]
-            rows = rows + _offset_rows(v[node][:, t - 1], received, values)
-        effective[slot] = _gather(rows, index)
-        if node != net.destination and t < base.block_length:
-            rm = base.relay_maps[node]
-            sent = [rm.emit_from(t + 1, val).as_complex() for val in values]
-            reencode[slot] = _gather(np.asarray(sent, dtype=np.complex128), index)
-    return effective, reencode
-
-
-def _destination_messages(
-    base: RelayCode, sets: Sequence[ReceptionVectors], chosen: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Message decoded per trial from the destination's N interleaved decisions.
-
-    ``sets[t - 1]`` and ``chosen[t - 1]`` are the destination's pruned set
-    and decisions at time t.  Each use's reception is the tuple of its
-    symbols at t = 1..N; the decoder runs once per distinct reception.  -1
-    marks a trial with a use the decoder does not know.
-    """
-    trials, n_rep = chosen[0].shape[0], sets[0].digits.shape[1]
-    # Number the distinct receptions one symbol at a time, so that the
-    # key stays below trials * n_rep * max alphabet size for any N.
-    key = np.zeros(trials * n_rep, dtype=np.int64)
-    for s, c in zip(sets, chosen):
-        _, key = np.unique(key * len(s.alphabet) + s.digits[c].reshape(-1), return_inverse=True)
-    _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    uses = [s.digits[c].reshape(-1)[first].tolist() for s, c in zip(sets, chosen)]
-    digit = np.asarray(
-        [
-            base.decoder.get(tuple(s.alphabet[k] for s, k in zip(sets, ks)), -1)
-            for ks in zip(*uses)
-        ],
-        dtype=np.int64,
-    )[key.reshape(-1)].reshape(trials, n_rep)
-    return np.where((digit >= 0).all(axis=1), _radix_codes(digit, base.message_count), -1)
-
-
-def _simulate_interleaved(
-    net, product, pruned, traces, noise, method, threshold,
-    use_offsets, source, true_codewords, true_slot_idx,
-):
-    trials, n_rep, N = source.shape
-    dest = net.destination
-    base = product.base
-    for j, rm in base.relay_maps.items():
-        if not rm.causal:
-            raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
-    effective, reencode = _interleaved_tables(net, base, pruned, traces, use_offsets)
-
-    block_errors = {s: 0 for s in pruned.sets}
-    failures = {s: 0 for s in pruned.sets}
-    power_acc = {j: 0.0 for j in range(net.node_count)}
-    relays = [j for j in range(1, net.node_count) if j != dest]
-    chosen_at: dict[SlotKey, np.ndarray] = {}
-    tx_t: dict[int, np.ndarray] = {}
-
-    for t in range(1, N + 1):
-        tx_t[net.source] = source[:, :, t - 1]
-        for j in relays:
-            if t == 1:
-                sym = base.relay_maps[j].emit_from(1, None)
-                tx_t[j] = np.full((trials, n_rep), sym.as_complex(), dtype=np.complex128)
-            else:
-                tx_t[j] = reencode[(j, t - 1)][chosen_at[(j, t - 1)]]
-        tx_t[dest] = np.zeros((trials, n_rep), dtype=np.complex128)
-        for j in range(net.node_count):
-            if j in tx_t:
-                power_acc[j] += float(np.sum(np.abs(tx_t[j]) ** 2))
-
-        for j in range(1, net.node_count):
-            slot = (j, t)
-            rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1, j, t]))
-            y = _noise(rng, (trials, n_rep), noise.scale)
-            for e in net.in_edges(j):
-                y = y + e.gain.as_complex() * tx_t[e.src]
-            chosen, failed = _decode(y, effective[slot], method, threshold)
-            block_errors[slot] = int((chosen != true_slot_idx[slot]).sum())
-            failures[slot] = int(failed.sum())
-            chosen_at[slot] = chosen
-
-    decoded = _destination_messages(
-        base,
-        [pruned.sets[(dest, t)] for t in range(1, N + 1)],
-        [chosen_at[(dest, t)] for t in range(1, N + 1)],
-    )
-    msg_errors = decoded != true_codewords
-    symbols_total = trials * n_rep * N
-    power = {
-        j: power_acc[j] / symbols_total
-        for j in range(net.node_count)
-        if j == net.source or j in relays
-    }
-    return msg_errors, block_errors, failures, power
 
 
 # --- cell entropies and genie bounds ---------------------------------------

@@ -26,6 +26,7 @@ from .typicality import (
     TooLarge,
     TypicalSet,
     _radix_codes,
+    _slot_values,
     _typical_digit_rows,
     entropy,
 )
@@ -235,20 +236,6 @@ class LiftedCode:
         return len(self.codeword_indices)
 
 
-def _slot_values_by_message(
-    net: RelayNetwork, product: ProductCode, slots: Sequence[SlotKey]
-) -> dict[SlotKey, list]:
-    traces = trace_all(net, product.base)
-    values: dict[SlotKey, list] = {}
-    for slot in slots:
-        if isinstance(slot, int):
-            values[slot] = [tr.received[slot] for tr in traces]
-        else:
-            node, t = slot
-            values[slot] = [tr.received[node][t - 1] for tr in traces]
-    return values
-
-
 def build_lifted_code(
     net: RelayNetwork,
     product: ProductCode,
@@ -277,7 +264,7 @@ def build_lifted_code(
             f"{product.codeword_count} codewords exceed the enumeration budget {budget}"
         )
     slots = sorted(pruned.sets, key=_slot_key)
-    values = _slot_values_by_message(net, product, slots)
+    traces = trace_all(net, product.base)
     K = product.base.message_count
     n_rep = product.n_rep
     uniform = FiniteDistribution.uniform(tuple(range(K)))
@@ -289,7 +276,7 @@ def build_lifted_code(
         if vectors.digits.shape[1] != n_rep:
             raise ValueError(f"pruned set at slot {slot} has rows of another length than {n_rep}")
         digit_of = {v: d for d, v in enumerate(vectors.alphabet)}
-        rows = np.array([digit_of.get(v, -1) for v in values[slot]], dtype=np.int64)[digits]
+        rows = np.array([digit_of.get(v, -1) for v in _slot_values(traces, slot)], dtype=np.int64)[digits]
         codes = _radix_codes(rows, len(vectors.alphabet))
         index = np.searchsorted(vectors.codes, codes)
         # A message whose value is outside the alphabet is in no vector.

@@ -27,7 +27,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .codes import ProductCode, RelayCode, trace_all
+from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .network import RelayNetwork
 
 __all__ = [
@@ -298,7 +298,20 @@ class TypicalSet:
 
     @property
     def node(self) -> int:
-        return self.slot if isinstance(self.slot, int) else self.slot[0]
+        return _slot_node(self.slot)
+
+
+def _slot_node(slot: int | tuple[int, int]) -> int:
+    """The node that decides at ``slot``: a node id or a (node, t) pair."""
+    return slot if isinstance(slot, int) else slot[0]
+
+
+def _slot_values(traces: Sequence[NetworkTrace], slot: int | tuple[int, int]) -> list:
+    """Each base message's reception at ``slot``: its block, or its t-th symbol."""
+    if isinstance(slot, int):
+        return [tr.received[slot] for tr in traces]
+    node, t = slot
+    return [tr.received[node][t - 1] for tr in traces]
 
 
 def _typical_digit_rows(
@@ -376,8 +389,7 @@ def enumerate_typical_receptions(
     all-zero typical vector.
     """
     traces = trace_all(net, product.base)
-    blocks = [tr.received[node] for tr in traces]
-    return _build_set(node, blocks, product.n_rep, epsilon, budget)
+    return _build_set(node, _slot_values(traces, node), product.n_rep, epsilon, budget)
 
 
 def enumerate_typical_symbol_vectors(
@@ -397,5 +409,4 @@ def enumerate_typical_symbol_vectors(
     traces = trace_all(net, product.base)
     if not (1 <= t <= product.base.block_length):
         raise ValueError(f"symbol index {t} out of range")
-    symbols = [tr.received[node][t - 1] for tr in traces]
-    return _build_set((node, t), symbols, product.n_rep, epsilon, budget)
+    return _build_set((node, t), _slot_values(traces, (node, t)), product.n_rep, epsilon, budget)

@@ -21,8 +21,7 @@ from dsnlift.gaussian import (
     NoiseSpec,
     _decode,
     _destination_messages,
-    _interleaved_tables,
-    _layered_tables,
+    _slot_tables,
     decode_to_set,
     simulate_lifted,
 )
@@ -266,17 +265,32 @@ def _same(a, b):
         assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
 
 
+def _tables(tables):
+    """Effective rows of every slot, and re-encode rows of every slot that sends."""
+    effective = {s: tb.effective for s, tb in tables.items()}
+    return effective, {s: tb.reencode for s, tb in tables.items() if tb.sends is not None}
+
+
 @pytest.mark.parametrize("name", ["line", "diamond"])
 @pytest.mark.parametrize("use_offsets", [True, False])
 def test_layered_tables_match_per_vector_loops(name, use_offsets):
     _, net, product, lifted = _shipped(name)
+    pruned, dest, N = lifted.pruned, net.destination, product.base.block_length
     traces = trace_all(net, product.base)
-    got = _layered_tables(net, product.base, lifted.pruned, traces, use_offsets)
-    want = _reference_layered_tables(net, product, lifted.pruned, use_offsets)
-    _same(got[0], want[0])
-    _same(got[1], want[1])
-    assert np.array_equal(got[2], want[2])
-    assert (got[2] >= 0).any()
+    tables = _slot_tables(net, product.base, pruned, traces, use_offsets)
+    want = _reference_layered_tables(net, product, pruned, use_offsets)
+    effective, reencode = _tables(tables)
+    _same(effective, want[0])
+    _same(reencode, want[1])
+    # The shipped layered codes use block maps: a decision sets its whole block.
+    assert all(tb.times == slice(0, N) for tb in tables.values())
+    assert {s: tb.sends for s, tb in tables.items()} == {
+        s: None if s == dest else slice(0, N) for s in pruned.sets
+    }
+    # The destination deciding each candidate once gives each candidate's message.
+    messages = _destination_messages(product.base, pruned.sets, {dest: np.arange(len(pruned.sets[dest]))})
+    assert np.array_equal(messages, want[2])
+    assert (messages >= 0).any()
 
 
 @pytest.mark.parametrize("use_offsets", [True, False])
@@ -285,26 +299,27 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
     base, pruned, dest = product.base, lifted.pruned, net.destination
     N = base.block_length
     traces = trace_all(net, base)
-    effective, reencode = _interleaved_tables(net, base, pruned, traces, use_offsets)
+    effective, reencode = _tables(_slot_tables(net, base, pruned, traces, use_offsets))
     want_effective, want_reencode = _reference_interleaved_tables(net, base, pruned, use_offsets)
     _same(effective, want_effective)
     _same(reencode, want_reencode)
 
     rng = np.random.default_rng(5)
     trials = 3000
-    chosen = [rng.integers(len(pruned.sets[(dest, t)]), size=trials) for t in range(1, N + 1)]
-    dest_sets = [pruned.sets[(dest, t)] for t in range(1, N + 1)]
+    chosen = {(dest, t): rng.integers(len(pruned.sets[(dest, t)]), size=trials) for t in range(1, N + 1)}
     # A decoder that misses some receptions, so that -1 shows up too.
     partial = dataclasses.replace(base, decoder=dict(list(base.decoder.items())[1:]))
     decoded = []
     for code in (base, partial):
-        decoded.append(_destination_messages(code, dest_sets, chosen))
+        decoded.append(_destination_messages(code, pruned.sets, chosen))
         # True messages: half the decoded ones, half random.
         true = np.where(
             rng.random(trials) < 0.5, decoded[-1], rng.integers(product.codeword_count, size=trials)
         )
         true = np.maximum(true, 0)
-        want = _reference_destination(ProductCode(code, product.n_rep), pruned, dest, chosen, true)
+        want = _reference_destination(
+            ProductCode(code, product.n_rep), pruned, dest, list(chosen.values()), true
+        )
         assert np.array_equal(decoded[-1] != true, want)
     assert (decoded[0] >= 0).all() and (decoded[1] < 0).any()
 

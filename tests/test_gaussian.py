@@ -1,5 +1,6 @@
 """Noisy-network tests: decoding, entropy estimation, simulation, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from scipy.stats import norm
 
 from dsnlift.channel import ComplexGain
-from dsnlift.codes import build_product_code
+from dsnlift.codes import (
+    ProductCode,
+    QuantizeForward,
+    RelayCode,
+    build_product_code,
+    enumerate_alphabet,
+    search_base_code,
+    with_derived_decoder,
+)
 from dsnlift.gaussian import (
     ConfigError,
     NoiseSpec,
@@ -21,7 +30,8 @@ from dsnlift.gaussian import (
     verify_genie_bounds,
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, kappa_mimo, prune_sets
-from dsnlift.network import Edge, RelayNetwork
+from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network, validate
+from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
 from dsnlift.typicality import (
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
@@ -273,6 +283,73 @@ def test_simulation_rejects_slot_type_mismatch(diamond_net, diamond_code):
     lifted = build_lifted_code(diamond_net, product, pruned, epsilon=3.0)
     with pytest.raises(ConfigError):
         simulate_lifted(diamond_net, product, lifted, trials=10, noise=NoiseSpec(seed=1))
+
+
+@pytest.mark.parametrize("missing", [(3, 2), (1, 1)])
+def test_simulation_rejects_pruned_sets_missing_a_slot(missing):
+    cfg = load_config(read_input_text("nonlayered_pipeline"))
+    net = load_network(read_input_text(cfg.network))
+    base, _ = _load_base_code(cfg, net)
+    product = ProductCode(base, cfg.n_rep)
+    lifted = _lift(net, product, cfg.epsilon, cfg.kappa_override, cfg.prune_seed)
+    simulate_lifted(net, product, lifted, trials=10, noise=NoiseSpec(seed=1))
+    sets = {s: v for s, v in lifted.pruned.sets.items() if s != missing}
+    partial = dataclasses.replace(lifted, pruned=dataclasses.replace(lifted.pruned, sets=sets))
+    with pytest.raises(ConfigError):
+        simulate_lifted(net, product, partial, trials=10, noise=NoiseSpec(seed=1))
+
+
+def _lift(net, product, epsilon, kappa_override, seed):
+    sets, symbols_per_slot, _ = _typical_sets(net, product, epsilon)
+    params = KappaParams.for_network(net, override=kappa_override)
+    pruned = prune_sets(sets, params, eta=0.0, master_seed=seed, symbols_per_slot=symbols_per_slot)
+    return build_lifted_code(net, product, pruned, epsilon=epsilon)
+
+
+def test_layered_simulation_with_a_destination_out_edge():
+    # The destination (node 3) sits on level 1 and feeds node 2; like
+    # run_dsn, the simulation pads its transmissions with zeros.
+    g = ComplexGain(3.0, 0.0)
+    net = RelayNetwork(
+        node_count=4, edges=(Edge(0, 1, g), Edge(0, 3, g), Edge(1, 2, g), Edge(3, 2, g))
+    )
+    assert validate(net) == []
+    assert layer_decomposition(net).levels == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
+    base = search_base_code(net, block_length=1, rate=1, attempts=100, seed=3)
+    product = ProductCode(base, 2)
+    lifted = _lift(net, product, epsilon=3.0, kappa_override=0.0, seed=1)
+    res = simulate_lifted(net, product, lifted, trials=200, noise=NoiseSpec(1, scale=0.0))
+    assert res.scheduling == "layered"
+    assert res.message_errors == 0
+    assert res.block_errors == {1: 0, 2: 0, 3: 0}
+
+
+@pytest.mark.parametrize(
+    "use_offsets, message_errors, block_errors, relay_power",
+    [(True, 2308, {1: 1612, 2: 2308}, 0.3701875), (False, 2433, {1: 1689, 2: 2433}, 0.3555625)],
+)
+def test_layered_simulation_with_causal_relay_maps(
+    use_offsets, message_errors, block_errors, relay_power
+):
+    # Block scheduling with a causal map: the relay sends emit_from(1, None)
+    # at t = 1 and a map of its decided y(1) at t = 2.
+    g = ComplexGain(3.0, 0.0)
+    line = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
+    A = enumerate_alphabet(1)
+    code = with_derived_decoder(line, RelayCode(
+        block_length=2, bit_depth=1, codebook=tuple((a, A[1]) for a in A),
+        relay_maps={1: QuantizeForward(1, shift=1, causal=True)}, decoder={},
+    ))
+    product = ProductCode(code, 4)
+    lifted = _lift(line, product, epsilon=1.0, kappa_override=0.125, seed=5)
+    assert lifted.count == 56
+    res = simulate_lifted(
+        line, product, lifted, trials=3000, noise=NoiseSpec(7), use_offsets=use_offsets
+    )
+    assert res.scheduling == "layered"
+    assert res.message_errors == message_errors
+    assert res.block_errors == block_errors
+    assert res.avg_power == {0: 0.2564895833333333, 1: relay_power}
 
 
 # --- genie bound verification ------------------------------------------------
