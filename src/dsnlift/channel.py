@@ -144,12 +144,13 @@ Zint = tuple[int, int]
 class Decomposition:
     """Split of a noisy reception into discrete output plus gap terms.
 
-    y        : the Gaussian reception (float complex)
+    y        : the Gaussian reception (float view of the exact value)
     y_prime  : the discrete superposition output (exact Gaussian integer)
     v        : perturbation from gain truncation and product truncation
+               (float view of the exact value)
     z        : the additive noise sample
-    c        : integer carry, defined as the exact residual
-               floor(y) - y_prime - floor(v) - floor(z)
+    c        : integer carry, the residual floor(y) - y_prime - floor(v)
+               - floor(z) of the exact y and v
     """
 
     y: complex
@@ -191,7 +192,8 @@ def compute_bit_depth(gains: Iterable[ComplexGain]) -> int:
         for comp in (g.re, g.im):
             mag = abs(comp)
             if mag >= 1.0:
-                level = int(math.floor(math.log2(mag)))
+                # frexp's exponent is exact; log2 rounds up just below 2**k.
+                level = math.frexp(mag)[1] - 1
                 best = level if best is None else max(best, level)
     if best is None:
         raise GainBelowUnit("every gain component has magnitude below one")
@@ -216,14 +218,6 @@ def _trunc_product(g: QuantizedGain, x: DiscreteSymbol) -> Zint:
     num_re = g.re * x.re_bits - g.im * x.im_bits
     num_im = g.re * x.im_bits + g.im * x.re_bits
     return (_floor_div(num_re, den), _floor_div(num_im, den))
-
-
-def _product_fraction(g: QuantizedGain, x: DiscreteSymbol) -> tuple[Fraction, Fraction]:
-    den = 1 << x.bit_depth
-    return (
-        Fraction(g.re * x.re_bits - g.im * x.im_bits, den),
-        Fraction(g.re * x.im_bits + g.im * x.re_bits, den),
-    )
 
 
 def superposition_output(
@@ -256,6 +250,22 @@ def gaussian_output(
     return acc + noise
 
 
+def _dyadic(f: float) -> tuple[int, int]:
+    # A finite float is exactly num / 2**exp.
+    num, den = f.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def _float_view(num: int, exp: int) -> float:
+    # num / 2**exp rounded to nearest, stepped down one ulp when rounding
+    # up reached the next integer, so the view keeps the exact floor while
+    # its magnitude is below 2**52.
+    f = num / (1 << exp)
+    if math.floor(f) > num >> exp:
+        f = math.nextafter(f, -math.inf)
+    return f
+
+
 def decompose_received(
     inputs: Sequence[DiscreteSymbol],
     gains: Sequence[ComplexGain],
@@ -264,37 +274,53 @@ def decompose_received(
     """Genie split y = y' + v + z with integer carry.
 
     v collects, per link, the gain truncation term (h - h')x and the
-    product truncation term h'x - trunc(h'x).  The carry c is defined as
-    the residual floor(y) - y' - floor(v) - floor(z), which makes
+    product truncation term h'x - trunc(h'x), so y' + v = sum h x.  Float
+    gains, dyadic inputs and the float noise sample are all rationals
+    num / 2**exp, so y and v are computed exactly as integers over one
+    power of two.  The carry is the exact residual
+    c = floor(y) - y' - floor(v) - floor(z), which makes
 
         floor(y) = y' + floor(v) + floor(z) + c
 
-    an identity rather than an approximation.  Empirically each component
-    of c lands in {0, 1} and each component of v stays below 3K in
-    magnitude for K incoming links.
+    an identity, and each component of c is floor(frac(v) + frac(z)), in
+    {0, 1} at every bit depth.  The y and v fields are float views of the
+    exact values that keep their floors while below 2**52 in magnitude.
+    Empirically each component of v stays below 3K in magnitude for K
+    incoming links.
     """
     if len(inputs) != len(gains):
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
-    quantized = [quantize_gain(g) for g in gains]
-    y_prime = superposition_output(inputs, quantized)
+    y_prime = superposition_output(inputs, [quantize_gain(g) for g in gains])
 
-    v = 0j
-    for x, g, gq in zip(inputs, gains, quantized):
-        xc = x.as_complex()
-        gain_err = (g.as_complex() - gq.as_complex()) * xc
-        pr, pi = _product_fraction(gq, x)
-        tr, ti = _trunc_product(gq, x)
-        v += gain_err + complex(float(pr - tr), float(pi - ti))
+    # (numerator, exponent) terms of sum h x, per component.
+    re_terms: list[tuple[int, int]] = []
+    im_terms: list[tuple[int, int]] = []
+    for x, g in zip(inputs, gains):
+        (a, ea), (b, eb) = _dyadic(g.re), _dyadic(g.im)
+        n = x.bit_depth
+        re_terms += [(a * x.re_bits, ea + n), (-b * x.im_bits, eb + n)]
+        im_terms += [(a * x.im_bits, ea + n), (b * x.re_bits, eb + n)]
+    z_re, z_im = _dyadic(noise.real), _dyadic(noise.imag)
+    s = max(e for _, e in (*re_terms, *im_terms, z_re, z_im))
+    hx_re = sum(m << (s - e) for m, e in re_terms)
+    hx_im = sum(m << (s - e) for m, e in im_terms)
+    y_re = hx_re + (z_re[0] << (s - z_re[1]))
+    y_im = hx_im + (z_im[0] << (s - z_im[1]))
+    v_re = hx_re - (y_prime[0] << s)
+    v_im = hx_im - (y_prime[1] << s)
 
-    xs = [x.as_complex() for x in inputs]
-    y = gaussian_output(xs, gains, noise)
-    z = noise
-
-    fy = floor_parts(y)
-    fv = floor_parts(v)
-    fz = floor_parts(z)
-    c = (fy[0] - y_prime[0] - fv[0] - fz[0], fy[1] - y_prime[1] - fv[1] - fz[1])
-    return Decomposition(y=y, y_prime=y_prime, v=v, z=z, c=c)
+    fz = floor_parts(noise)
+    c = (
+        (y_re >> s) - y_prime[0] - (v_re >> s) - fz[0],
+        (y_im >> s) - y_prime[1] - (v_im >> s) - fz[1],
+    )
+    return Decomposition(
+        y=complex(_float_view(y_re, s), _float_view(y_im, s)),
+        y_prime=y_prime,
+        v=complex(_float_view(v_re, s), _float_view(v_im, s)),
+        z=noise,
+        c=c,
+    )
 
 
 @dataclass
@@ -325,6 +351,21 @@ class DecompositionBatch:
         return np.floor(self.z_re).astype(np.int64), np.floor(self.z_im).astype(np.int64)
 
 
+def _add_keeping_floor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a + b rounded to nearest, stepped down one ulp where rounding up
+    # reached an integer, so each sum has the floor of the exact a + b.
+    # Only sums that land on an integer need TwoSum's exact error term.
+    s = a + b
+    hit = np.flatnonzero(s == np.floor(s))
+    if hit.size:
+        sh, ah, bh = s[hit], a[hit], b[hit]
+        t = sh - ah
+        err = (ah - (sh - t)) + (bh - t)
+        down = hit[err < 0]
+        s[down] = np.nextafter(s[down], -np.inf)
+    return s
+
+
 def decompose_batch(
     gains: Sequence[ComplexGain],
     x_re_bits: np.ndarray,
@@ -337,8 +378,12 @@ def decompose_batch(
 
     x_re_bits / x_im_bits have shape (samples, K) for K links and hold the
     integer numerators of the discrete inputs.  The discrete products are
-    evaluated in int64.  With Q the largest integer part of a gain
-    component and K links, every int64 intermediate stays in range when
+    evaluated in int64, the gap terms in float.  y keeps the exact floor
+    of its float deterministic sum plus z, so while every term fits in 52
+    bits the carries are the exact ones decompose_received returns.
+
+    With Q the largest integer part of a gain component and K links, every
+    int64 intermediate stays in range when
     bit_length(Q) + bit_depth + bit_length(K) + 2 <= 63; beyond that the
     call raises ChannelError instead of wrapping around.
     """
@@ -381,8 +426,10 @@ def decompose_batch(
     v_re = ((g_re - qf_re) * xv_re - (g_im - qf_im) * xv_im + (prod_re - t_re)).sum(axis=1)
     v_im = ((g_re - qf_re) * xv_im + (g_im - qf_im) * xv_re + (prod_im - t_im)).sum(axis=1)
 
-    y_re = (g_re * xv_re - g_im * xv_im).sum(axis=1) + z_re
-    y_im = (g_re * xv_im + g_im * xv_re).sum(axis=1) + z_im
+    z_re = np.asarray(z_re, dtype=np.float64)
+    z_im = np.asarray(z_im, dtype=np.float64)
+    y_re = _add_keeping_floor((g_re * xv_re - g_im * xv_im).sum(axis=1), z_re)
+    y_im = _add_keeping_floor((g_re * xv_im + g_im * xv_re).sum(axis=1), z_im)
 
     c_re = np.floor(y_re).astype(np.int64) - yp_re - np.floor(v_re).astype(np.int64) - np.floor(z_re).astype(np.int64)
     c_im = np.floor(y_im).astype(np.int64) - yp_im - np.floor(v_im).astype(np.int64) - np.floor(z_im).astype(np.int64)
@@ -391,7 +438,7 @@ def decompose_batch(
         y_re=y_re, y_im=y_im,
         yp_re=yp_re, yp_im=yp_im,
         v_re=v_re, v_im=v_im,
-        z_re=np.asarray(z_re, dtype=np.float64), z_im=np.asarray(z_im, dtype=np.float64),
+        z_re=z_re, z_im=z_im,
         c_re=c_re, c_im=c_im,
     )
 

@@ -524,7 +524,7 @@ def plug_in_entropy(counts: np.ndarray) -> float:
 def miller_madow_entropy(counts: np.ndarray) -> float:
     """Plug-in entropy with the Miller-Madow bias correction."""
     c = np.asarray(counts, dtype=np.float64)
-    n = c.sum()
+    n = float(c.sum())
     k = int((c > 0).sum())
     return plug_in_entropy(c) + (k - 1) / (2.0 * n) * LOG2E
 

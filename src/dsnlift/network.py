@@ -298,5 +298,7 @@ def save_network(net: RelayNetwork) -> str:
         else:
             gain_doc = [[_gain_doc(g) for g in row] for row in e.gain]  # type: ignore[union-attr]
         edocs.append({"from": e.src, "to": e.dst, "gain": gain_doc})
+    from .pipeline import canonical_json  # pipeline imports this module
+
     doc = {"nodes": net.node_count, "antenna_mode": net.antenna_mode, "edges": edocs}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)

@@ -9,6 +9,12 @@ the noisy network and estimate the per-node noise-gap entropies.
 Every random choice is driven by a seed named in the config, so a rerun
 with the same config writes byte-identical artifacts.  Each artifact
 embeds the config hash for provenance.
+
+Artifacts are written by canonical_json, which produces the bytes of
+json.dumps(doc, sort_keys=True, indent=2) plus a newline without that
+call's pure-Python encoder: it appends the indented layout to one flat
+chunk list, encodes scalars and keys with json's C encoder, and renders
+each shared tuple once per depth.
 """
 
 from __future__ import annotations
@@ -273,8 +279,90 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
     return doc
 
 
+# One-shot C encoder for a single scalar or an already-converted dict key.
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _key_text(key: Any) -> str:
+    # Dict keys become JSON strings the way json.dumps converts them.
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+            )
+        key = _encode_scalar(key)
+    return _encode_scalar(key) + ": "
+
+
+def _append_json(
+    obj: Any,
+    depth: int,
+    chunks: list[str],
+    tuple_spans: dict[tuple[int, int], tuple[int, int]],
+    breaks: list[str],
+) -> None:
+    # Append obj's indented text at depth to chunks.  breaks[d] is a
+    # newline plus the indent of depth d.
+    is_tuple = isinstance(obj, tuple)
+    if not (is_tuple or isinstance(obj, (dict, list))):
+        chunks.append(_encode_scalar(obj))
+        return
+    if not obj:
+        chunks.append("{}" if isinstance(obj, dict) else "[]")
+        return
+    if is_tuple:
+        span = tuple_spans.get((id(obj), depth))
+        if span is not None:
+            chunks.extend(chunks[span[0]:span[1]])
+            return
+        start = len(chunks)
+    inner = depth + 1
+    if inner == len(breaks):
+        breaks.append(breaks[-1] + "  ")
+    put = chunks.append
+    sep = breaks[inner]
+    comma = "," + sep
+    if isinstance(obj, dict):
+        put("{")
+        for key, item in sorted(obj.items()):
+            put(sep)
+            put(_key_text(key))
+            _append_json(item, inner, chunks, tuple_spans, breaks)
+            sep = comma
+        put(breaks[depth])
+        put("}")
+        return
+    put("[")
+    for item in obj:
+        put(sep)
+        _append_json(item, inner, chunks, tuple_spans, breaks)
+        sep = comma
+    put(breaks[depth])
+    put("]")
+    if is_tuple:
+        tuple_spans[(id(obj), depth)] = (start, len(chunks))
+
+
 def canonical_json(doc: Any) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for byte.
+
+    json.dumps drops to its pure-Python encoder whenever an indent is set.
+    This writer lays out the same indented text itself: containers append
+    their brackets and separators to one flat chunk list, joined once at
+    the end, and every scalar and dict key goes through json's C encoder.
+    A tuple's span of chunks is kept per (object identity, depth), so a
+    tuple shared across the document (a reception alphabet value) is
+    rendered once per depth and its chunks are copied after that.  The
+    document keeps every tuple alive for the call, so no id is reused.
+    No string is built per tuple, and the recursion is not a closure,
+    whose reference cycle would keep the chunk list alive after the call:
+    either raised the peak RSS of repeated diamond runs.  Unsupported
+    values raise TypeError as in json.dumps.
+    """
+    chunks: list[str] = []
+    _append_json(doc, 0, chunks, {}, ["\n"])
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -37,6 +37,12 @@ def test_bit_depth_single_gain():
     assert compute_bit_depth([ComplexGain(4, 8)]) == 3
 
 
+def test_bit_depth_just_below_a_power_of_two():
+    # math.log2 rounds 2**15 - 2**-37 up to 15.0.
+    assert compute_bit_depth([ComplexGain(2.0**15 - 2.0**-37)]) == 14
+    assert compute_bit_depth([ComplexGain(-(2.0**62) + 1024.0)]) == 61
+
+
 def test_bit_depth_clamps_to_one():
     assert compute_bit_depth([ComplexGain(1, 0.2)]) == 1
 
@@ -318,6 +324,50 @@ def test_decompose_batch_rejects_the_wrapping_gain():
     x = np.array([[(1 << 33) - 1]], dtype=np.int64)
     with pytest.raises(ChannelError):
         decompose_batch(gains, x, x, 33, np.zeros(1), np.zeros(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), links=st.integers(1, 3), n=st.integers(1, 62))
+def test_decompose_carry_in_zero_one_at_every_bit_depth(data, links, n):
+    # Gain components in [2**n, 2**(n+1)) set the bit depth to n.  From
+    # bit depth about 46 on, float sums of these terms no longer floor
+    # exactly, so only exact arithmetic keeps the carry in {0, 1}.
+    comp = st.builds(
+        lambda sign, mag: sign * mag,
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(min_value=2.0**n, max_value=2.0 ** (n + 1), exclude_max=True),
+    )
+    gains = [ComplexGain(data.draw(comp), data.draw(comp)) for _ in range(links)]
+    assert compute_bit_depth(gains) == n
+    bits = st.integers(0, (1 << n) - 1)
+    inputs = [DiscreteSymbol(data.draw(bits), data.draw(bits), n) for _ in range(links)]
+    noise = st.floats(min_value=-8, max_value=8)
+    d = decompose_received(inputs, gains, complex(data.draw(noise), data.draw(noise)))
+    assert d.c[0] in (0, 1) and d.c[1] in (0, 1)
+
+
+def test_decompose_carry_exact_for_the_largest_gain():
+    # h x = 2i (2**62 - 1) is a Gaussian integer, so v = 0 and c = 0;
+    # summed in floats, this reception gives the carry (0, 2).
+    n = 62
+    x = DiscreteSymbol((1 << n) - 1, (1 << n) - 1, n)
+    d = decompose_received([x], [ComplexGain(2.0**62 + 0.5, 2.0**62 + 0.5)], 0j)
+    assert d.y_prime == (0, 2**63 - 2)
+    assert d.c == (0, 0)
+
+
+def test_decompose_carry_exact_when_the_sum_rounds_onto_an_integer():
+    # h x = 1 and z = -5e-324: y = 1 - 5e-324 rounds to 1.0 in float, but
+    # its floor is 0 and the carry floor(frac(v) + frac(z)) is 0, not 1.
+    gains = [ComplexGain(2.0, 0.0)]
+    z = -5e-324
+    d = decompose_received([DiscreteSymbol(1, 0, 1)], gains, complex(z, 0.0))
+    assert d.c == (0, 0)
+    assert _identity_holds(d)
+    batch = decompose_batch(gains, np.array([[1]]), np.array([[0]]), 1,
+                            np.array([z]), np.zeros(1))
+    assert (int(batch.c_re[0]), int(batch.c_im[0])) == d.c
+    assert batch.y_re[0] == d.y.real < 1.0
 
 
 def _diag(g0: QuantizedGain, g1: QuantizedGain):

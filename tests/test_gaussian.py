@@ -377,6 +377,13 @@ def test_genie_bounds_on_integer_gain_diamond(diamond_net):
     assert report.all_within_kappa()
 
 
+def test_bound_entry_estimates_are_python_floats(diamond_net):
+    report = verify_genie_bounds(diamond_net, samples=2_000, seed=11)
+    for e in report.entries:
+        for value in (e.h_v, e.h_z, e.h_c, e.gap_sum, e.bound_estimate, e.margin):
+            assert type(value) is float
+
+
 def test_genie_bounds_fractional_gains_have_positive_v_entropy():
     g = ComplexGain(2.5, -1.25)
     net = RelayNetwork(node_count=2, edges=(Edge(0, 1, g),))
