@@ -14,17 +14,27 @@ perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
 stay under the node-count constant kappa.
 
-Every decision goes through one decode kernel, _decode; decode_to_set is
-its one-row call.  A candidate set is laid out once as the real matrix
-[Re c, Im c]^T with its squared norms.  Trials go through in chunks of
-512, each one real matrix product of [Re y, Im y] with that matrix,
-written into one 512 x |S| float64 buffer that every chunk of the slot
-reuses and finished in place to |y|^2 + |c|^2 - 2 Re<y, c>, clamped at
-zero.  Memory per decision slot is that buffer (16 MB at |S| = 4096),
-whatever the trial count.  A slot's candidate, offset and re-encode rows
-are built once per value of the pruned set's alphabet, a reception block
-or symbol, and gathered with the set's (|S|, n_rep) digit rows; the
-destination decodes each distinct reception once.
+A simulation decision takes two stages.  A slot's candidates are digit
+rows over per-value rows of its alphabet, so the squared distance splits
+by use: d2(y, c) = sum_u D[trial, u, c_u], with D of shape (trials,
+n_rep, |alphabet|).  Stage 1 computes D elementwise, one alphabet value
+at a time, so that equal per-value rows give bit-equal costs, takes each
+use's first argmin, codes the digit row and looks it up in the set's
+sorted codes.  A hit is the ML decision: among exact copies it is the
+lowest-index member, the kernel's rule.  Stage 2 sends the ML misses,
+and every "threshold" trial, through the decode kernel _decode;
+decode_to_set is its one-row call.  The kernel lays a candidate set out
+once as the real matrix [Re c, Im c]^T with its squared norms.  Trials
+go through in chunks of 512, each one real matrix product of
+[Re y, Im y] with that matrix, written into one 512 x |S| float64 buffer
+that every chunk of the slot reuses and finished in place to
+|y|^2 + |c|^2 - 2 Re<y, c>, clamped at zero.  Stage-2 memory per
+decision slot is still that one buffer (16 MB at |S| = 4096), whatever
+the trial count; stage 1 adds a few (trials, n_rep) arrays.  A slot's
+candidate, offset and re-encode rows are built once per value of the
+pruned set's alphabet, a reception block or symbol, and gathered with
+the set's (|S|, n_rep) digit rows; the destination decodes each distinct
+reception once.
 
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
@@ -283,13 +293,17 @@ def _slot_symbols(slot: SlotKey, alphabet: Sequence, N: int) -> tuple[slice, lis
 class _SlotTable:
     """One decision slot, as the walk reads it.
 
-    ``effective`` holds the candidate rows (|S|, n_rep * width) over the
-    0-based ``times`` the slot covers.  A relay's decision sets its
-    symbols at ``sends`` (None if at no time), and ``reencode`` holds them
-    per candidate (|S|, n_rep * width of sends).
+    ``rows`` holds the effective row (|alphabet|, width) of each value of
+    the slot's alphabet over the 0-based ``times`` the slot covers, and
+    ``codes`` the pruned set's sorted digit-row codes.  ``effective``
+    gathers the candidate rows (|S|, n_rep * width) from them.  A relay's
+    decision sets its symbols at ``sends`` (None if at no time), and
+    ``reencode`` holds them per candidate (|S|, n_rep * width of sends).
     """
 
     times: slice
+    rows: np.ndarray
+    codes: np.ndarray
     effective: np.ndarray
     sends: slice | None
     reencode: np.ndarray | None
@@ -328,8 +342,53 @@ def _slot_tables(
                 # The i-th time set reads the i-th symbol the slot covers.
                 sent = [[rm.emit_from(u + 1, y).as_complex() for u, y in zip(us, b)] for b in blocks]
                 sends, reencode = slice(us.start, us.stop), _gather(np.asarray(sent), index)
-        tables[slot] = _SlotTable(times, _gather(rows, index), sends, reencode)
+        tables[slot] = _SlotTable(times, rows, vectors.codes, _gather(rows, index), sends, reencode)
     return tables
+
+
+def _per_use_argmin(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Digit row (trials, n_rep) of the nearest value of ``rows`` at each use.
+
+    The cost of value a at use u is sum_w |y[u, w] - rows[a, w]|^2, summed
+    elementwise in real arithmetic in one fixed order, so equal rows cost
+    the same bits; a tie keeps the first value.  Memory is a few
+    (trials, n_rep) arrays.
+    """
+    width = rows.shape[1]
+    # Re and Im of each time w of every use, one contiguous array each.
+    cols = [np.ascontiguousarray(part[:, w::width]) for w in range(width) for part in (y.real, y.imag)]
+    best = np.full(cols[0].shape, np.inf)
+    digits, step = np.zeros(best.shape, dtype=np.int64), np.empty(best.shape, dtype=np.int64)
+    cost, tmp, closer = np.empty_like(best), np.empty_like(best), np.empty(best.shape, dtype=bool)
+    for a, row in enumerate(rows):
+        cost.fill(0.0)
+        for col, x in zip(cols, (x for c in row for x in (c.real, c.imag))):
+            cost += np.square(np.subtract(col, x, out=tmp), out=tmp)
+        np.less(cost, best, out=closer)
+        np.minimum(best, cost, out=best)
+        # Values come in increasing order, so the last one closer is the
+        # argmin: a running maximum of a * closer, without masked writes.
+        np.maximum(digits, np.multiply(closer, a, out=step), out=digits)
+    return digits
+
+
+def _decide(
+    y: np.ndarray, table: _SlotTable, method: str, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decide each row of ``y`` (trials, L) at one slot: (set index, failure flag).
+
+    Stage 1 (ML only) looks each trial's per-use argmin up in the set's
+    codes; a hit is the ML decision.  Stage 2 runs the misses, and every
+    trial of another method, through _decode on the gathered candidates.
+    """
+    if method != "ml":
+        return _decode(y, table.effective, method, threshold)
+    codes = _radix_codes(_per_use_argmin(y, table.rows), len(table.rows))
+    chosen = np.searchsorted(table.codes, codes)
+    miss = table.codes[np.minimum(chosen, len(table.codes) - 1)] != codes
+    if miss.any():
+        chosen[miss] = _decode(y[miss], table.effective, method, threshold)[0]
+    return chosen, np.zeros(len(y), dtype=bool)
 
 
 def _destination_messages(
@@ -426,7 +485,11 @@ def simulate_lifted(
     tables = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
 
     # Every node's transmissions over the trials, uses and base-block times.
-    tx = {j: np.zeros((trials, n_rep, N), dtype=np.complex128) for j in range(net.node_count)}
+    # The destination's stay zero and are kept only for its out-edges.
+    tx = {
+        j: np.zeros((trials, n_rep, N), dtype=np.complex128)
+        for j in range(net.node_count) if j != dest or net.out_edges(dest)
+    }
     tx[net.source] = _source_symbols(product, lifted)[pick]
     for j in relays:
         if base.relay_maps[j].causal:
@@ -440,7 +503,7 @@ def simulate_lifted(
         y = _noise(rng, (trials, table.effective.shape[1]), noise.scale)
         for e in net.in_edges(j):
             y = y + e.gain.as_complex() * tx[e.src][:, :, table.times].reshape(trials, -1)
-        chosen, failed = _decode(y, table.effective, method, threshold_val)
+        chosen, failed = _decide(y, table, method, threshold_val)
         true_idx = [lifted.provenance[ci][slot] for ci in lifted.codeword_indices]
         block_errors[slot] = int((chosen != np.asarray(true_idx, dtype=np.int64)[pick]).sum())
         failures[slot] = int(failed.sum())
@@ -664,7 +727,9 @@ def verify_genie_bounds(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    n = input_bit_depth or compute_bit_depth(net.all_gain_components())
+    if input_bit_depth is not None and input_bit_depth < 1:
+        raise ValueError("input_bit_depth must be at least 1")
+    n = compute_bit_depth(net.all_gain_components()) if input_bit_depth is None else input_bit_depth
     mimo = net.antenna_mode == "mimo2x2"
     m = net.node_count - 1
     reference = kappa_mimo(m) if mimo else kappa(m)

@@ -13,21 +13,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsnlift import gaussian
 from dsnlift.codes import ProductCode, trace_all
 from dsnlift.gaussian import (
     _CHUNK,
     DEFAULT_THRESHOLD,
     LOG2E,
     NoiseSpec,
+    _decide,
     _decode,
     _destination_messages,
+    _gather,
     _slot_tables,
+    _SlotTable,
     decode_to_set,
     simulate_lifted,
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
 from dsnlift.network import load_network
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
+from dsnlift.typicality import ReceptionVectors
 
 # --- oracle: dense complex distances ------------------------------------------
 
@@ -159,6 +164,101 @@ def test_kernel_threshold_fails_on_copies_and_keeps_ml():
     chosen, failed = _decode(y, effective, "threshold", -2.0)
     # Two exact copies both pass: no unique decision, ML index kept.
     assert chosen.tolist() == [0, 2, 2] and failed.tolist() == [True, False, True]
+
+
+# --- two-stage decisions: per-use argmin and set lookup, then the kernel ----
+
+
+def _table(rows, digits):
+    """A decision slot over per-value ``rows`` whose set is ``digits``."""
+    codes = ReceptionVectors(tuple(range(len(rows))), digits).codes
+    return _SlotTable(slice(0, rows.shape[1]), rows, codes, _gather(rows, digits), None, None)
+
+
+def _stage_two_trials(monkeypatch):
+    """Trial counts of every _decode call from now on."""
+    seen = []
+    kernel = gaussian._decode
+
+    def counting(y, *args):
+        seen.append(len(y))
+        return kernel(y, *args)
+
+    monkeypatch.setattr(gaussian, "_decode", counting)
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.integers(1, 5),
+    copies=st.integers(0, 2),
+    n_rep=st.integers(1, 4),
+    width=st.integers(1, 3),
+    keep=st.floats(0.05, 1.0),
+    trials=st.sampled_from([1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 77]),
+    method=st.sampled_from(["ml", "threshold"]),
+    threshold=st.floats(-6.0, -1.0),
+    offset_scale=st.sampled_from([0.0, 0.25]),
+    noise_scale=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_stage_decision_matches_dense_complex_oracle(
+    values, copies, n_rep, width, keep, trials, method, threshold, offset_scale, noise_scale, seed
+):
+    rng = np.random.default_rng(seed)
+    ints = rng.integers(-3, 4, size=(values, width)) + 1j * rng.integers(-3, 4, size=(values, width))
+    rows = ints + offset_scale * (rng.normal(size=ints.shape) + 1j * rng.normal(size=ints.shape))
+    # Exact copies of per-value rows, at random places.
+    rows = rng.permutation(np.concatenate([rows, rows[rng.integers(values, size=copies)]]))
+    every = np.indices((len(rows),) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
+    digits = every[np.sort(rng.choice(len(every), max(1, int(keep * len(every))), replace=False))]
+    table = _table(rows, digits)
+    effective = table.effective
+
+    # Receptions: noisy digit rows, members or not, some exactly on one,
+    # some at the midpoint of two members.
+    y = _gather(rows, every[rng.integers(len(every), size=trials)])
+    y = y + noise_scale * (rng.normal(size=y.shape) + 1j * rng.normal(size=y.shape))
+    kind = rng.integers(10, size=trials)
+    target = effective[rng.integers(len(effective), size=trials)]
+    other = effective[rng.integers(len(effective), size=trials)]
+    y[kind == 0] = target[kind == 0]
+    y[kind == 1] = (target[kind == 1] + other[kind == 1]) / 2
+
+    chosen, failed = _decide(y, table, method, threshold)
+    want_chosen, want_failed = _oracle_decode(y, effective, method, threshold)
+    rounding, near = _decided_by_rounding(y, effective, method, threshold)
+    first_copy = np.asarray([(effective == row).all(axis=1).argmax() for row in effective])
+    want_chosen = first_copy[want_chosen]
+    assert chosen.dtype == np.int64 and failed.dtype == bool
+    assert np.array_equal(chosen, first_copy[chosen])
+    assert np.array_equal(chosen[~rounding], want_chosen[~rounding])
+    assert np.array_equal(failed[~rounding], want_failed[~rounding])
+    if method == "ml":
+        assert not failed.any()
+        assert near[np.arange(trials), chosen].all()
+
+
+def test_two_stage_reaches_a_later_copy_through_the_kernel(monkeypatch):
+    # Values 0 and 1 are exact copies.  The per-use argmin near 0 is the
+    # digit row (0, 0), which is not in the set; the members (0, 1),
+    # (1, 0) and (1, 1) tie exactly, and the kernel takes the first.
+    rows = np.asarray([[0j], [0j], [5 + 0j]])
+    table = _table(rows, np.asarray([[0, 1], [1, 0], [1, 1], [2, 2]], dtype=np.int64))
+    y = np.asarray([[0.1 + 0j, -0.2j], [5 + 0j, 4.9 + 0j], [0j, 0j]])
+    seen = _stage_two_trials(monkeypatch)
+    chosen, failed = _decide(y, table, "ml", DEFAULT_THRESHOLD)
+    assert chosen.tolist() == [0, 3, 0] and not failed.any()
+    assert seen == [2]
+
+
+def test_diamond_simulation_sends_few_trials_to_the_kernel(monkeypatch):
+    # A guard on work, not time: stage 1 settles all but 1,907 of the
+    # 30,000 ML decisions of the shipped diamond simulation.
+    _, net, product, lifted = _shipped("diamond")
+    seen = _stage_two_trials(monkeypatch)
+    simulate_lifted(net, product, lifted, trials=10_000, noise=NoiseSpec(seed=3))
+    assert seen == [949, 878, 80]
 
 
 # --- oracle: per-vector tables and the per-trial destination ----------------
@@ -345,3 +445,27 @@ def test_nonlayered_simulation_counts_at_16384_trials():
         (1, 1): 9960, (1, 2): 9846, (2, 1): 13442, (2, 2): 0, (3, 1): 0, (3, 2): 14733,
     }
     assert set(res.decode_failures.values()) == {0}
+
+
+def test_shipped_diamond_threshold_counts():
+    _, net, product, lifted = _shipped("diamond")
+    res = simulate_lifted(
+        net, product, lifted, trials=10_000, noise=NoiseSpec(seed=3), method="threshold"
+    )
+    assert res.message_errors == 2
+    assert res.block_errors == {1: 62, 2: 65, 3: 2}
+    assert res.decode_failures == {1: 9977, 2: 9981, 3: 49}
+
+
+def test_nonlayered_threshold_counts_at_16384_trials():
+    _, net, product, lifted = _shipped("nonlayered")
+    res = simulate_lifted(
+        net, product, lifted, trials=16_384, noise=NoiseSpec(seed=9), method="threshold"
+    )
+    assert res.message_errors == 14733
+    assert res.block_errors == {
+        (1, 1): 9960, (1, 2): 9846, (2, 1): 13442, (2, 2): 0, (3, 1): 0, (3, 2): 14733,
+    }
+    assert res.decode_failures == {
+        (1, 1): 16384, (1, 2): 16384, (2, 1): 16384, (2, 2): 20, (3, 1): 2, (3, 2): 16384,
+    }

@@ -413,3 +413,14 @@ def test_genie_bounds_mimo_doubles_the_per_antenna_gap():
 def test_genie_bounds_validation(diamond_net):
     with pytest.raises(ValueError):
         verify_genie_bounds(diamond_net, samples=0, seed=1)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_genie_bounds_reject_input_bit_depth_below_one(diamond_net, depth):
+    with pytest.raises(ValueError, match="input_bit_depth"):
+        verify_genie_bounds(diamond_net, samples=100, seed=1, input_bit_depth=depth)
+
+
+def test_genie_bounds_keep_an_explicit_input_bit_depth(diamond_net):
+    assert verify_genie_bounds(diamond_net, samples=100, seed=1).input_bit_depth == 2
+    assert verify_genie_bounds(diamond_net, samples=100, seed=1, input_bit_depth=1).input_bit_depth == 1
