@@ -25,6 +25,7 @@ from .lifting import EmptyResult
 from .network import ParseError, SchemaError, load_network, validate
 from .pipeline import (
     SearchFailed,
+    _as_number,
     _bound_doc,
     canonical_json,
     load_config,
@@ -77,7 +78,8 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     cfg = load_config(read_input_text(args.config))
     if args.kappa_override is not None:
-        cfg = replace(cfg, kappa_override=args.kappa_override)
+        kov = _as_number(vars(args), "kappa_override", "--kappa-override", 0.0)
+        cfg = replace(cfg, kappa_override=kov)
     if args.method is not None or args.seed is not None:
         if cfg.simulate is None:
             raise ConfigError("--method/--seed need a simulate section in the config")

@@ -14,25 +14,27 @@ perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
 stay under the node-count constant kappa.
 
-A simulation decision takes two stages.  A slot's candidates are digit
-rows over per-value rows of its alphabet, so the squared distance splits
-by use: d2(y, c) = sum_u D[trial, u, c_u], with D of shape (trials,
-n_rep, |alphabet|).  Stage 1 computes D elementwise, one alphabet value
-at a time, so that equal per-value rows give bit-equal costs, takes each
-use's first argmin, codes the digit row and looks it up in the set's
-sorted codes.  A hit is the ML decision: among exact copies it is the
-lowest-index member, the kernel's rule.  Stage 2 sends the ML misses,
-and every "threshold" trial, through the decode kernel _decode;
-decode_to_set is its one-row call.  The kernel lays a candidate set out
-once as the real matrix [Re c, Im c]^T with its squared norms.  Trials
-go through in chunks of 512, each one real matrix product of
-[Re y, Im y] with that matrix, written into one 512 x |S| float64 buffer
-that every chunk of the slot reuses and finished in place to
-|y|^2 + |c|^2 - 2 Re<y, c>, clamped at zero.  Stage-2 memory per
-decision slot is still that one buffer (16 MB at |S| = 4096), whatever
-the trial count; stage 1 adds a few (trials, n_rep) arrays.  A slot's
-candidate, offset and re-encode rows are built once per value of the
-pruned set's alphabet, a reception block or symbol, and gathered with
+Every decision reads one per-use cost table.  A slot's candidates are
+digit rows over per-value rows of its alphabet, so the squared distance
+splits by use: d2(y, c) = sum_u D[c_u, trial, u], with D of shape
+(|alphabet|, trials, n_rep).  D is computed elementwise, one alphabet
+value at a time, so equal per-value rows give bit-equal costs.  Stage 1
+(ML only) takes each use's first argmin, codes the digit row and looks it
+up in the set's sorted codes; a hit is the ML decision, and among exact
+copies it is the lowest-index member.  Stage 2 takes the ML misses, and
+every "threshold" trial, 512 at a time: one product of D, flattened to
+(trials, |alphabet| * n_rep), with the set's 0/1 one-hot matrix of
+shape (|alphabet| * n_rep, |S|) gives each member's summed cost, since
+products by 0 and 1 are exact.  BLAS may still add a member's terms in
+another order than an exact copy's, so an ML pick maps to the first copy.
+decode_to_set is the same rule on a one-use alphabet of whole
+candidates.  Stage-2 memory per slot is the one-hot matrix and one 512 x
+|S| float64 buffer (16 MB at |S| = 4096), whatever the trial count; D
+adds |alphabet| * trials * n_rep floats.  The one-hot matrix holds
+n_rep * |alphabet| rows, where a real candidate matrix would hold
+2 * n_rep * width; every shipped config has |alphabet| <= 2 * width.  A
+slot's candidate, offset and re-encode rows are built once per value of
+the pruned set's alphabet, a reception block or symbol, and gathered with
 the set's (|S|, n_rep) digit rows; the destination decodes each distinct
 reception once.
 
@@ -103,65 +105,49 @@ def _noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np
 
 # --- decoding --------------------------------------------------------------
 
-# Trials per kernel step.  It bounds the distance buffer at _CHUNK x |S|.
+# Trials per stage-2 step.  It bounds the distance buffer at _CHUNK x |S|.
 _CHUNK = 512
 
 
-def _decode(
-    y: np.ndarray, effective: np.ndarray, method: str, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode each row of ``y`` (trials, L) to a row of ``effective`` (|S|, L).
+def _use_costs(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cost D[a, trial, u] of alphabet value a at use u of each row of ``y``.
 
-    Returns (chosen index, failure flag) per trial.  "ml" picks the
-    nearest candidate, ties to the lowest index.  "threshold" picks the
-    unique candidate whose mean per-symbol log-likelihood (base 2) clears
-    the threshold; a trial where no candidate or several do is flagged
-    and keeps the ML index, so a simulation can go on re-encoding.
+    ``y`` is (trials, n_rep * width) and ``rows`` (|alphabet|, width).
+    The cost is sum_w |y[u, w] - rows[a, w]|^2, summed elementwise in real
+    arithmetic in one fixed order, so equal rows cost the same bits.  A
+    candidate's squared distance is the sum of its digits' costs.
+    """
+    width = rows.shape[1]
+    # Re and Im of each time w of every use, one contiguous array each.
+    cols = [np.ascontiguousarray(part[:, w::width]) for w in range(width) for part in (y.real, y.imag)]
+    costs = np.zeros((len(rows), *cols[0].shape))
+    tmp = np.empty(cols[0].shape)
+    for cost, row in zip(costs, rows):
+        for col, x in zip(cols, (x for c in row for x in (c.real, c.imag))):
+            cost += np.square(np.subtract(col, x, out=tmp), out=tmp)
+    return costs
 
-    Squared distances are |y|^2 + |c|^2 - 2 Re<y, c>, clamped at zero.
-    The cross term is one real product of [Re y, Im y] with the candidate
-    matrix [Re c, Im c]^T, premultiplied by -2, chunk by chunk into one
-    reused (_CHUNK, |S|) buffer.  Exact copies of a candidate are scored
-    once, as the first copy: BLAS may round identical columns apart, and
-    the lowest-index rule must not depend on that.
+
+def _choose(d2: np.ndarray, L: int, method: str, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decide each row of the squared distances ``d2`` (trials, |S|) over
+    length-``L`` candidates: (column, failure flag).
+
+    "ml" picks the nearest column, ties to the first.  "threshold" picks
+    the unique column whose mean per-symbol log-likelihood (base 2) clears
+    the threshold; a trial where no column or several do is flagged and
+    keeps the ML column, so a simulation can go on re-encoding.  The
+    threshold case overwrites ``d2``.
     """
     if method not in ("ml", "threshold"):
         raise ConfigError(f"unknown decode method {method!r}")
-    trials, L = y.shape
-    # Adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes.
-    cands = np.concatenate((effective.real, effective.imag), axis=1) + 0.0
-    # Copies are numbered in order of first appearance.
-    copy_of: dict[bytes, int] = {}
-    group = np.asarray([copy_of.setdefault(c.tobytes(), len(copy_of)) for c in cands])
-    _, first, copies = np.unique(group, return_index=True, return_counts=True)
-    cands = cands[first]
-    cross = np.ascontiguousarray(cands.T * -2.0)
-    cc = np.einsum("ij,ij->i", cands, cands)
-    rows = min(_CHUNK, trials)
-    y_buf = np.empty((rows, 2 * L))
-    d2_buf = np.empty((rows, len(cc)))
-    chosen = np.empty(trials, dtype=np.int64)
-    failed = np.zeros(trials, dtype=bool)
-    for lo in range(0, trials, _CHUNK):
-        hi = min(lo + _CHUNK, trials)
-        yr, d2 = y_buf[: hi - lo], d2_buf[: hi - lo]
-        yr[:, :L] = y[lo:hi].real
-        yr[:, L:] = y[lo:hi].imag
-        np.matmul(yr, cross, out=d2)
-        d2 += cc
-        d2 += np.einsum("ij,ij->i", yr, yr)[:, None]
-        np.maximum(d2, 0.0, out=d2)
-        ml = d2.argmin(axis=1)
-        if method == "ml":
-            chosen[lo:hi] = first[ml]
-            continue
-        d2 /= L
-        d2 *= LOG2E
-        passing = np.subtract(-math.log2(math.pi), d2, out=d2) > threshold
-        unique = passing @ copies == 1
-        chosen[lo:hi] = first[np.where(unique, passing.argmax(axis=1), ml)]
-        failed[lo:hi] = ~unique
-    return chosen, failed
+    ml = d2.argmin(axis=1)
+    if method == "ml":
+        return ml, np.zeros(len(d2), dtype=bool)
+    d2 /= L
+    d2 *= LOG2E
+    passing = np.subtract(-math.log2(math.pi), d2, out=d2) > threshold
+    unique = passing.sum(axis=1) == 1
+    return np.where(unique, passing.argmax(axis=1), ml), ~unique
 
 
 def decode_to_set(
@@ -188,6 +174,8 @@ def decode_to_set(
     if len(candidates) == 0:
         raise ConfigError("empty candidate set")
     y = np.asarray([complex(v) for v in y_noisy], dtype=np.complex128)
+    if len(y) == 0:
+        raise ConfigError("empty reception")
     cands = np.asarray(
         [[complex(re, im) for re, im in cand] for cand in candidates],
         dtype=np.complex128,
@@ -202,7 +190,8 @@ def decode_to_set(
             raise ConfigError("offsets shape does not match candidates")
         cands = cands + off
     thr = DEFAULT_THRESHOLD if threshold is None else float(threshold)
-    chosen, failed = _decode(y[None, :], cands, method, thr)
+    # Each candidate is one value of a one-use alphabet.
+    chosen, failed = _choose(_use_costs(y[None, :], cands).reshape(1, -1), len(y), method, thr)
     return None if failed[0] else int(chosen[0])
 
 
@@ -295,18 +284,34 @@ class _SlotTable:
 
     ``rows`` holds the effective row (|alphabet|, width) of each value of
     the slot's alphabet over the 0-based ``times`` the slot covers, and
-    ``codes`` the pruned set's sorted digit-row codes.  ``effective``
-    gathers the candidate rows (|S|, n_rep * width) from them.  A relay's
-    decision sets its symbols at ``sends`` (None if at no time), and
-    ``reencode`` holds them per candidate (|S|, n_rep * width of sends).
+    ``codes`` the pruned set's sorted digit-row codes.  ``onehot`` is the
+    0/1 matrix (|alphabet| * n_rep, |S|) whose column s marks value a at
+    use u, in row a * n_rep + u, when member s has digit a there;
+    ``first_copy`` maps each member to the first member with the same
+    effective rows.  A relay's decision sets its symbols at ``sends``
+    (None if at no time), and ``reencode`` holds them per member (|S|,
+    n_rep * width of sends).
     """
 
     times: slice
     rows: np.ndarray
     codes: np.ndarray
-    effective: np.ndarray
+    onehot: np.ndarray
+    first_copy: np.ndarray
     sends: slice | None
     reencode: np.ndarray | None
+
+
+def _set_layout(rows: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``onehot`` and ``first_copy`` of the set ``digits`` over per-value ``rows``."""
+    n_values = len(rows)
+    onehot = digits.T == np.arange(n_values)[:, None, None]
+    # Spell every member with the first value of equal row at each use;
+    # members spelled alike are exact copies.
+    _, first, same = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    spelled = _radix_codes(first[same.reshape(-1)][digits], n_values)
+    _, first, same = np.unique(spelled, return_index=True, return_inverse=True)
+    return onehot.reshape(-1, len(digits)).astype(np.float64), first[same]
 
 
 def _slot_tables(
@@ -342,34 +347,8 @@ def _slot_tables(
                 # The i-th time set reads the i-th symbol the slot covers.
                 sent = [[rm.emit_from(u + 1, y).as_complex() for u, y in zip(us, b)] for b in blocks]
                 sends, reencode = slice(us.start, us.stop), _gather(np.asarray(sent), index)
-        tables[slot] = _SlotTable(times, rows, vectors.codes, _gather(rows, index), sends, reencode)
+        tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, index), sends, reencode)
     return tables
-
-
-def _per_use_argmin(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Digit row (trials, n_rep) of the nearest value of ``rows`` at each use.
-
-    The cost of value a at use u is sum_w |y[u, w] - rows[a, w]|^2, summed
-    elementwise in real arithmetic in one fixed order, so equal rows cost
-    the same bits; a tie keeps the first value.  Memory is a few
-    (trials, n_rep) arrays.
-    """
-    width = rows.shape[1]
-    # Re and Im of each time w of every use, one contiguous array each.
-    cols = [np.ascontiguousarray(part[:, w::width]) for w in range(width) for part in (y.real, y.imag)]
-    best = np.full(cols[0].shape, np.inf)
-    digits, step = np.zeros(best.shape, dtype=np.int64), np.empty(best.shape, dtype=np.int64)
-    cost, tmp, closer = np.empty_like(best), np.empty_like(best), np.empty(best.shape, dtype=bool)
-    for a, row in enumerate(rows):
-        cost.fill(0.0)
-        for col, x in zip(cols, (x for c in row for x in (c.real, c.imag))):
-            cost += np.square(np.subtract(col, x, out=tmp), out=tmp)
-        np.less(cost, best, out=closer)
-        np.minimum(best, cost, out=best)
-        # Values come in increasing order, so the last one closer is the
-        # argmin: a running maximum of a * closer, without masked writes.
-        np.maximum(digits, np.multiply(closer, a, out=step), out=digits)
-    return digits
 
 
 def _decide(
@@ -377,18 +356,29 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decide each row of ``y`` (trials, L) at one slot: (set index, failure flag).
 
-    Stage 1 (ML only) looks each trial's per-use argmin up in the set's
-    codes; a hit is the ML decision.  Stage 2 runs the misses, and every
-    trial of another method, through _decode on the gathered candidates.
+    Stage 1 (ML only) codes each trial's per-use argmin of the cost table
+    and looks it up in the set's codes; a hit is the ML decision.  Stage 2
+    sums the table per member for the misses, and for every trial of
+    another method, and decides with _choose.
     """
-    if method != "ml":
-        return _decode(y, table.effective, method, threshold)
-    codes = _radix_codes(_per_use_argmin(y, table.rows), len(table.rows))
-    chosen = np.searchsorted(table.codes, codes)
-    miss = table.codes[np.minimum(chosen, len(table.codes) - 1)] != codes
-    if miss.any():
-        chosen[miss] = _decode(y[miss], table.effective, method, threshold)[0]
-    return chosen, np.zeros(len(y), dtype=bool)
+    costs = _use_costs(y, table.rows)
+    trials, L = y.shape
+    chosen = np.zeros(trials, dtype=np.int64)
+    failed = np.zeros(trials, dtype=bool)
+    todo = np.arange(trials)
+    if method == "ml":
+        codes = _radix_codes(costs.argmin(axis=0), len(table.rows))
+        chosen = np.searchsorted(table.codes, codes)
+        todo = np.flatnonzero(table.codes[np.minimum(chosen, len(table.codes) - 1)] != codes)
+    buf = np.empty((min(_CHUNK, len(todo)), table.onehot.shape[1]))
+    for lo in range(0, len(todo), _CHUNK):
+        idx = todo[lo : lo + _CHUNK]
+        # (trials, |alphabet| * n_rep) in the row order of onehot.
+        flat = costs[:, idx].transpose(1, 0, 2).reshape(len(idx), -1)
+        d2 = np.matmul(flat, table.onehot, out=buf[: len(idx)])
+        column, failed[idx] = _choose(d2, L, method, threshold)
+        chosen[idx] = table.first_copy[column]
+    return chosen, failed
 
 
 def _destination_messages(
@@ -500,7 +490,7 @@ def simulate_lifted(
     for slot in order:
         j, table = _slot_node(slot), tables[slot]
         rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1] + _slot_key(slot)))
-        y = _noise(rng, (trials, table.effective.shape[1]), noise.scale)
+        y = _noise(rng, (trials, n_rep * table.rows.shape[1]), noise.scale)
         for e in net.in_edges(j):
             y = y + e.gain.as_complex() * tx[e.src][:, :, table.times].reshape(trials, -1)
         chosen, failed = _decide(y, table, method, threshold_val)

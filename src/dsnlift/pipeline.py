@@ -23,6 +23,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -139,10 +140,13 @@ def _as_int(doc: dict, key: str, where: str, minimum: int | None = None) -> int:
     return v
 
 
-def _as_number(doc: dict, key: str, where: str) -> float:
+def _as_number(doc: dict, key: str, where: str, minimum: float | None = None) -> float:
     v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number")
+    # The comparison is False for NaN; JSON text may hold NaN and Infinity.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where}: {key} must be a finite number")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"{where}: {key} must be >= {minimum}")
     return float(v)
 
 
@@ -186,7 +190,7 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigError("config: base_code.file must be a string")
 
     n_rep = _as_int(doc, "n_rep", "config", 1)
-    epsilon = _as_number(doc, "epsilon", "config")
+    epsilon = _as_number(doc, "epsilon", "config", 0.0)
     prune_seed = _as_int(doc, "prune_seed", "config")
     purify = doc.get("purify", True)
     if not isinstance(purify, bool):
@@ -195,15 +199,11 @@ def load_config(text: str) -> ExperimentConfig:
     if isinstance(eta, str):
         if eta != "epsilon2":
             raise ConfigError('config: eta must be a number or "epsilon2"')
-    elif isinstance(eta, bool) or not isinstance(eta, (int, float)):
-        raise ConfigError('config: eta must be a number or "epsilon2"')
     else:
-        eta = float(eta)
+        eta = _as_number({"eta": eta}, "eta", "config", 0.0)
     kov = doc.get("kappa_override")
     if kov is not None:
-        if isinstance(kov, bool) or not isinstance(kov, (int, float)):
-            raise ConfigError("config: kappa_override must be a number or null")
-        kov = float(kov)
+        kov = _as_number(doc, "kappa_override", "config", 0.0)
 
     sim = None
     if doc.get("simulate") is not None:
@@ -225,16 +225,14 @@ def load_config(text: str) -> ExperimentConfig:
         use_off = s.get("use_offsets", True)
         if not isinstance(use_off, bool):
             raise ConfigError("simulate: use_offsets must be a boolean")
-        scale = s.get("noise_scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise ConfigError("simulate: noise_scale must be a number")
+        scale = _as_number({"noise_scale": 1.0, **s}, "noise_scale", "simulate")
         sim = SimSettings(
             trials=_as_int(s, "trials", "simulate", 1),
             noise_seed=_as_int(s, "noise_seed", "simulate"),
             method=method,
             threshold=thr,
             use_offsets=use_off,
-            noise_scale=float(scale),
+            noise_scale=scale,
         )
 
     bounds = None
@@ -666,31 +664,4 @@ def _simulation_doc(sim: SimulationResult, digest: str) -> dict:
 
 
 def _bound_doc(rep: BoundReport, digest: str) -> dict:
-    return {
-        "mode": rep.mode,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "input_bit_depth": rep.input_bit_depth,
-        "kappa_reference": rep.kappa_reference,
-        "z_entropy_exact": rep.z_entropy_exact,
-        "all_within_kappa": rep.all_within_kappa(),
-        "entries": [
-            {
-                "node": e.node,
-                "antenna": e.antenna,
-                "links": e.links,
-                "h_v": e.h_v,
-                "h_z": e.h_z,
-                "h_c": e.h_c,
-                "ci_v": list(e.ci_v),
-                "ci_z": list(e.ci_z),
-                "ci_c": list(e.ci_c),
-                "gap_sum": e.gap_sum,
-                "bound_estimate": e.bound_estimate,
-                "margin": e.margin,
-                "ci_halfwidth": e.ci_halfwidth,
-            }
-            for e in rep.entries
-        ],
-        "config_hash": digest,
-    }
+    return {**asdict(rep), "all_within_kappa": rep.all_within_kappa(), "config_hash": digest}

@@ -94,6 +94,14 @@ def test_load_config_shipped_diamond():
         lambda d: d.update(simulate={"trials": 10, "noise_seed": 1, "extra": 2}),
         lambda d: d.update(bounds={"samples": 10}),
         lambda d: d.update(purify="yes"),
+        lambda d: d.update(kappa_override=-0.5),
+        lambda d: d.update(eta=-2),
+        lambda d: d.update(epsilon=-1),
+        lambda d: d.update(epsilon=float("nan")),
+        lambda d: d.update(kappa_override=float("inf")),
+        lambda d: d.update(eta=float("-inf")),
+        lambda d: d.update(epsilon=10**400),
+        lambda d: d.update(simulate={**d["simulate"], "noise_scale": float("nan")}),
     ],
 )
 def test_load_config_rejects_bad_documents(mutate):
@@ -265,6 +273,19 @@ def test_cli_pipeline_kappa_override_flag_can_starve(tmp_path, capsys):
     )
     assert rc == cli.EXIT_EMPTY
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_pipeline_kappa_override_flag_rejects_bad_numbers(tmp_path, capsys):
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_CONFIG))
+    for value in ("-0.5", "nan", "inf"):
+        rc = cli.main(
+            ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+             "--kappa-override", value]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert "kappa_override" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_pipeline_method_override_needs_simulate_section(tmp_path, capsys):
