@@ -25,6 +25,7 @@ from .lifting import EmptyResult
 from .network import ParseError, SchemaError, load_network, validate
 from .pipeline import (
     SearchFailed,
+    _as_int,
     _as_number,
     _bound_doc,
     canonical_json,
@@ -87,7 +88,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if args.method is not None:
             sim = replace(sim, method=args.method)
         if args.seed is not None:
-            sim = replace(sim, noise_seed=args.seed)
+            sim = replace(sim, noise_seed=_as_int(vars(args), "seed", "--seed", 0))
         cfg = replace(cfg, simulate=sim)
 
     result = run_pipeline(cfg, Path(args.out))
@@ -105,7 +106,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     net = _load_validated_network(args.network)
-    rep = verify_genie_bounds(net, samples=args.samples, seed=args.seed)
+    samples = _as_int(vars(args), "samples", "--samples", 1)
+    seed = _as_int(vars(args), "seed", "--seed", 0)
+    rep = verify_genie_bounds(net, samples=samples, seed=seed)
     print(f"mode: {rep.mode}  samples: {rep.samples}  seed: {rep.seed}")
     print(f"kappa reference (M={net.node_count - 1}): {rep.kappa_reference:.6f} bits/use")
     print(f"exact complex floored-noise entropy: {rep.z_entropy_exact:.6f} bits (< 8)")

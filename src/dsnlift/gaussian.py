@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, Zint, compute_bit_depth, decompose_batch
+from .channel import ComplexGain, Zint, _add_keeping_floor, compute_bit_depth, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
 from .network import RelayNetwork, layer_decomposition
@@ -126,6 +126,20 @@ def _use_costs(y: np.ndarray, rows: np.ndarray) -> np.ndarray:
         for col, x in zip(cols, (x for c in row for x in (c.real, c.imag))):
             cost += np.square(np.subtract(col, x, out=tmp), out=tmp)
     return costs
+
+
+def _first_argmin(costs: np.ndarray) -> np.ndarray:
+    """``costs.argmin(axis=0)`` as int64, by an elementwise running minimum.
+
+    A strict ``<`` keeps the lowest index among ties.  The index only
+    grows, so the running maximum of ``a * closer`` is the last closer a.
+    """
+    best = costs[0].copy()
+    arg = np.zeros(best.shape, dtype=np.int64)
+    for a in range(1, len(costs)):
+        np.maximum(arg, a * (costs[a] < best), out=arg)
+        np.minimum(best, costs[a], out=best)
+    return arg
 
 
 def _choose(d2: np.ndarray, L: int, method: str, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +381,7 @@ def _decide(
     failed = np.zeros(trials, dtype=bool)
     todo = np.arange(trials)
     if method == "ml":
-        codes = _radix_codes(costs.argmin(axis=0), len(table.rows))
+        codes = _radix_codes(_first_argmin(costs), len(table.rows))
         chosen = np.searchsorted(table.codes, codes)
         todo = np.flatnonzero(table.codes[np.minimum(chosen, len(table.codes) - 1)] != codes)
     buf = np.empty((min(_CHUNK, len(todo)), table.onehot.shape[1]))
@@ -651,6 +665,44 @@ class BoundReport:
         return True
 
 
+def _gap_floors(
+    gains: Sequence[ComplexGain],
+    xr: np.ndarray,
+    xi: np.ndarray,
+    bit_depth: int,
+    zr: np.ndarray,
+    zi: np.ndarray,
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """int64 (re, im) pairs floor V, floor Z and C of each sample.
+
+    y', v and the deterministic float sum of y depend only on a sample's
+    input row.  When the 2^(2nK) rows of K links at bit depth n number no
+    more than the samples, so that their codes also fit in int64,
+    decompose_batch runs once on every row, with zero noise, and each
+    sample gathers its row's values.  Only y = sum + z (with its exact
+    floor) and the carry are finished per sample, in the same float
+    operations as decompose_batch, so the floors are bit-equal.  Otherwise
+    decompose_batch runs on the samples themselves.
+    """
+    radix, k = 1 << bit_depth, len(gains)
+    zf_re, zf_im = np.floor(zr).astype(np.int64), np.floor(zi).astype(np.int64)
+    if radix ** (2 * k) > len(zr):
+        b = decompose_batch(gains, xr, xi, bit_depth, zr, zi)
+        return b.v_floor, (zf_re, zf_im), (b.c_re, b.c_im)
+    # The radix code of the row [xr, xi], without copying the two together.
+    code = (_radix_codes(xr, radix) << (bit_depth * k)) | _radix_codes(xi, radix)
+    # Row r holds the digits of code r, first column most significant.
+    rows = np.indices((radix,) * (2 * k), dtype=np.int64).reshape(2 * k, -1).T
+    zero = np.zeros(len(rows))
+    t = decompose_batch(gains, rows[:, :k], rows[:, k:], bit_depth, zero, zero)
+    vf_re, vf_im = t.v_floor
+    y_re = _add_keeping_floor(t.y_re[code], zr)
+    y_im = _add_keeping_floor(t.y_im[code], zi)
+    c_re = np.floor(y_re).astype(np.int64) - (t.yp_re + vf_re)[code] - zf_re
+    c_im = np.floor(y_im).astype(np.int64) - (t.yp_im + vf_im)[code] - zf_im
+    return (vf_re[code], vf_im[code]), (zf_re, zf_im), (c_re, c_im)
+
+
 def _bound_entry(
     node: int,
     antenna: int | None,
@@ -667,14 +719,8 @@ def _bound_entry(
     sd = math.sqrt(0.5)
     zr = rng.normal(0.0, sd, samples)
     zi = rng.normal(0.0, sd, samples)
-    batch = decompose_batch(gains, xr, xi, bit_depth, zr, zi)
-    vf_re, vf_im = batch.v_floor
-    zf_re, zf_im = batch.z_floor
-    hists = {
-        "v": _pair_histogram(vf_re, vf_im),
-        "z": _pair_histogram(zf_re, zf_im),
-        "c": _pair_histogram(batch.c_re, batch.c_im),
-    }
+    v, z, c = _gap_floors(gains, xr, xi, bit_depth, zr, zi)
+    hists = {"v": _pair_histogram(*v), "z": _pair_histogram(*z), "c": _pair_histogram(*c)}
     ests = {kk: miller_madow_entropy(h) for kk, h in hists.items()}
     cis = {
         kk: bootstrap_entropy_ci(h, seed=ci_seed + i)
@@ -714,6 +760,12 @@ def verify_genie_bounds(
     into per-receive-antenna scalar link lists (each in-edge contributes
     its two transmit antennas), which is exactly how the two-antenna gap
     bound is defined.
+
+    A reception with K links at bit depth n has 2^(2nK) distinct input
+    rows.  When they number no more than ``samples``, each distinct row is
+    decomposed once and only the noise part (y = sum + z and the carry) is
+    finished per sample; otherwise every sample is decomposed.  Both give
+    the same floors, so the report does not depend on the choice.
     """
     if samples < 1:
         raise ValueError("samples must be positive")

@@ -179,7 +179,7 @@ def load_config(text: str) -> ExperimentConfig:
         _as_int(s, "block_length", "base_code.search", 1)
         _as_number(s, "rate", "base_code.search")
         _as_int(s, "attempts", "base_code.search", 1)
-        _as_int(s, "seed", "base_code.search")
+        _as_int(s, "seed", "base_code.search", 0)
         fams = s.get("families")
         if fams is not None and not (
             isinstance(fams, list) and all(isinstance(f, str) for f in fams)
@@ -191,7 +191,7 @@ def load_config(text: str) -> ExperimentConfig:
 
     n_rep = _as_int(doc, "n_rep", "config", 1)
     epsilon = _as_number(doc, "epsilon", "config", 0.0)
-    prune_seed = _as_int(doc, "prune_seed", "config")
+    prune_seed = _as_int(doc, "prune_seed", "config", 0)
     purify = doc.get("purify", True)
     if not isinstance(purify, bool):
         raise ConfigError("config: purify must be a boolean")
@@ -228,7 +228,7 @@ def load_config(text: str) -> ExperimentConfig:
         scale = _as_number({"noise_scale": 1.0, **s}, "noise_scale", "simulate")
         sim = SimSettings(
             trials=_as_int(s, "trials", "simulate", 1),
-            noise_seed=_as_int(s, "noise_seed", "simulate"),
+            noise_seed=_as_int(s, "noise_seed", "simulate", 0),
             method=method,
             threshold=thr,
             use_offsets=use_off,
@@ -243,7 +243,7 @@ def load_config(text: str) -> ExperimentConfig:
         _require_keys(b, {"samples", "seed"}, set(), "bounds")
         bounds = BoundSettings(
             samples=_as_int(b, "samples", "bounds", 1),
-            seed=_as_int(b, "seed", "bounds"),
+            seed=_as_int(b, "seed", "bounds", 0),
         )
 
     return ExperimentConfig(

@@ -24,6 +24,7 @@ from dsnlift.gaussian import (
     NoiseSpec,
     _decide,
     _destination_messages,
+    _first_argmin,
     _gather,
     _set_layout,
     _slot_tables,
@@ -185,6 +186,25 @@ def test_kernel_threshold_fails_on_copies_and_keeps_ml():
 
 
 # --- two-stage decisions: per-use argmin and set lookup, then the kernel ----
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.integers(1, 6),
+    trials=st.integers(1, 40),
+    n_rep=st.integers(1, 5),
+    levels=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_argmin_matches_argmin_with_exact_ties(values, trials, n_rep, levels, seed):
+    # Few integer levels make exact ties common; the rest are continuous.
+    rng = np.random.default_rng(seed)
+    costs = rng.integers(levels, size=(values, trials, n_rep)).astype(np.float64)
+    spread = rng.random(costs.shape) < 0.3
+    costs[spread] = rng.random(int(spread.sum())) * levels
+    got = _first_argmin(costs)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, costs.argmin(axis=0))
 
 
 def _stage_two_trials(monkeypatch):

@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from dsnlift.channel import ComplexGain
+from dsnlift import gaussian
+from dsnlift.channel import ComplexGain, decompose_batch
 from dsnlift.codes import (
     ProductCode,
     QuantizeForward,
@@ -20,6 +24,7 @@ from dsnlift.codes import (
 from dsnlift.gaussian import (
     ConfigError,
     NoiseSpec,
+    _gap_floors,
     bootstrap_entropy_ci,
     decode_to_set,
     exact_gaussian_cell_entropy,
@@ -408,6 +413,73 @@ def test_genie_bounds_mimo_doubles_the_per_antenna_gap():
         assert e.links == 1
         assert e.bound_estimate == pytest.approx(2 * e.gap_sum, abs=1e-12)
     assert report.all_within_kappa()
+
+
+def _gap_floors_and_rows(gains, xr, xi, n, zr, zi):
+    """_gap_floors' pairs and the row count of each decompose_batch call."""
+    rows = []
+
+    def spy(gains, x_re, *rest):
+        rows.append(len(x_re))
+        return decompose_batch(gains, x_re, *rest)
+
+    with mock.patch.object(gaussian, "decompose_batch", spy):
+        return _gap_floors(gains, xr, xi, n, zr, zi), rows
+
+
+def _assert_gap_floors_match_per_sample(gains, xr, xi, n, zr, zi):
+    got, rows = _gap_floors_and_rows(gains, xr, xi, n, zr, zi)
+    b = decompose_batch(gains, xr, xi, n, zr, zi)
+    for pair, want in zip(got, (b.v_floor, b.z_floor, (b.c_re, b.c_im))):
+        for g, w in zip(pair, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+    return rows
+
+
+_gain_part = st.one_of(
+    st.integers(-24, 24).map(lambda q: q / 8),  # dyadic
+    st.integers(-60, 60).map(lambda q: q / 10),  # decimal, not dyadic
+    st.floats(-6.0, 6.0, allow_nan=False),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    links=st.integers(1, 4),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gap_floors_equal_per_sample_decomposition(data, links, n, seed):
+    # Distinct rows are decomposed once when they number no more than the
+    # samples; either way every floor pair equals the per-sample one.
+    gains = [ComplexGain(data.draw(_gain_part), data.draw(_gain_part)) for _ in range(links)]
+    distinct = 1 << (2 * n * links)
+    sizes = [distinct - 1, distinct, distinct + 123] if distinct <= 4096 else [1, 200]
+    samples = data.draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(seed)
+    xr = rng.integers(0, 1 << n, size=(samples, links))
+    xi = rng.integers(0, 1 << n, size=(samples, links))
+    # Gaussian noise, dyadic steps, and noise that lands y on an integer.
+    sums = decompose_batch(gains, xr, xi, n, np.zeros(samples), np.zeros(samples))
+    kind = rng.integers(3, size=samples)
+    zr = np.select([kind == 0, kind == 1], [rng.normal(0, 0.7, samples),
+                   rng.integers(-16, 17, samples) / 8], np.floor(sums.y_re) - sums.y_re)
+    zi = np.select([kind == 0, kind == 1], [rng.normal(0, 0.7, samples),
+                   rng.integers(-16, 17, samples) / 8], np.ceil(sums.y_im) - sums.y_im)
+    rows = _assert_gap_floors_match_per_sample(gains, xr, xi, n, zr, zi)
+    assert rows == ([distinct] if distinct <= samples else [samples])
+
+
+def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
+    # 2 n K = 64 digits of input bits cannot be coded in int64.
+    gains = [ComplexGain(1.5, -0.25), ComplexGain(2.3, 1.0)]
+    rng = np.random.default_rng(3)
+    xr = rng.integers(0, 1 << 16, size=(500, 2))
+    xi = rng.integers(0, 1 << 16, size=(500, 2))
+    zr, zi = rng.normal(0, 0.7, (2, 500))
+    assert _assert_gap_floors_match_per_sample(gains, xr, xi, 16, zr, zi) == [500]
 
 
 def test_genie_bounds_validation(diamond_net):

@@ -102,6 +102,12 @@ def test_load_config_shipped_diamond():
         lambda d: d.update(eta=float("-inf")),
         lambda d: d.update(epsilon=10**400),
         lambda d: d.update(simulate={**d["simulate"], "noise_scale": float("nan")}),
+        lambda d: d.update(prune_seed=-1),
+        lambda d: d.update(simulate={**d["simulate"], "noise_seed": -1}),
+        lambda d: d.update(bounds={**d["bounds"], "seed": -1}),
+        lambda d: d.update(
+            base_code={"search": {"block_length": 1, "rate": 1.0, "attempts": 1, "seed": -1}}
+        ),
     ],
 )
 def test_load_config_rejects_bad_documents(mutate):
@@ -333,6 +339,20 @@ def test_cli_bounds_reports_kappa_reference(tmp_path, capsys):
     doc = json.loads(report_path.read_text())
     assert doc["kappa_reference"] == pytest.approx(15.459431618637297)
     assert len(doc["entries"]) == 2
+
+
+def test_cli_negative_seed_and_zero_samples_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_CONFIG))
+    out = tmp_path / "out"
+    for argv, flag in (
+        (["pipeline", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"], "--seed"),
+        (["bounds", "--network", "line", "--seed", "-1"], "--seed"),
+        (["bounds", "--network", "line", "--samples", "0"], "--samples"),
+    ):
+        assert cli.main(argv) == cli.EXIT_INPUT
+        assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_bounds_int64_overflow_exits_2(tmp_path, capsys):
