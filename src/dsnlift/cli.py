@@ -22,12 +22,13 @@ from pathlib import Path
 from .channel import ChannelError, compute_bit_depth, quantize_gain
 from .gaussian import ConfigError, verify_genie_bounds
 from .lifting import EmptyResult
-from .network import ParseError, SchemaError, load_network, validate
+from .network import ParseError, SchemaError
 from .pipeline import (
     SearchFailed,
     _as_int,
     _as_number,
     _bound_doc,
+    _load_validated_network,
     canonical_json,
     load_config,
     read_input_text,
@@ -40,14 +41,6 @@ __all__ = ["main"]
 EXIT_INPUT = 2
 EXIT_SEARCH = 3
 EXIT_EMPTY = 4
-
-
-def _load_validated_network(name: str):
-    net = load_network(read_input_text(name))
-    problems = validate(net)
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return net
 
 
 def _fmt_complex(re: float, im: float) -> str:

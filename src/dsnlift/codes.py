@@ -3,22 +3,25 @@
 A relay code is a codebook for the source plus one deterministic map per
 relay.  Relay maps come in two memory models:
 
-* block maps, for layered networks, where a node buffers the whole block
-  it heard from the previous level before it starts transmitting, so the
-  symbol it emits at local time t may use the reception at the same t;
+* block maps, for layered networks, where the symbol a node emits at
+  time t may use its reception at the same t, which the previous level
+  has already sent;
 * causal maps, for arbitrary networks, where the symbol emitted at t may
   only use receptions at times strictly before t.
 
-Causal maps behave identically under both schedulers, which is what makes
-a code portable between the level-by-level and the interleaved schemes.
+run_dsn executes both in one walk over t (the time expansion of the
+network): at each t the symbols that read only earlier receptions are
+sent, then the nodes receive at t in level order, each block map sending
+as soon as its node has received.  On a layered network this is the
+level-by-level block schedule; elsewhere every map must be causal and
+it is the interleaved one, so a causal code runs the same under both.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -84,11 +87,12 @@ class RelayMap:
     """Deterministic map from reception history to the next symbol.
 
     ``emit(t, visible)`` produces the symbol for local time t (1-based)
-    from the node's full reception block (layered scheduler) or the strict
-    prefix y'(1..t-1) (synchronous scheduler).  Either way a map reads one
-    symbol, which ``_pick`` selects: y(t) for block maps, y(t-1) for causal
-    maps, None at t=1.  Subclasses map that symbol in ``emit_from(t, y)``,
-    which a scheduler that already knows the symbol calls directly.
+    from the node's receptions ``visible``: through t at least for a block
+    map, the strict prefix y'(1..t-1) for a causal map.  Either way a map
+    reads one symbol, which ``_pick`` selects: y(t) for block maps, y(t-1)
+    for causal maps, None at t=1.  Subclasses map that symbol in
+    ``emit_from(t, y)``, which a scheduler that already knows the symbol
+    calls directly.
     """
 
     causal: bool = False
@@ -219,6 +223,9 @@ class _NetPlan:
     bit_depth: int
     levels: LevelDecomposition | None
     in_links: dict[int, list[tuple[int, QuantizedGain]]]
+    # Nodes in the order run_dsn lets them receive: level by level when
+    # the network is layered, else by id.
+    order: list[int]
 
 
 _plan_cache: dict[RelayNetwork, _NetPlan] = {}
@@ -234,14 +241,18 @@ def _plan(net: RelayNetwork) -> _NetPlan:
     in_links: dict[int, list[tuple[int, QuantizedGain]]] = {j: [] for j in range(net.node_count)}
     for e in net.edges:
         in_links[e.dst].append((e.src, quantize_gain(e.gain)))  # type: ignore[arg-type]
-    plan = _NetPlan(bit_depth=n, levels=layer_decomposition(net), in_links=in_links)
+    levels = layer_decomposition(net)
+    order = list(range(net.node_count)) if levels is None else [
+        j for level in levels.levels for j in sorted(level)
+    ]
+    plan = _NetPlan(bit_depth=n, levels=levels, in_links=in_links, order=order)
     if len(_plan_cache) > 64:
         _plan_cache.clear()
     _plan_cache[net] = plan
     return plan
 
 
-def _receive(plan: _NetPlan, node: int, tx: dict[int, Codeword], t: int) -> Zint:
+def _receive(plan: _NetPlan, node: int, tx: Mapping[int, Sequence[DiscreteSymbol]], t: int) -> Zint:
     links = plan.in_links[node]
     if not links:
         return (0, 0)
@@ -253,11 +264,16 @@ def _receive(plan: _NetPlan, node: int, tx: dict[int, Codeword], t: int) -> Zint
 def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     """Run one message through the deterministic network.
 
-    Layered networks execute level by level with block scheduling; all
-    other networks run a symbol-synchronous schedule, which requires every
-    relay map to be causal.  The destination never transmits (it is padded
-    with zero symbols if it happens to have outgoing edges, which
-    contribute nothing after truncation).
+    One walk over t = 1..N.  At each t, first every symbol that reads only
+    receptions before t is sent: the source's, the destination's and each
+    causal relay's.  Then every node receives at t, in level order on a
+    layered network and in node order otherwise, and a block map sends its
+    symbol at t right after its node has received.  On a layered network
+    every edge enters the next level, so this is the level-by-level block
+    schedule.  Other networks need every relay map to be causal, and the
+    walk is the symbol-synchronous schedule.  The destination never
+    transmits: it sends zero symbols, which reach nobody after truncation
+    when it has outgoing edges.
     """
     plan = _plan(net)
     if code.bit_depth != plan.bit_depth:
@@ -266,56 +282,46 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
         )
     if not (0 <= message < code.message_count):
         raise ValueError(f"message {message} out of range")
-    N = code.block_length
     dest = net.destination
     zero = DiscreteSymbol.zero(code.bit_depth)
     relays = [j for j in range(1, net.node_count) if j != dest]
     for j in relays:
         if j not in code.relay_maps:
             raise ValueError(f"no relay map for node {j}")
+        if plan.levels is None and not code.relay_maps[j].causal:
+            raise CausalityError(
+                f"relay map at node {j} is not causal; the synchronous schedule "
+                "needs causal maps on non-layered networks"
+            )
+    maps = {j: code.relay_maps[j] for j in relays}
 
-    tx: dict[int, Codeword] = {net.source: code.codebook[message]}
-    rx: dict[int, Reception] = {net.source: tuple((0, 0) for _ in range(N))}
+    tx: dict[int, list[DiscreteSymbol]] = {j: [] for j in plan.order}
+    rx: dict[int, list[Zint]] = {j: [] for j in plan.order}
+    causal = [(m, rx[j], tx[j]) for j, m in maps.items() if m.causal]
+    block = {j: m for j, m in maps.items() if not m.causal}
+    # Every node in receiving order, with its block map or None.
+    walk = [(j, rx[j], tx[j], block.get(j)) for j in plan.order]
+    codeword, from_source, from_dest = code.codebook[message], tx[net.source], tx[dest]
+    for t in range(1, code.block_length + 1):
+        from_source.append(codeword[t - 1])
+        from_dest.append(zero)
+        for rmap, heard, sent in causal:
+            assert len(heard) == t - 1
+            sent.append(rmap.emit(t, heard))
+        for j, heard, sent, block_map in walk:
+            y = _receive(plan, j, tx, t)
+            heard.append(y)
+            if block_map is not None:
+                # A block map reads the reception at t: y.
+                sent.append(block_map.emit_from(t, y))
 
-    if plan.levels is not None:
-        for level in plan.levels.levels[1:]:
-            for j in sorted(level):
-                block = tuple(_receive(plan, j, tx, t) for t in range(1, N + 1))
-                rx[j] = block
-                if j == dest:
-                    tx[j] = tuple(zero for _ in range(N))
-                else:
-                    tx[j] = tuple(code.relay_maps[j].emit(t, block) for t in range(1, N + 1))
-    else:
-        for j in relays:
-            if not code.relay_maps[j].causal:
-                raise CausalityError(
-                    f"relay map at node {j} is not causal; the synchronous schedule "
-                    "needs causal maps on non-layered networks"
-                )
-        hist: dict[int, list[Zint]] = {j: [] for j in range(net.node_count)}
-        txs: dict[int, list[DiscreteSymbol]] = {j: [] for j in range(net.node_count)}
-        for t in range(1, N + 1):
-            for j in range(net.node_count):
-                if j == net.source:
-                    sym = code.codebook[message][t - 1]
-                elif j == dest:
-                    sym = zero
-                else:
-                    visible = tuple(hist[j])
-                    assert len(visible) == t - 1
-                    sym = code.relay_maps[j].emit(t, visible)
-                txs[j].append(sym)
-            snapshot = {j: tuple(txs[j]) for j in range(net.node_count)}
-            for j in range(net.node_count):
-                hist[j].append(_receive(plan, j, snapshot, t))
-        for j in range(net.node_count):
-            tx[j] = tuple(txs[j])
-            rx[j] = tuple(hist[j])
-        rx[net.source] = tuple(hist[net.source])
-
-    decoded = code.decoder.get(rx[dest]) if rx.get(dest) is not None else None
-    return NetworkTrace(message=message, transmitted=tx, received=rx, decoded=decoded)
+    received = {j: tuple(r) for j, r in rx.items()}
+    return NetworkTrace(
+        message=message,
+        transmitted={j: tuple(s) for j, s in tx.items()},
+        received=received,
+        decoded=code.decoder.get(received[dest]),
+    )
 
 
 def trace_all(net: RelayNetwork, code: RelayCode) -> list[NetworkTrace]:
@@ -359,27 +365,14 @@ def purify_zero_error(
     are renumbered in their original order and the decoder is rebuilt from
     their traces.  Raises TooManyErrors when delta >= delta_max.
     """
-    traces = trace_all(net, code)
-    correct = [tr.message for tr in traces if tr.decoded == tr.message]
+    correct = [tr.message for tr in trace_all(net, code) if tr.decoded == tr.message]
     delta = 1.0 - len(correct) / code.message_count
     if delta >= delta_max:
         raise TooManyErrors(
             f"average error {delta:.4f} is not below {delta_max}; cannot purify"
         )
-    codebook = tuple(code.codebook[m] for m in correct)
-    decoder: dict[Reception, int] = {}
-    for new_idx, m in enumerate(correct):
-        r = traces[m].received[net.destination]
-        if r in decoder:
-            raise TooManyErrors("two surviving codewords share a destination reception")
-        decoder[r] = new_idx
-    return RelayCode(
-        block_length=code.block_length,
-        bit_depth=code.bit_depth,
-        codebook=codebook,
-        relay_maps=dict(code.relay_maps),
-        decoder=decoder,
-    )
+    survivors = replace(code, codebook=tuple(code.codebook[m] for m in correct), decoder={})
+    return with_derived_decoder(net, survivors)
 
 
 @dataclass

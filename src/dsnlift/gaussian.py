@@ -47,16 +47,24 @@ slot.  Rerunning with the same seed reproduces every draw.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .channel import ComplexGain, Zint, _add_keeping_floor, compute_bit_depth, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
-from .lifting import KappaParams, LiftedCode, PrunedSets, SlotKey, _slot_key, kappa, kappa_mimo
-from .network import RelayNetwork, layer_decomposition
-from .typicality import ReceptionVectors, _radix_codes, _slot_node, _slot_values
+from .lifting import KappaParams, LiftedCode, PrunedSets, kappa, kappa_mimo
+from .network import RelayNetwork
+from .typicality import (
+    ReceptionVectors,
+    SlotKey,
+    _decision_slots,
+    _radix_codes,
+    _slot_key,
+    _slot_node,
+    _slot_values,
+)
 
 __all__ = [
     "ConfigError",
@@ -406,7 +414,7 @@ def _destination_messages(
     reception; the decoder runs once per distinct reception.  -1 marks a
     trial with a use the decoder does not know.
     """
-    slots = sorted(chosen, key=_slot_key)
+    slots = sorted(chosen)
     digits = [sets[s].digits[chosen[s]].reshape(-1) for s in slots]
     trials = len(chosen[slots[0]])
     # Number the distinct receptions one slot at a time, so that the key
@@ -458,29 +466,19 @@ def simulate_lifted(
         raise ConfigError("need at least one trial")
     pruned = lifted.pruned
     base = product.base
-    layered = layer_decomposition(net)
-    slots = sorted(pruned.sets, key=_slot_key)
-    slot_is_block = all(isinstance(s, int) for s in slots)
-    if layered is not None and not slot_is_block:
-        raise ConfigError("layered network needs per-node pruned sets")
-    if layered is None and slot_is_block:
-        raise ConfigError("non-layered network needs per-(node, t) pruned sets")
     n_rep, N = product.n_rep, base.block_length
-    nodes = range(1, net.node_count)
-    expected = list(nodes) if slot_is_block else [(j, t) for t in range(1, N + 1) for j in nodes]
-    if set(slots) != set(expected):
-        raise ConfigError(f"pruned sets cover slots {slots}, need {sorted(expected, key=_slot_key)}")
+    order = _decision_slots(net, N)
+    if set(pruned.sets) != set(order):
+        raise ConfigError(f"pruned sets cover slots {list(pruned.sets)}, need {sorted(order)}")
     if compute_bit_depth(net.all_gain_components()) != base.bit_depth:
         raise ConfigError("code bit depth does not match the network")
     dest = net.destination
-    relays = [j for j in nodes if j != dest]
-    if layered is None:
+    relays = [j for j in range(1, net.node_count) if j != dest]
+    layered = isinstance(order[0], int)
+    if not layered:
         for j in relays:
             if not base.relay_maps[j].causal:
                 raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
-        order = expected
-    else:
-        order = [j for level in layered.levels[1:] for j in sorted(level)]
 
     threshold_val = DEFAULT_THRESHOLD if threshold is None else float(threshold)
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
@@ -498,8 +496,8 @@ def simulate_lifted(
     for j in relays:
         if base.relay_maps[j].causal:
             tx[j][:, :, 0] = base.relay_maps[j].emit_from(1, None).as_complex()
-    block_errors = dict.fromkeys(slots, 0)
-    failures = dict.fromkeys(slots, 0)
+    block_errors = dict.fromkeys(sorted(order), 0)
+    failures = dict.fromkeys(sorted(order), 0)
     decided: dict[SlotKey, np.ndarray] = {}
     for slot in order:
         j, table = _slot_node(slot), tables[slot]
@@ -534,7 +532,7 @@ def simulate_lifted(
         method=method,
         n_rep=n_rep,
         batches=batches,
-        scheduling="layered" if slot_is_block else "interleaved",
+        scheduling="layered" if layered else "interleaved",
     )
 
 
@@ -614,7 +612,8 @@ def bootstrap_entropy_ci(
 
 
 def _pair_histogram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    pairs = re.astype(np.int64) * (1 << 32) + (im.astype(np.int64) + (1 << 31))
+    """Counts of the distinct (re, im) pairs of two int64 arrays."""
+    pairs = re * (1 << 32) + (im + (1 << 31))
     _, counts = np.unique(pairs, return_counts=True)
     return counts
 
@@ -712,6 +711,7 @@ def _bound_entry(
     rng: np.random.Generator,
     ci_seed: int,
     mimo: bool,
+    reference: float,
 ) -> BoundEntry:
     k = len(gains)
     xr = rng.integers(0, 1 << bit_depth, size=(samples, k))
@@ -741,7 +741,7 @@ def _bound_entry(
         ci_c=cis["c"],
         gap_sum=gap,
         bound_estimate=estimate,
-        margin=0.0,  # patched by caller once kappa_reference is fixed
+        margin=reference - estimate,
         ci_halfwidth=halfwidth,
     )
 
@@ -781,27 +781,18 @@ def verify_genie_bounds(
         in_edges = net.in_edges(j)
         if not in_edges:
             continue
+        # (antenna, gains, seed key, bootstrap seed) of each reception at j.
         if mimo:
-            for ant in (0, 1):
-                gains = []
-                for e in in_edges:
-                    gains.append(e.gain[0][ant])  # type: ignore[index]
-                    gains.append(e.gain[1][ant])  # type: ignore[index]
-                rng = np.random.default_rng(np.random.SeedSequence([seed, j, ant]))
-                entry = _bound_entry(
-                    j, ant, gains, samples, n, rng, ci_seed=seed * 1000 + j * 10 + ant,
-                    mimo=True,
-                )
-                entries.append(entry)
+            receptions = [
+                (ant, [e.gain[r][ant] for e in in_edges for r in (0, 1)],  # type: ignore[index]
+                 [seed, j, ant], seed * 1000 + j * 10 + ant)
+                for ant in (0, 1)
+            ]
         else:
-            gains = [e.gain for e in in_edges]
-            rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-            entry = _bound_entry(
-                j, None, gains, samples, n, rng, ci_seed=seed * 1000 + j, mimo=False,
-            )
-            entries.append(entry)
-
-    entries = [replace(e, margin=reference - e.bound_estimate) for e in entries]
+            receptions = [(None, [e.gain for e in in_edges], [seed, j], seed * 1000 + j)]
+        for ant, gains, key, ci_seed in receptions:
+            rng = np.random.default_rng(np.random.SeedSequence(key))
+            entries.append(_bound_entry(j, ant, gains, samples, n, rng, ci_seed, mimo, reference))
     return BoundReport(
         mode=net.antenna_mode,
         samples=samples,

@@ -23,9 +23,11 @@ from .network import RelayNetwork
 from .typicality import (
     FiniteDistribution,
     ReceptionVectors,
+    SlotKey,
     TooLarge,
     TypicalSet,
     _radix_codes,
+    _slot_key,
     _slot_values,
     _typical_digit_rows,
     entropy,
@@ -43,9 +45,6 @@ __all__ = [
     "build_lifted_code",
     "rate_report",
 ]
-
-SlotKey = int | tuple[int, int]
-
 
 class EmptyResult(ValueError):
     """Pruning rounded at least one decision set down to nothing.
@@ -115,11 +114,6 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def _slot_key(slot: SlotKey) -> list[int]:
-    """Canonical order of slots, also their seed suffix: [node] or [node, t]."""
-    return [slot] if isinstance(slot, int) else [slot[0], slot[1]]
-
-
 @dataclass
 class PrunedSets:
     """Per-slot random subsets of the typical reception vectors.
@@ -159,10 +153,13 @@ def prune_sets(
     its finite-length term alone starves every slot at enumerable sizes,
     so desk-scale runs pass an explicit small number instead.  Set sizes
     are rounded half away from zero; a slot whose size rounds to zero
-    raises EmptyResult naming every starved slot.
+    raises EmptyResult naming every starved slot.  The slots must be all
+    node ids or all (node, t) pairs.
     """
     if not typical_sets:
         raise ValueError("no typical sets to prune")
+    if len({isinstance(slot, int) for slot in typical_sets}) != 1:
+        raise ValueError("typical sets mix node slots and (node, t) slots")
     n_reps = {ts.n_rep for ts in typical_sets.values()}
     if len(n_reps) != 1:
         raise ValueError("typical sets disagree on n_rep")
@@ -177,7 +174,8 @@ def prune_sets(
     sizes: dict[SlotKey, int] = {}
     exponents: dict[SlotKey, float] = {}
     starved: list[SlotKey] = []
-    for slot, ts in sorted(typical_sets.items(), key=lambda kv: _slot_key(kv[0])):
+    for slot in sorted(typical_sets):
+        ts = typical_sets[slot]
         exponent = n_rep * (symbols_per_slot * k_eff + 2.0 * eta_for(ts))
         exponents[slot] = exponent
         size = _round_half_away(len(ts.vectors) * 2.0 ** (-exponent))
@@ -263,7 +261,7 @@ def build_lifted_code(
         raise TooLarge(
             f"{product.codeword_count} codewords exceed the enumeration budget {budget}"
         )
-    slots = sorted(pruned.sets, key=_slot_key)
+    slots = sorted(pruned.sets)
     traces = trace_all(net, product.base)
     K = product.base.message_count
     n_rep = product.n_rep

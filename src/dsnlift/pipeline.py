@@ -50,13 +50,13 @@ from .gaussian import (
 from .lifting import (
     EmptyResult,
     KappaParams,
-    _slot_key,
     build_lifted_code,
     prune_sets,
     rate_report,
 )
-from .network import RelayNetwork, SchemaError, layer_decomposition, load_network, validate
+from .network import RelayNetwork, SchemaError, load_network, validate
 from .typicality import (
+    _decision_slots,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
 )
@@ -261,20 +261,7 @@ def load_config(text: str) -> ExperimentConfig:
 
 
 def _config_doc(cfg: ExperimentConfig) -> dict:
-    doc: dict[str, Any] = {
-        "format": CONFIG_FORMAT,
-        "network": cfg.network,
-        "base_code": cfg.base_code,
-        "n_rep": cfg.n_rep,
-        "epsilon": cfg.epsilon,
-        "prune_seed": cfg.prune_seed,
-        "purify": cfg.purify,
-        "eta": cfg.eta,
-        "kappa_override": cfg.kappa_override,
-        "simulate": None if cfg.simulate is None else asdict(cfg.simulate),
-        "bounds": None if cfg.bounds is None else asdict(cfg.bounds),
-    }
-    return doc
+    return {"format": CONFIG_FORMAT, **asdict(cfg)}
 
 
 # One-shot C encoder for a single scalar or an already-converted dict key.
@@ -394,6 +381,15 @@ def read_input_text(name: str) -> str:
     return shipped.read_text()
 
 
+def _load_validated_network(name: str) -> RelayNetwork:
+    """The network of a file or shipped name; SchemaError if it is not valid."""
+    net = load_network(read_input_text(name))
+    problems = validate(net)
+    if problems:
+        raise SchemaError("; ".join(problems))
+    return net
+
+
 def _load_base_code(cfg: ExperimentConfig, net: RelayNetwork) -> tuple[RelayCode, dict]:
     if "file" in cfg.base_code:
         doc = json.loads(read_input_text(cfg.base_code["file"]))
@@ -437,26 +433,20 @@ class PipelineResult:
 def _typical_sets(
     net: RelayNetwork, product: ProductCode, epsilon: float
 ) -> tuple[dict, int, str]:
-    layered = layer_decomposition(net)
-    sets: dict = {}
-    if layered is not None:
-        for j in range(1, net.node_count):
-            ts = enumerate_typical_receptions(net, product, j, epsilon)
-            sets[ts.slot] = ts
-        return sets, product.base.block_length, "layered"
-    for j in range(1, net.node_count):
-        for t in range(1, product.base.block_length + 1):
-            ts = enumerate_typical_symbol_vectors(net, product, j, t, epsilon)
-            sets[ts.slot] = ts
+    """Typical set per decision slot, the symbols a slot covers, and the scheduling."""
+    N = product.base.block_length
+    slots = sorted(_decision_slots(net, N))
+    if isinstance(slots[0], int):
+        sets = {j: enumerate_typical_receptions(net, product, j, epsilon) for j in slots}
+        return sets, N, "layered"
+    sets = {
+        (j, t): enumerate_typical_symbol_vectors(net, product, j, t, epsilon) for j, t in slots
+    }
     return sets, 1, "interleaved"
 
 
 def _slot_doc(slot) -> Any:
     return slot if isinstance(slot, int) else list(slot)
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text)
 
 
 def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
@@ -467,17 +457,14 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
     SchemaError / ParseError for bad inputs.
     """
     digest = config_hash(cfg)
-    net = load_network(read_input_text(cfg.network))
-    problems = validate(net)
-    if problems:
-        raise SchemaError("; ".join(problems))
+    net = _load_validated_network(cfg.network)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
 
     def emit(name: str, doc: Any) -> None:
         path = out_dir / name
-        _write(path, canonical_json(doc))
+        path.write_text(canonical_json(doc))
         files[name] = path
 
     emit("config.json", {"config": _config_doc(cfg), "config_hash": digest, "version": __version__})
@@ -511,7 +498,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "epsilon_2": ts.epsilon_2,
                     "envelope": list(ts.envelope),
                 }
-                for slot, ts in sorted(tsets.items(), key=lambda kv: _slot_key(kv[0]))
+                for slot, ts in sorted(tsets.items())
             ],
             "config_hash": digest,
         },
@@ -549,7 +536,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     # Alphabet values are tuples, which JSON writes as arrays.
                     "vectors": list(pruned.sets[slot]),
                 }
-                for slot in sorted(pruned.sets, key=_slot_key)
+                for slot in sorted(pruned.sets)
             ],
             "config_hash": digest,
         },
@@ -568,9 +555,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "index": ci,
                     "slots": [
                         {"slot": _slot_doc(s), "member": m}
-                        for s, m in sorted(
-                            lifted.provenance[ci].items(), key=lambda kv: _slot_key(kv[0])
-                        )
+                        for s, m in sorted(lifted.provenance[ci].items())
                     ],
                 }
                 for ci in lifted.codeword_indices
@@ -611,7 +596,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
         )
         err_rate = sim.message_error_rate
         files["simulation.csv"] = out_dir / "simulation.csv"
-        _write(files["simulation.csv"], _simulation_csv(sim))
+        files["simulation.csv"].write_text(_simulation_csv(sim))
         emit("simulation.json", _simulation_doc(sim, digest))
 
     if cfg.bounds is not None:
@@ -644,14 +629,10 @@ def _simulation_doc(sim: SimulationResult, digest: str) -> dict:
         "message_errors": sim.message_errors,
         "message_error_rate": sim.message_error_rate,
         "block_errors": [
-            {"slot": _slot_doc(s), "errors": v} for s, v in sorted(
-                sim.block_errors.items(), key=lambda kv: _slot_key(kv[0])
-            )
+            {"slot": _slot_doc(s), "errors": v} for s, v in sorted(sim.block_errors.items())
         ],
         "decode_failures": [
-            {"slot": _slot_doc(s), "failures": v} for s, v in sorted(
-                sim.decode_failures.items(), key=lambda kv: _slot_key(kv[0])
-            )
+            {"slot": _slot_doc(s), "failures": v} for s, v in sorted(sim.decode_failures.items())
         ],
         "avg_power": {str(k): v for k, v in sorted(sim.avg_power.items())},
         "noise_seed": sim.noise_seed,

@@ -28,7 +28,7 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
-from .network import RelayNetwork
+from .network import RelayNetwork, layer_decomposition
 
 __all__ = [
     "TooLarge",
@@ -52,6 +52,11 @@ class TooLarge(ValueError):
 
 
 ProbLike = Fraction | float
+
+# A decision slot: a node id (block schedule) or a (node, t) pair
+# (interleaved schedule).  One run's slots are all of one kind, and
+# Python's order on either kind is the canonical slot order.
+SlotKey = int | tuple[int, int]
 
 
 def _check_normalized(probs: Sequence[ProbLike]) -> None:
@@ -288,7 +293,7 @@ class TypicalSet:
     are length-n_rep digit rows over the slot's support, in sorted order.
     """
 
-    slot: int | tuple[int, int]
+    slot: SlotKey
     epsilon: float
     n_rep: int
     dist: FiniteDistribution
@@ -301,12 +306,31 @@ class TypicalSet:
         return _slot_node(self.slot)
 
 
-def _slot_node(slot: int | tuple[int, int]) -> int:
+def _decision_slots(net: RelayNetwork, block_length: int) -> list[SlotKey]:
+    """The decision slots of ``net`` in walk order.
+
+    A layered network relays whole blocks, so its slots are the nodes,
+    level by level.  Any other network is interleaved: its slots are the
+    (node, t) pairs in (t, node) order.  This is the one place the
+    schedule is decided for the slots.
+    """
+    levels = layer_decomposition(net)
+    if levels is not None:
+        return [j for level in levels.levels[1:] for j in sorted(level)]
+    return [(j, t) for t in range(1, block_length + 1) for j in range(1, net.node_count)]
+
+
+def _slot_key(slot: SlotKey) -> list[int]:
+    """The seed suffix of ``slot``: [node] or [node, t]."""
+    return [slot] if isinstance(slot, int) else [slot[0], slot[1]]
+
+
+def _slot_node(slot: SlotKey) -> int:
     """The node that decides at ``slot``: a node id or a (node, t) pair."""
     return slot if isinstance(slot, int) else slot[0]
 
 
-def _slot_values(traces: Sequence[NetworkTrace], slot: int | tuple[int, int]) -> list:
+def _slot_values(traces: Sequence[NetworkTrace], slot: SlotKey) -> list:
     """Each base message's reception at ``slot``: its block, or its t-th symbol."""
     if isinstance(slot, int):
         return [tr.received[slot] for tr in traces]
@@ -355,7 +379,7 @@ def _typical_vectors(
 
 
 def _build_set(
-    slot: int | tuple[int, int],
+    slot: SlotKey,
     values_per_message: Sequence[Hashable],
     n_rep: int,
     epsilon: float,

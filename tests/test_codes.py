@@ -1,16 +1,25 @@
 """Deterministic-network code machinery tests."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dsnlift.channel import ComplexGain, DiscreteSymbol, QuantizedGain, superposition_output
+from dsnlift.channel import (
+    ComplexGain,
+    DiscreteSymbol,
+    QuantizedGain,
+    compute_bit_depth,
+    superposition_output,
+)
 from dsnlift.codes import (
     BitDepthMismatch,
     CausalityError,
     ModuloMap,
+    NetworkTrace,
     ProductCode,
     QuantizeForward,
     RelayCode,
@@ -27,8 +36,11 @@ from dsnlift.codes import (
     serialize_code,
     trace_all,
     with_derived_decoder,
+    _plan,
+    _random_map,
+    _receive,
 )
-from dsnlift.network import Edge, RelayNetwork
+from dsnlift.network import Edge, RelayNetwork, layer_decomposition
 
 
 def _line(gain: float) -> RelayNetwork:
@@ -207,6 +219,147 @@ def test_run_dsn_synchronous_schedule_on_nonlayered_network(nonlayered_net):
     for tr in traces:
         for j in range(1, nonlayered_net.node_count):
             assert len(tr.received[j]) == 2
+
+
+def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
+    """run_dsn with its former two schedules, kept as the reference.
+
+    Layered networks run whole blocks level by level; other networks run
+    a symbol-synchronous loop that snapshots every transmission at each t.
+    """
+    plan = _plan(net)
+    N = code.block_length
+    dest = net.destination
+    zero = DiscreteSymbol.zero(code.bit_depth)
+    relays = [j for j in range(1, net.node_count) if j != dest]
+
+    tx = {net.source: code.codebook[message]}
+    rx = {net.source: tuple((0, 0) for _ in range(N))}
+
+    if plan.levels is not None:
+        for level in plan.levels.levels[1:]:
+            for j in sorted(level):
+                block = tuple(_receive(plan, j, tx, t) for t in range(1, N + 1))
+                rx[j] = block
+                if j == dest:
+                    tx[j] = tuple(zero for _ in range(N))
+                else:
+                    tx[j] = tuple(code.relay_maps[j].emit(t, block) for t in range(1, N + 1))
+    else:
+        for j in relays:
+            if not code.relay_maps[j].causal:
+                raise CausalityError(f"relay map at node {j} is not causal")
+        hist = {j: [] for j in range(net.node_count)}
+        txs = {j: [] for j in range(net.node_count)}
+        for t in range(1, N + 1):
+            for j in range(net.node_count):
+                if j == net.source:
+                    sym = code.codebook[message][t - 1]
+                elif j == dest:
+                    sym = zero
+                else:
+                    visible = tuple(hist[j])
+                    assert len(visible) == t - 1
+                    sym = code.relay_maps[j].emit(t, visible)
+                txs[j].append(sym)
+            snapshot = {j: tuple(txs[j]) for j in range(net.node_count)}
+            for j in range(net.node_count):
+                hist[j].append(_receive(plan, j, snapshot, t))
+        for j in range(net.node_count):
+            tx[j] = tuple(txs[j])
+            rx[j] = tuple(hist[j])
+        rx[net.source] = tuple(hist[net.source])
+
+    decoded = code.decoder.get(rx[dest]) if rx.get(dest) is not None else None
+    return NetworkTrace(message=message, transmitted=tx, received=rx, decoded=decoded)
+
+
+# Every gain has a component of magnitude at least one, and none reaches 4,
+# so every drawn network has bit depth 1.
+_gains = st.sampled_from(
+    [ComplexGain(2, 0), ComplexGain(3, 1), ComplexGain(1.5, -2), ComplexGain(-2.5, 0.5)]
+)
+
+
+@st.composite
+def _layered_networks(draw):
+    """Nodes 1..M spread over 1-3 levels after the source in a drawn order,
+    so level order is often not id order and the destination (node M) may
+    sit before the last level and feed it."""
+    node_count = draw(st.integers(3, 6))
+    others = draw(st.permutations(range(1, node_count)))
+    n_levels = draw(st.integers(1, min(3, node_count - 1)))
+    cuts = sorted(draw(st.lists(
+        st.integers(1, node_count - 2), min_size=n_levels - 1, max_size=n_levels - 1, unique=True
+    )))
+    levels = [[0]] + [list(others[a:b]) for a, b in zip([0] + cuts, cuts + [node_count - 1])]
+    edges = []
+    for prev, level in zip(levels, levels[1:]):
+        for v in level:
+            for u in draw(st.lists(st.sampled_from(prev), min_size=1, unique=True)):
+                edges.append(Edge(u, v, draw(_gains)))
+    net = RelayNetwork(node_count=node_count, edges=tuple(edges))
+    assert layer_decomposition(net) is not None
+    return net
+
+
+@st.composite
+def _nonlayered_networks(draw):
+    """Any directed graph that is not layered: back edges, level skips,
+    edges into the source and unreachable nodes all occur."""
+    node_count = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(node_count) for v in range(node_count) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    net = RelayNetwork(
+        node_count=node_count, edges=tuple(Edge(u, v, draw(_gains)) for u, v in chosen)
+    )
+    assume(layer_decomposition(net) is None)
+    return net
+
+
+def _random_code(draw, net: RelayNetwork, causal_only: bool) -> RelayCode:
+    """Distinct codewords and one random relay map per relay; on a layered
+    network block and causal maps are mixed."""
+    n = compute_bit_depth(net.all_gain_components())
+    N = draw(st.integers(1, 3))
+    alphabet = enumerate_alphabet(n)
+    words = draw(st.lists(
+        st.tuples(*[st.integers(0, len(alphabet) - 1)] * N), min_size=1, max_size=4, unique=True
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = {
+        j: _random_map(rng, net, j, n, N, causal_only or draw(st.booleans()),
+                       ("quantize_forward", "modulo", "table"))
+        for j in range(1, net.node_count) if j != net.destination
+    }
+    return RelayCode(
+        block_length=N,
+        bit_depth=n,
+        codebook=tuple(tuple(alphabet[i] for i in w) for w in words),
+        relay_maps=maps,
+        decoder={},
+    )
+
+
+def _assert_traces_match_reference(net: RelayNetwork, code: RelayCode) -> None:
+    refs = [_two_schedule_run_dsn(net, code, m) for m in range(code.message_count)]
+    # A decoder that knows some destination receptions, so decoded varies.
+    decoder = {tr.received[net.destination]: tr.message for tr in refs[::2]}
+    code = dataclasses.replace(code, decoder=decoder)
+    for m in range(code.message_count):
+        assert run_dsn(net, code, m) == _two_schedule_run_dsn(net, code, m)
+
+
+@settings(deadline=None)
+@given(_layered_networks(), st.data())
+def test_run_dsn_matches_two_schedule_reference_on_layered_networks(net, data):
+    _assert_traces_match_reference(net, _random_code(data.draw, net, causal_only=False))
+
+
+@settings(deadline=None)
+@given(_nonlayered_networks(), st.data())
+def test_run_dsn_matches_two_schedule_reference_on_nonlayered_networks(net, data):
+    _assert_traces_match_reference(net, _random_code(data.draw, net, causal_only=True))
 
 
 def test_with_derived_decoder_builds_zero_error_decoder(line_net):

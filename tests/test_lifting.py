@@ -158,6 +158,15 @@ def test_prune_input_validation():
         prune_sets(mixed, params, eta=0.0, master_seed=1, symbols_per_slot=1)
 
 
+def test_prune_rejects_mixed_slot_kinds():
+    # One run's slots are all node ids or all (node, t) pairs; their
+    # natural order is the slot order only then.
+    ts = _manual_set(16, n_rep=1)
+    params = KappaParams(node_count_m=2, override=0.0)
+    with pytest.raises(ValueError, match="mix"):
+        prune_sets({1: ts, (2, 1): ts}, params, eta=0.0, master_seed=1, symbols_per_slot=1)
+
+
 def test_lift_with_full_sets_keeps_typical_codewords(diamond_net, diamond_code):
     product, sets = _diamond_sets(diamond_net, diamond_code, n_rep=2, epsilon=3.0)
     params = KappaParams.for_network(diamond_net, override=0.0)

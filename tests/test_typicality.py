@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsnlift import typicality
+from dsnlift.channel import ComplexGain
 from dsnlift.codes import build_product_code
+from dsnlift.network import Edge, RelayNetwork
 from dsnlift.typicality import (
     FiniteDistribution,
     JointDistribution,
@@ -248,3 +250,19 @@ def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_c
     assert len(calls) == 165
     assert len({tuple(sorted(c)) for c in calls}) == 165
     assert 0 < len(ts.vectors) < 4**8
+
+
+def test_decision_slots_walk_order(diamond_net, nonlayered_net):
+    # Layered: the nodes level by level.  Here the destination 3 sits on
+    # level 1 and feeds node 2, so level order is not id order.
+    g = ComplexGain(3.0, 0.0)
+    net = RelayNetwork(
+        node_count=4, edges=(Edge(0, 1, g), Edge(0, 3, g), Edge(1, 2, g), Edge(3, 2, g))
+    )
+    assert typicality._decision_slots(net, 2) == [1, 3, 2]
+    assert typicality._decision_slots(diamond_net, 2) == [1, 2, 3]
+    # Interleaved: (node, t) pairs in (t, node) order.
+    assert typicality._decision_slots(nonlayered_net, 2) == [
+        (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)
+    ]
+    assert typicality._decision_slots(nonlayered_net, 1) == [(1, 1), (2, 1), (3, 1)]
