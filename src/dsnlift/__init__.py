@@ -18,11 +18,8 @@ from .channel import (
     QuantizedGain,
     compute_bit_depth,
     decompose_received,
-    gaussian_output,
-    gaussian_output_mimo,
     quantize_gain,
     superposition_output,
-    superposition_output_mimo,
 )
 from .codes import (
     ModuloMap,
@@ -39,7 +36,6 @@ from .codes import (
 )
 from .gaussian import (
     NoiseSpec,
-    decode_to_set,
     exact_gaussian_cell_entropy,
     simulate_lifted,
     verify_genie_bounds,

@@ -36,13 +36,9 @@ __all__ = [
     "compute_bit_depth",
     "quantize_gain",
     "superposition_output",
-    "gaussian_output",
     "decompose_received",
     "decompose_batch",
-    "superposition_output_mimo",
-    "gaussian_output_mimo",
     "floor_parts",
-    "trunc_parts",
 ]
 
 
@@ -166,11 +162,6 @@ def _floor_div(num: int, den: int) -> int:
     return q if num >= 0 else -q
 
 
-def trunc_parts(w: complex) -> Zint:
-    """Componentwise truncation toward zero of a complex number."""
-    return (math.trunc(w.real), math.trunc(w.imag))
-
-
 def floor_parts(w: complex) -> Zint:
     """Componentwise floor of a complex number."""
     return (math.floor(w.real), math.floor(w.imag))
@@ -209,7 +200,6 @@ def quantize_gain(h: ComplexGain) -> QuantizedGain:
 
 
 Mimo = tuple[tuple[ComplexGain, ComplexGain], tuple[ComplexGain, ComplexGain]]
-MimoQ = tuple[tuple[QuantizedGain, QuantizedGain], tuple[QuantizedGain, QuantizedGain]]
 
 
 def _trunc_product(g: QuantizedGain, x: DiscreteSymbol) -> Zint:
@@ -236,18 +226,6 @@ def superposition_output(
         re += tr
         im += ti
     return (re, im)
-
-
-def gaussian_output(
-    inputs: Sequence[complex], gains: Sequence[ComplexGain], noise: complex
-) -> complex:
-    """Noisy reception y = sum_i h_i x_i + z."""
-    if len(inputs) != len(gains):
-        raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
-    acc = 0j
-    for x, g in zip(inputs, gains):
-        acc += g.as_complex() * x
-    return acc + noise
 
 
 def _dyadic(f: float) -> tuple[int, int]:
@@ -441,42 +419,3 @@ def decompose_batch(
         z_re=z_re, z_im=z_im,
         c_re=c_re, c_im=c_im,
     )
-
-
-def superposition_output_mimo(
-    inputs: Sequence[tuple[DiscreteSymbol, DiscreteSymbol]],
-    gains: Sequence[MimoQ],
-) -> tuple[Zint, Zint]:
-    """Two-antenna discrete reception.
-
-    gains[i][k][l] is the quantized gain from transmit antenna k of node i
-    to receive antenna l.  Each antenna product is truncated separately,
-    exactly as in the scalar channel, then summed per receive antenna.
-    A diagonal gain matrix therefore reduces to two independent scalar
-    channels.
-    """
-    if len(inputs) != len(gains):
-        raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
-    out = [[0, 0], [0, 0]]
-    for (x0, x1), g in zip(inputs, gains):
-        for ant_l in (0, 1):
-            a = _trunc_product(g[0][ant_l], x0)
-            b = _trunc_product(g[1][ant_l], x1)
-            out[ant_l][0] += a[0] + b[0]
-            out[ant_l][1] += a[1] + b[1]
-    return ((out[0][0], out[0][1]), (out[1][0], out[1][1]))
-
-
-def gaussian_output_mimo(
-    inputs: Sequence[tuple[complex, complex]],
-    gains: Sequence[Mimo],
-    noise: tuple[complex, complex],
-) -> tuple[complex, complex]:
-    """Two-antenna noisy reception, one noise sample per receive antenna."""
-    if len(inputs) != len(gains):
-        raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
-    acc = [0j, 0j]
-    for (x0, x1), g in zip(inputs, gains):
-        for ant_l in (0, 1):
-            acc[ant_l] += g[0][ant_l].as_complex() * x0 + g[1][ant_l].as_complex() * x1
-    return (acc[0] + noise[0], acc[1] + noise[1])

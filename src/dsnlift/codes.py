@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    ComplexGain,
     DiscreteSymbol,
     QuantizedGain,
     Zint,
@@ -354,23 +353,19 @@ def with_derived_decoder(net: RelayNetwork, code: RelayCode) -> RelayCode:
     )
 
 
-def purify_zero_error(
-    net: RelayNetwork, code: RelayCode, delta_max: float = 0.5
-) -> RelayCode:
+def purify_zero_error(net: RelayNetwork, code: RelayCode) -> RelayCode:
     """Discard codewords the decoder gets wrong; keep a zero-error code.
 
     On a deterministic network each codeword is decoded either always
     correctly or always incorrectly, so an average error delta below 1/2
     means more than half the codewords survive.  The surviving codewords
     are renumbered in their original order and the decoder is rebuilt from
-    their traces.  Raises TooManyErrors when delta >= delta_max.
+    their traces.  Raises TooManyErrors when delta >= 1/2.
     """
     correct = [tr.message for tr in trace_all(net, code) if tr.decoded == tr.message]
     delta = 1.0 - len(correct) / code.message_count
-    if delta >= delta_max:
-        raise TooManyErrors(
-            f"average error {delta:.4f} is not below {delta_max}; cannot purify"
-        )
+    if delta >= 0.5:
+        raise TooManyErrors(f"average error {delta:.4f} is not below 0.5; cannot purify")
     survivors = replace(code, codebook=tuple(code.codebook[m] for m in correct), decoder={})
     return with_derived_decoder(net, survivors)
 
@@ -573,16 +568,14 @@ def search_base_code(
             relay_maps=maps,
             decoder={},
         )
-        receptions = []
-        ok = True
+        decoder: dict[Reception, int] = {}
         for m in range(K):
             r = run_dsn(net, candidate, m).received[dest]
-            if r in receptions:
-                ok = False
+            if r in decoder:
                 break
-            receptions.append(r)
-        if ok:
-            candidate.decoder = {r: m for m, r in enumerate(receptions)}
+            decoder[r] = m
+        else:
+            candidate.decoder = decoder
             return candidate
     return None
 

@@ -27,15 +27,14 @@ every "threshold" trial, 512 at a time: one product of D, flattened to
 shape (|alphabet| * n_rep, |S|) gives each member's summed cost, since
 products by 0 and 1 are exact.  BLAS may still add a member's terms in
 another order than an exact copy's, so an ML pick maps to the first copy.
-decode_to_set is the same rule on a one-use alphabet of whole
-candidates.  Stage-2 memory per slot is the one-hot matrix and one 512 x
-|S| float64 buffer (16 MB at |S| = 4096), whatever the trial count; D
-adds |alphabet| * trials * n_rep floats.  The one-hot matrix holds
-n_rep * |alphabet| rows, where a real candidate matrix would hold
-2 * n_rep * width; every shipped config has |alphabet| <= 2 * width.  A
-slot's candidate, offset and re-encode rows are built once per value of
-the pruned set's alphabet, a reception block or symbol, and gathered with
-the set's (|S|, n_rep) digit rows; the destination decodes each distinct
+Stage-2 memory per slot is the one-hot matrix and one 512 x |S| float64
+buffer (16 MB at |S| = 4096), whatever the trial count; D adds
+|alphabet| * trials * n_rep floats.  The one-hot matrix holds n_rep *
+|alphabet| rows, where a real candidate matrix would hold 2 * n_rep *
+width; every shipped config has |alphabet| <= 2 * width.  A slot's
+candidate, offset and re-encode rows are built once per value of the
+pruned set's alphabet, a reception block or symbol, and gathered with the
+set's (|S|, n_rep) digit rows; the destination decodes each distinct
 reception once.
 
 Randomness is derived from explicit integer seeds via SeedSequence
@@ -52,9 +51,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, Zint, _add_keeping_floor, compute_bit_depth, decompose_batch
+from .channel import ComplexGain, _add_keeping_floor, compute_bit_depth, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
-from .lifting import KappaParams, LiftedCode, PrunedSets, kappa, kappa_mimo
+from .lifting import LiftedCode, PrunedSets, kappa, kappa_mimo
 from .network import RelayNetwork
 from .typicality import (
     ReceptionVectors,
@@ -73,7 +72,6 @@ __all__ = [
     "BoundReport",
     "SimulationResult",
     "DEFAULT_THRESHOLD",
-    "decode_to_set",
     "simulate_lifted",
     "verify_genie_bounds",
     "exact_gaussian_cell_entropy",
@@ -170,51 +168,6 @@ def _choose(d2: np.ndarray, L: int, method: str, threshold: float) -> tuple[np.n
     passing = np.subtract(-math.log2(math.pi), d2, out=d2) > threshold
     unique = passing.sum(axis=1) == 1
     return np.where(unique, passing.argmax(axis=1), ml), ~unique
-
-
-def decode_to_set(
-    y_noisy: Sequence[complex],
-    candidates: Sequence[Sequence[Zint]],
-    method: str = "ml",
-    offsets: Sequence[Sequence[complex]] | None = None,
-    threshold: float | None = None,
-) -> int | None:
-    """Decode a noisy sequence to an index into a candidate set.
-
-    Candidates are deterministic reception sequences (Gaussian integer
-    pairs).  ``offsets``, when given, holds the per-candidate additive
-    perturbation sequences; the likelihood is then centred at candidate
-    plus offset instead of treating the perturbation as part of the
-    noise.
-
-    method "ml" returns the maximum-likelihood index, ties broken by the
-    lowest index.  method "threshold" returns the unique candidate whose
-    mean per-symbol log-likelihood (base 2) clears the threshold, or None
-    when no candidate or more than one does; None is a decode outcome,
-    not an error.
-    """
-    if len(candidates) == 0:
-        raise ConfigError("empty candidate set")
-    y = np.asarray([complex(v) for v in y_noisy], dtype=np.complex128)
-    if len(y) == 0:
-        raise ConfigError("empty reception")
-    cands = np.asarray(
-        [[complex(re, im) for re, im in cand] for cand in candidates],
-        dtype=np.complex128,
-    )
-    if cands.shape[1] != y.shape[0]:
-        raise ConfigError(
-            f"candidate length {cands.shape[1]} vs reception length {y.shape[0]}"
-        )
-    if offsets is not None:
-        off = np.asarray(offsets, dtype=np.complex128)
-        if off.shape != cands.shape:
-            raise ConfigError("offsets shape does not match candidates")
-        cands = cands + off
-    thr = DEFAULT_THRESHOLD if threshold is None else float(threshold)
-    # Each candidate is one value of a one-use alphabet.
-    chosen, failed = _choose(_use_costs(y[None, :], cands).reshape(1, -1), len(y), method, thr)
-    return None if failed[0] else int(chosen[0])
 
 
 # --- simulation ------------------------------------------------------------
@@ -539,12 +492,12 @@ def simulate_lifted(
 # --- cell entropies and genie bounds ---------------------------------------
 
 
-def gaussian_cell_probabilities(tail: float = 1e-12) -> list[tuple[int, float]]:
+def gaussian_cell_probabilities() -> list[tuple[int, float]]:
     """Cell masses p_k = P(k <= Z_R < k+1) for Z_R ~ N(0, 1/2), k >= 0.
 
     By symmetry p_{-k-1} = p_k, so the nonnegative cells determine the
     law.  Cells are accumulated until the remaining two-sided tail mass
-    drops below ``tail``.
+    drops below 1e-12.
     """
     cells = []
     k = 0
@@ -553,7 +506,7 @@ def gaussian_cell_probabilities(tail: float = 1e-12) -> list[tuple[int, float]]:
         p = 0.5 * (math.erf(k + 1.0) - math.erf(k))
         cells.append((k, p))
         covered += 2.0 * p
-        if 1.0 - covered < tail:
+        if 1.0 - covered < 1e-12:
             break
         k += 1
         if k > 64:
@@ -561,7 +514,7 @@ def gaussian_cell_probabilities(tail: float = 1e-12) -> list[tuple[int, float]]:
     return cells
 
 
-def exact_gaussian_cell_entropy(tail: float = 1e-12) -> float:
+def exact_gaussian_cell_entropy() -> float:
     """Entropy in bits of floor(Z_R) for Z_R ~ N(0, 1/2), by quadrature.
 
     The complex floored noise floor(Z) has twice this entropy since the
@@ -570,7 +523,7 @@ def exact_gaussian_cell_entropy(tail: float = 1e-12) -> float:
     8 bits no matter the channel gains.
     """
     acc = 0.0
-    for _, p in gaussian_cell_probabilities(tail):
+    for _, p in gaussian_cell_probabilities():
         if p > 0.0:
             acc -= 2.0 * p * math.log2(p)
     return acc
@@ -594,20 +547,16 @@ def miller_madow_entropy(counts: np.ndarray) -> float:
     return plug_in_entropy(c) + (k - 1) / (2.0 * n) * LOG2E
 
 
-def bootstrap_entropy_ci(
-    counts: np.ndarray,
-    seed: int,
-    resamples: int = 200,
-    alpha: float = 0.05,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the Miller-Madow entropy."""
+def bootstrap_entropy_ci(counts: np.ndarray, seed: int) -> tuple[float, float]:
+    """95% percentile bootstrap interval for the Miller-Madow entropy,
+    from 200 multinomial resamples of ``counts``."""
     c = np.asarray(counts, dtype=np.int64)
     n = int(c.sum())
     p = c / n
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, p, size=resamples)
+    draws = rng.multinomial(n, p, size=200)
     ests = np.asarray([miller_madow_entropy(row) for row in draws])
-    lo, hi = np.quantile(ests, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = np.quantile(ests, [0.025, 0.975])
     return float(lo), float(hi)
 
 
@@ -656,12 +605,8 @@ class BoundReport:
     z_entropy_exact: float
     entries: list[BoundEntry]
 
-    def all_within_kappa(self, slack: float | None = None) -> bool:
-        for e in self.entries:
-            allowance = e.ci_halfwidth if slack is None else slack
-            if e.bound_estimate - allowance > self.kappa_reference:
-                return False
-        return True
+    def all_within_kappa(self) -> bool:
+        return not any(e.bound_estimate - e.ci_halfwidth > self.kappa_reference for e in self.entries)
 
 
 def _gap_floors(
@@ -746,19 +691,14 @@ def _bound_entry(
     )
 
 
-def verify_genie_bounds(
-    net: RelayNetwork,
-    samples: int,
-    seed: int,
-    input_bit_depth: int | None = None,
-) -> BoundReport:
+def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundReport:
     """Monte Carlo check of the per-node noise-gap entropy sums.
 
     Inputs are drawn uniformly from the discrete alphabet at the network
-    bit depth (or an explicit one), noise is CN(0, 1), and all gap terms
-    come from the channel decomposition.  Two-antenna edges are flattened
-    into per-receive-antenna scalar link lists (each in-edge contributes
-    its two transmit antennas), which is exactly how the two-antenna gap
+    bit depth, noise is CN(0, 1), and all gap terms come from the channel
+    decomposition.  Two-antenna edges are flattened into
+    per-receive-antenna scalar link lists (each in-edge contributes its
+    two transmit antennas), which is exactly how the two-antenna gap
     bound is defined.
 
     A reception with K links at bit depth n has 2^(2nK) distinct input
@@ -769,9 +709,7 @@ def verify_genie_bounds(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if input_bit_depth is not None and input_bit_depth < 1:
-        raise ValueError("input_bit_depth must be at least 1")
-    n = compute_bit_depth(net.all_gain_components()) if input_bit_depth is None else input_bit_depth
+    n = compute_bit_depth(net.all_gain_components())
     mimo = net.antenna_mode == "mimo2x2"
     m = net.node_count - 1
     reference = kappa_mimo(m) if mimo else kappa(m)

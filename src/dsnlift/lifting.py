@@ -13,7 +13,7 @@ design on the discrete model and operation on the noisy network.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np

@@ -61,21 +61,11 @@ class RelayNetwork:
     def destination(self) -> int:
         return self.node_count - 1
 
-    @property
-    def relay_count(self) -> int:
-        """M in the nodes-0..M picture: every node except the source."""
-        return self.node_count - 1
-
     def in_edges(self, node: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.dst == node)
 
     def out_edges(self, node: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.src == node)
-
-    def scalar_gains(self) -> list[ComplexGain]:
-        if self.antenna_mode != "scalar":
-            raise SchemaError("scalar_gains on a non-scalar network")
-        return [e.gain for e in self.edges]  # type: ignore[misc]
 
     def all_gain_components(self) -> list[ComplexGain]:
         """Every scalar gain in the network, flattening 2x2 matrices."""
@@ -94,12 +84,6 @@ class LevelDecomposition:
     """Partition of the nodes by BFS depth from the source."""
 
     levels: tuple[frozenset[int], ...]
-
-    def level_of(self, node: int) -> int:
-        for k, lv in enumerate(self.levels):
-            if node in lv:
-                return k
-        raise KeyError(node)
 
 
 def validate(net: RelayNetwork) -> list[str]:

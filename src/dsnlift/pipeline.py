@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .channel import compute_bit_depth
 from .codes import (
     ProductCode,
     RelayCode,

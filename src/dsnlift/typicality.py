@@ -1,8 +1,8 @@
 """Entropy and strong typicality over finite alphabets.
 
-Probabilities coming from enumerable codes are kept as exact rationals so
-that typicality decisions are never at the mercy of float rounding; only
-the final entropy values are floats.  Typicality uses the robust
+Probabilities are exact rationals (``Fraction``) so that typicality
+decisions are never at the mercy of float rounding; only the final
+entropy values are floats.  Typicality uses the robust
 multiplicative criterion: a sequence is epsilon-typical for a law p when
 every symbol frequency f(a) satisfies |f(a)/L - p(a)| <= epsilon * p(a),
 and symbols of probability zero never occur.
@@ -27,21 +27,17 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
+from .codes import NetworkTrace, ProductCode, trace_all
 from .network import RelayNetwork, layer_decomposition
 
 __all__ = [
     "TooLarge",
     "FiniteDistribution",
-    "JointDistribution",
     "ReceptionVectors",
     "TypicalSet",
     "entropy",
-    "conditional_entropy",
     "epsilon2",
-    "induced_distribution",
     "is_strongly_typical",
-    "jointly_strongly_typical",
     "enumerate_typical_receptions",
     "enumerate_typical_symbol_vectors",
 ]
@@ -51,32 +47,27 @@ class TooLarge(ValueError):
     """Exhaustive enumeration would exceed the configured budget."""
 
 
-ProbLike = Fraction | float
-
 # A decision slot: a node id (block schedule) or a (node, t) pair
 # (interleaved schedule).  One run's slots are all of one kind, and
 # Python's order on either kind is the canonical slot order.
 SlotKey = int | tuple[int, int]
 
 
-def _check_normalized(probs: Sequence[ProbLike]) -> None:
-    if any((p < 0) for p in probs):
+def _check_normalized(probs: Sequence[Fraction]) -> None:
+    if not all(isinstance(p, Fraction) for p in probs):
+        raise TypeError("probabilities must be Fractions")
+    if any(p < 0 for p in probs):
         raise ValueError("negative probability")
-    if all(isinstance(p, Fraction) for p in probs):
-        if sum(probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-    else:
-        total = math.fsum(float(p) for p in probs)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
+    if sum(probs) != 1:
+        raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
 
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """A law on a finite set of hashable symbols."""
+    """A law on a finite set of hashable symbols, with ``Fraction`` probabilities."""
 
     support: tuple[Hashable, ...]
-    probs: tuple[ProbLike, ...]
+    probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if len(self.support) != len(self.probs):
@@ -85,13 +76,7 @@ class FiniteDistribution:
             raise ValueError("support has repeated symbols")
         _check_normalized(self.probs)
 
-    def prob(self, symbol: Hashable) -> ProbLike:
-        try:
-            return self.probs[self.support.index(symbol)]
-        except ValueError:
-            return Fraction(0)
-
-    def items(self) -> Iterable[tuple[Hashable, ProbLike]]:
+    def items(self) -> Iterable[tuple[Hashable, Fraction]]:
         return zip(self.support, self.probs)
 
     @classmethod
@@ -106,53 +91,14 @@ class FiniteDistribution:
         return cls(tuple(symbols), tuple(Fraction(1, k) for _ in symbols))
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """A law on tuples, with named coordinates."""
-
-    variables: tuple[str, ...]
-    table: tuple[tuple[tuple, ProbLike], ...]
-
-    def __post_init__(self) -> None:
-        for value, _ in self.table:
-            if len(value) != len(self.variables):
-                raise ValueError("table entry arity does not match variables")
-        _check_normalized([p for _, p in self.table])
-
-    def marginal(self, names: Sequence[str]) -> "JointDistribution":
-        idx = [self.variables.index(v) for v in names]
-        acc: dict[tuple, ProbLike] = {}
-        for value, p in self.table:
-            key = tuple(value[i] for i in idx)
-            acc[key] = acc.get(key, Fraction(0)) + p
-        items = sorted(acc.items(), key=lambda kv: repr(kv[0]))
-        return JointDistribution(tuple(names), tuple(items))
-
-    def as_finite(self) -> FiniteDistribution:
-        return FiniteDistribution(
-            tuple(v for v, _ in self.table), tuple(p for _, p in self.table)
-        )
-
-
-def entropy(dist: FiniteDistribution | JointDistribution) -> float:
+def entropy(dist: FiniteDistribution) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    if isinstance(dist, JointDistribution):
-        probs: Iterable[ProbLike] = (p for _, p in dist.table)
-    else:
-        probs = dist.probs
     acc = 0.0
-    for p in probs:
+    for p in dist.probs:
         pf = float(p)
         if pf > 0.0:
             acc -= pf * math.log2(pf)
     return acc
-
-
-def conditional_entropy(
-    joint: JointDistribution, given: Sequence[str]
-) -> float:
-    """H(rest | given) = H(everything) - H(given) in bits."""
-    return entropy(joint) - entropy(joint.marginal(given))
 
 
 def epsilon2(dist: FiniteDistribution, epsilon: float, length: int) -> float:
@@ -164,33 +110,6 @@ def epsilon2(dist: FiniteDistribution, epsilon: float, length: int) -> float:
     """
     support_size = sum(1 for p in dist.probs if p > 0)
     return float(epsilon) * entropy(dist) + math.log2(length + 1) * support_size / length
-
-
-def induced_distribution(
-    net: RelayNetwork, code: RelayCode, budget: int = 1 << 20
-) -> JointDistribution:
-    """Exact joint law of the source block and every reception block.
-
-    Runs the code on every message under the uniform message law, so each
-    trace carries probability 1/K.  Variables are named "x0" and "y1" ..
-    "yM" in node order.  Reception blocks are deterministic functions of
-    the source block, hence H(yj | x0) = 0 for every j.
-    """
-    if code.message_count > budget:
-        raise TooLarge(
-            f"{code.message_count} messages exceed the enumeration budget {budget}"
-        )
-    traces = trace_all(net, code)
-    names = ("x0",) + tuple(f"y{j}" for j in range(1, net.node_count))
-    K = code.message_count
-    rows = []
-    for tr in traces:
-        value = (tr.transmitted[net.source],) + tuple(
-            tr.received[j] for j in range(1, net.node_count)
-        )
-        rows.append((value, Fraction(1, K)))
-    rows.sort(key=lambda kv: repr(kv[0]))
-    return JointDistribution(names, tuple(rows))
 
 
 def _as_exact(epsilon: float) -> Fraction:
@@ -214,29 +133,10 @@ def is_strongly_typical(
             return False
     eps = _as_exact(epsilon)
     for sym, p in dist.items():
-        if not isinstance(p, Fraction):
-            p = Fraction(repr(float(p)))
         c = counts.get(sym, 0)
         if abs(Fraction(c, L) - p) > eps * p:
             return False
     return True
-
-
-def jointly_strongly_typical(
-    seqs: Sequence[Sequence[Hashable]],
-    joint: JointDistribution,
-    epsilon: float,
-) -> bool:
-    """Strong typicality of coordinatewise-zipped sequences under a joint law."""
-    if len(seqs) != len(joint.variables):
-        raise ValueError(
-            f"{len(seqs)} sequences for {len(joint.variables)} joint coordinates"
-        )
-    lengths = {len(s) for s in seqs}
-    if len(lengths) != 1:
-        raise ValueError("sequences must share one length")
-    zipped = list(zip(*seqs))
-    return is_strongly_typical(zipped, joint.as_finite(), epsilon)
 
 
 @dataclass(frozen=True, eq=False)

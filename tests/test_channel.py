@@ -20,12 +20,8 @@ from dsnlift.channel import (
     decompose_batch,
     decompose_received,
     floor_parts,
-    gaussian_output,
-    gaussian_output_mimo,
     quantize_gain,
     superposition_output,
-    superposition_output_mimo,
-    trunc_parts,
 )
 
 finite_components = st.floats(
@@ -135,18 +131,9 @@ def test_truncated_product_matches_fraction_oracle(a, b, n, data):
     assert out == (re, im)
 
 
-def test_gaussian_output_matches_complex_arithmetic():
-    inputs = [0.75 + 0j, 0.25 + 0j]
-    gains = [ComplexGain(2.7, -4.3), ComplexGain(1.1, 0)]
-    noise = 0.1 + 0.2j
-    got = gaussian_output(inputs, gains, noise)
-    want = (2.7 - 4.3j) * 0.75 + 1.1 * 0.25 + noise
-    assert got == pytest.approx(want)
-    assert gaussian_output([1.0], [ComplexGain(0, 0)], noise) == noise
-
-
 def test_trunc_and_floor_parts():
-    assert trunc_parts(complex(-1.7, 2.3)) == (-1, 2)
+    # Gains truncate toward zero; the genie split floors.
+    assert quantize_gain(ComplexGain(-1.7, 2.3)) == QuantizedGain(-1, 2)
     assert floor_parts(complex(-1.7, 2.3)) == (-2, 2)
 
 
@@ -368,63 +355,6 @@ def test_decompose_carry_exact_when_the_sum_rounds_onto_an_integer():
                             np.array([z]), np.zeros(1))
     assert (int(batch.c_re[0]), int(batch.c_im[0])) == d.c
     assert batch.y_re[0] == d.y.real < 1.0
-
-
-def _diag(g0: QuantizedGain, g1: QuantizedGain):
-    zero = QuantizedGain(0, 0)
-    return ((g0, zero), (zero, g1))
-
-
-def test_mimo_superposition_diagonal_reduces_to_scalar():
-    # Diagonal gain matrix: each receive antenna sees one scalar link.
-    x = (DiscreteSymbol(1, 0, 1), DiscreteSymbol(0, 1, 1))
-    out = superposition_output_mimo([x], [_diag(QuantizedGain(2, 0), QuantizedGain(2, 0))])
-    want0 = superposition_output([x[0]], [QuantizedGain(2, 0)])
-    want1 = superposition_output([x[1]], [QuantizedGain(2, 0)])
-    assert out == (want0, want1)
-    assert out == ((1, 0), (0, 1))
-
-
-def test_mimo_superposition_matches_scalar_composition():
-    rng = np.random.default_rng(5)
-    n = 2
-    lim = 1 << n
-    for _ in range(100):
-        mats = []
-        inputs = []
-        for _ in range(2):
-            mats.append(
-                tuple(
-                    tuple(
-                        QuantizedGain(int(rng.integers(-4, 5)), int(rng.integers(-4, 5)))
-                        for _ in range(2)
-                    )
-                    for _ in range(2)
-                )
-            )
-            inputs.append(
-                (
-                    DiscreteSymbol(int(rng.integers(lim)), int(rng.integers(lim)), n),
-                    DiscreteSymbol(int(rng.integers(lim)), int(rng.integers(lim)), n),
-                )
-            )
-        got = superposition_output_mimo(inputs, mats)
-        for ant in (0, 1):
-            flat_inputs = [s for pair in inputs for s in pair]
-            flat_gains = [g[k][ant] for g in mats for k in (0, 1)]
-            assert got[ant] == superposition_output(flat_inputs, flat_gains)
-
-
-def test_mimo_gaussian_output_zero_gain_passes_noise():
-    zero = ComplexGain(0, 0)
-    mat = ((zero, zero), (zero, zero))
-    out = gaussian_output_mimo([(0.5 + 0j, 0.25 + 0j)], [mat], (1 + 2j, 3 - 1j))
-    assert out == (1 + 2j, 3 - 1j)
-
-
-def test_mimo_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        superposition_output_mimo([], [_diag(QuantizedGain(1, 0), QuantizedGain(1, 0))])
 
 
 @settings(max_examples=60)

@@ -29,7 +29,6 @@ from dsnlift.gaussian import (
     _set_layout,
     _slot_tables,
     _SlotTable,
-    decode_to_set,
     simulate_lifted,
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
@@ -153,14 +152,6 @@ def test_kernel_matches_dense_complex_oracle(
         assert near[np.arange(trials), chosen].all()
     if (kind >= 2).sum() > 10:
         assert (~rounding).mean() > 0.5
-
-    # decode_to_set decides one row by the same rule; offsets come in
-    # separately there.
-    cands = [[(int(c.real), int(c.imag)) for c in row] for row in ints]
-    for i in range(min(trials, 5)):
-        got = decode_to_set(y[i], cands, method, offsets=offs, threshold=threshold)
-        if not rounding[i]:
-            assert got == (None if want_failed[i] else int(want_chosen[i]))
 
 
 def test_kernel_ties_go_to_the_lowest_index_across_chunks():

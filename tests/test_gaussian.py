@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
+from test_decode_kernel import _whole
 
 from dsnlift import gaussian
 from dsnlift.channel import ComplexGain, decompose_batch
@@ -22,11 +23,12 @@ from dsnlift.codes import (
     with_derived_decoder,
 )
 from dsnlift.gaussian import (
+    DEFAULT_THRESHOLD,
     ConfigError,
     NoiseSpec,
+    _decide,
     _gap_floors,
     bootstrap_entropy_ci,
-    decode_to_set,
     exact_gaussian_cell_entropy,
     gaussian_cell_probabilities,
     miller_madow_entropy,
@@ -122,67 +124,61 @@ def test_bootstrap_ci_is_deterministic_and_brackets_the_estimate():
     assert hi - lo < 0.2
 
 
-# --- decoding to a candidate set --------------------------------------------
+# --- decisions over whole candidates ----------------------------------------
+# Each candidate is one value of a one-use alphabet, decided by _decide, the
+# rule every simulation slot runs.
+
+
+def _decide_whole(y, effective, method="ml", threshold=DEFAULT_THRESHOLD):
+    """Decide each reception row of ``y`` over the rows of ``effective``:
+    the chosen index, or None where there is no decision."""
+    y = np.asarray(y, dtype=np.complex128)
+    chosen, failed = _decide(y, _whole(np.asarray(effective, dtype=np.complex128)), method, threshold)
+    return [None if f else int(c) for c, f in zip(chosen, failed)]
 
 
 def test_decode_exact_reception_returns_its_candidate():
-    candidates = [((0, 0), (1, 0)), ((2, 0), (0, 1)), ((0, 2), (2, 2))]
-    y = [complex(0, 2), complex(2, 2)]
-    assert decode_to_set(y, candidates) == 2
+    candidates = [[0, 1], [2, 1j], [2j, 2 + 2j]]
+    assert _decide_whole([[2j, 2 + 2j]], candidates) == [2]
 
 
 def test_decode_singleton_ignores_noise():
-    candidates = [((0, 0),)]
-    assert decode_to_set([complex(50, -50)], candidates) == 0
+    assert _decide_whole([[50 - 50j]], [[0]]) == [0]
 
 
 def test_decode_tie_breaks_to_lowest_index():
-    candidates = [((0, 0),), ((2, 0),)]
-    assert decode_to_set([complex(1, 0)], candidates) == 0
+    assert _decide_whole([[1]], [[0], [2]]) == [0]
 
 
 def test_decode_with_offsets_recentres_candidates():
-    candidates = [((0, 0),), ((2, 0),)]
-    # The offset moves candidate 0 onto the observed point.
-    offsets = [[complex(0.9, 0)], [complex(0, 0)]]
-    assert decode_to_set([complex(0.9, 0)], candidates, offsets=offsets) == 0
-    with pytest.raises(ConfigError):
-        decode_to_set([complex(0.9, 0)], candidates, offsets=[[0j]])
+    # Candidates 0 and 2; the offset 0.9 moves candidate 0 onto the
+    # observed point, which the bare candidates would call a tie.
+    offsets = np.asarray([[0.9], [0]])
+    assert _decide_whole([[0.9]], np.asarray([[0], [2]]) + offsets) == [0]
+    assert _decide_whole([[1.9]], np.asarray([[0], [2]]) + offsets) == [1]
 
 
 def test_threshold_decode_unique_passer_semantics():
-    candidates = [((0, 0),), ((2, 0),)]
-    thr = -2.0
-    # Close to candidate 0 only: unique passer.
-    assert decode_to_set([complex(0.1, 0)], candidates, "threshold", threshold=thr) == 0
-    # Midway: both clear the threshold, so no decision.
-    assert decode_to_set([complex(1, 0)], candidates, "threshold", threshold=thr) is None
-    # Far from both: nothing clears it.
-    assert decode_to_set([complex(40, 40)], candidates, "threshold", threshold=thr) is None
+    # Close to candidate 0 only: unique passer.  Midway: both clear the
+    # threshold, so no decision.  Far from both: nothing clears it.
+    y = [[0.1], [1], [40 + 40j]]
+    assert _decide_whole(y, [[0], [2]], "threshold", threshold=-2.0) == [0, None, None]
 
 
 def test_decode_input_validation():
-    with pytest.raises(ConfigError):
-        decode_to_set([0j], [])
-    with pytest.raises(ConfigError):
-        decode_to_set([0j, 0j], [((0, 0),)])
-    with pytest.raises(ConfigError):
-        decode_to_set([0j], [((0, 0),)], method="bogus")
+    with pytest.raises(ConfigError, match="bogus"):
+        _decide_whole([[0]], [[0]], method="bogus")
 
 
 def test_pairwise_error_matches_q_function():
     # Two candidates distance d apart under CN(0, 1) noise: the ML error
     # probability is Q(d / sqrt(2)).
     d = 3.0
-    candidates = [((0, 0),), ((3, 0),)]
     rng = np.random.default_rng(2024)
     trials = 10_000
-    errors = 0
-    for _ in range(trials):
-        z = complex(rng.normal(0, math.sqrt(0.5)), rng.normal(0, math.sqrt(0.5)))
-        if decode_to_set([z], candidates) != 0:
-            errors += 1
-    p_hat = errors / trials
+    z = rng.normal(0, math.sqrt(0.5), size=(trials, 2))
+    chosen = _decide_whole((z[:, 0] + 1j * z[:, 1])[:, None], [[0], [d]])
+    p_hat = sum(c != 0 for c in chosen) / trials
     p_true = norm.sf(d / math.sqrt(2))
     sigma = math.sqrt(p_true * (1 - p_true) / trials)
     assert abs(p_hat - p_true) < 3 * sigma
@@ -485,14 +481,3 @@ def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
 def test_genie_bounds_validation(diamond_net):
     with pytest.raises(ValueError):
         verify_genie_bounds(diamond_net, samples=0, seed=1)
-
-
-@pytest.mark.parametrize("depth", [0, -1])
-def test_genie_bounds_reject_input_bit_depth_below_one(diamond_net, depth):
-    with pytest.raises(ValueError, match="input_bit_depth"):
-        verify_genie_bounds(diamond_net, samples=100, seed=1, input_bit_depth=depth)
-
-
-def test_genie_bounds_keep_an_explicit_input_bit_depth(diamond_net):
-    assert verify_genie_bounds(diamond_net, samples=100, seed=1).input_bit_depth == 2
-    assert verify_genie_bounds(diamond_net, samples=100, seed=1, input_bit_depth=1).input_bit_depth == 1

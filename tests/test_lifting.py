@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dsnlift.codes import ProductCode, build_product_code, trace_all
+from dsnlift.codes import ProductCode, build_product_code, search_base_code, trace_all
 from dsnlift.lifting import (
     EmptyResult,
     KappaParams,
@@ -239,8 +242,21 @@ def test_lifted_cardinality_tracks_pruning_exponent(diamond_net, diamond_code):
 
 
 def _reference_lift(net, product, pruned, epsilon):
-    """The per-codeword loop: dict lookups of tuple reception vectors."""
+    """The per-codeword loop: joint typicality of the source and reception
+    blocks, then dict lookups of tuple reception vectors.
+
+    Joint typicality is decided on the zipped sequence of each use's
+    (source block, reception block of nodes 1..M) under the law the code
+    induces: the uniform message law puts mass 1/K on each message's
+    tuple.  build_lifted_code decides digit typicality instead, so the
+    two agree only if the reduction it relies on holds.
+    """
     traces = trace_all(net, product.base)
+    joint = [
+        (tr.transmitted[net.source],) + tuple(tr.received[j] for j in range(1, net.node_count))
+        for tr in traces
+    ]
+    induced = FiniteDistribution.from_counts(Counter(joint))
     slots = sorted(pruned.sets, key=lambda s: [s] if isinstance(s, int) else list(s))
     values = {
         slot: [
@@ -250,11 +266,10 @@ def _reference_lift(net, product, pruned, epsilon):
         for slot in slots
     }
     index_maps = {slot: {vec: i for i, vec in enumerate(pruned.sets[slot])} for slot in slots}
-    uniform = FiniteDistribution.uniform(tuple(range(product.base.message_count)))
     survivors, provenance = [], {}
     for ci in range(product.codeword_count):
         digits = product.message_tuple(ci)
-        if not is_strongly_typical(digits, uniform, epsilon):
+        if not is_strongly_typical([joint[d] for d in digits], induced, epsilon):
             continue
         prov = {}
         for slot in slots:
@@ -302,6 +317,36 @@ def test_lift_matches_per_codeword_loop(name, n_rep, set_epsilon, lift_epsilon):
         assert [list(p) for p in lifted.provenance.values()] == [list(p) for p in provenance.values()]
     if (name, n_rep, lift_epsilon) == ("diamond", 3, 0.0):
         assert survivors == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["line", "diamond", "nonlayered"]),
+    rate=st.sampled_from([0.5, 1.0]),
+    search_seed=st.integers(0, 2**16),
+    n_rep=st.integers(2, 4),
+    set_epsilon=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    epsilon=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    override=st.sampled_from([0.0, 0.0625, 0.125]),
+    prune_seed=st.integers(0, 2**16),
+)
+def test_lift_matches_joint_typicality_on_random_base_codes(
+    name, rate, search_seed, n_rep, set_epsilon, epsilon, override, prune_seed
+):
+    net = load_network(read_input_text(name))
+    base = search_base_code(net, block_length=2, rate=rate, attempts=50, seed=search_seed)
+    assume(base is not None)
+    product = ProductCode(base, n_rep)
+    sets, symbols_per_slot, _ = _typical_sets(net, product, set_epsilon)
+    params = KappaParams.for_network(net, override=override)
+    try:
+        pruned = prune_sets(sets, params, eta=0.0, master_seed=prune_seed, symbols_per_slot=symbols_per_slot)
+    except EmptyResult:
+        assume(False)
+    lifted = build_lifted_code(net, product, pruned, epsilon)
+    survivors, provenance = _reference_lift(net, product, pruned, epsilon)
+    assert lifted.codeword_indices == survivors
+    assert lifted.provenance == provenance
 
 
 def _rows(rows, dtype=np.int64):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,20 +11,16 @@ from hypothesis import strategies as st
 
 from dsnlift import typicality
 from dsnlift.channel import ComplexGain
-from dsnlift.codes import build_product_code
+from dsnlift.codes import RelayCode, build_product_code, trace_all
 from dsnlift.network import Edge, RelayNetwork
 from dsnlift.typicality import (
     FiniteDistribution,
-    JointDistribution,
     TooLarge,
-    conditional_entropy,
     entropy,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
     epsilon2,
-    induced_distribution,
     is_strongly_typical,
-    jointly_strongly_typical,
 )
 
 
@@ -34,13 +31,17 @@ def test_distribution_validation():
         FiniteDistribution(("a", "a"), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError):
         FiniteDistribution(("a", "b"), (Fraction(1, 2), Fraction(1, 3)))
+    # Probabilities are exact; a float law is refused, even one that sums to 1.
+    with pytest.raises(TypeError):
+        FiniteDistribution(("a", "b"), (0.5, 0.5))
+    with pytest.raises(TypeError):
+        FiniteDistribution(("a", "b"), (Fraction(1, 2), 0.5))
 
 
 def test_distribution_from_counts_is_exact():
     d = FiniteDistribution.from_counts({"x": 3, "y": 1})
-    assert d.prob("x") == Fraction(3, 4)
-    assert d.prob("y") == Fraction(1, 4)
-    assert d.prob("missing") == 0
+    assert dict(d.items()) == {"x": Fraction(3, 4), "y": Fraction(1, 4)}
+    assert all(isinstance(p, Fraction) for p in d.probs)
 
 
 def test_entropy_values():
@@ -57,24 +58,31 @@ def test_epsilon2_formula():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def _joint_law(net, code, coords=None):
+    """The law of (source block, reception block of nodes 1..M) under the
+    uniform message law, or of the coordinates ``coords`` of that tuple.
+    The network is deterministic, so each trace has mass 1/K.
+    """
+    rows = [
+        (tr.transmitted[net.source],) + tuple(tr.received[j] for j in range(1, net.node_count))
+        for tr in trace_all(net, code)
+    ]
+    if coords is not None:
+        rows = [tuple(row[i] for i in coords) for row in rows]
+    return FiniteDistribution.from_counts(Counter(rows))
+
+
 def test_induced_distribution_is_deterministic_given_source(diamond_net, diamond_code):
-    joint = induced_distribution(diamond_net, diamond_code)
-    assert joint.variables == ("x0", "y1", "y2", "y3")
-    assert len(joint.table) == 4
-    assert all(p == Fraction(1, 4) for _, p in joint.table)
-    # Receptions are functions of the source block.
-    assert conditional_entropy(joint, ("x0",)) == pytest.approx(0.0, abs=1e-12)
-    assert entropy(joint.marginal(("y1",))) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_induced_distribution_respects_budget(diamond_net, diamond_code):
-    with pytest.raises(TooLarge):
-        induced_distribution(diamond_net, diamond_code, budget=2)
+    joint = _joint_law(diamond_net, diamond_code)
+    assert len(joint.support) == 4
+    assert all(len(value) == 4 for value in joint.support)
+    assert all(p == Fraction(1, 4) for p in joint.probs)
+    # Receptions are functions of the source block: H(x0, y) = H(x0).
+    assert entropy(joint) == entropy(_joint_law(diamond_net, diamond_code, (0,))) == 2.0
+    assert entropy(_joint_law(diamond_net, diamond_code, (1,))) == 2.0
 
 
 def test_point_mass_law_from_single_codeword_code(diamond_net, diamond_code):
-    from dsnlift.codes import RelayCode
-
     single = RelayCode(
         block_length=diamond_code.block_length,
         bit_depth=diamond_code.bit_depth,
@@ -82,8 +90,7 @@ def test_point_mass_law_from_single_codeword_code(diamond_net, diamond_code):
         relay_maps=dict(diamond_code.relay_maps),
         decoder={},
     )
-    joint = induced_distribution(diamond_net, single)
-    assert entropy(joint) == 0.0
+    assert entropy(_joint_law(diamond_net, single)) == 0.0
 
 
 def test_strong_typicality_boundary_is_exact():
@@ -108,24 +115,18 @@ def test_strong_typicality_edge_cases():
 
 
 def test_joint_typicality_of_deterministic_tuples(diamond_net, diamond_code):
-    joint = induced_distribution(diamond_net, diamond_code)
-    from dsnlift.codes import trace_all
-
+    joint = _joint_law(diamond_net, diamond_code)
     traces = trace_all(diamond_net, diamond_code)
     digits = (0, 1, 2, 3, 3, 2, 1, 0)
-    seqs = [
-        tuple(traces[d].transmitted[0] for d in digits),
-        tuple(traces[d].received[1] for d in digits),
-        tuple(traces[d].received[2] for d in digits),
-        tuple(traces[d].received[3] for d in digits),
+    zipped = [
+        (traces[d].transmitted[0], traces[d].received[1], traces[d].received[2], traces[d].received[3])
+        for d in digits
     ]
-    assert jointly_strongly_typical(seqs, joint, 0.01)
+    assert is_strongly_typical(zipped, joint, 0.01)
     # Swap one reception to a value never produced with that source block.
-    broken = list(seqs)
-    broken[3] = (traces[1].received[3],) + seqs[3][1:]
-    assert not jointly_strongly_typical(broken, joint, 0.5)
-    with pytest.raises(ValueError):
-        jointly_strongly_typical(seqs[:2], joint, 0.1)
+    broken = list(zipped)
+    broken[0] = zipped[0][:3] + (traces[1].received[3],)
+    assert not is_strongly_typical(broken, joint, 0.5)
 
 
 def test_typical_reception_counts_loose_and_exact(diamond_net, diamond_code):
@@ -133,7 +134,7 @@ def test_typical_reception_counts_loose_and_exact(diamond_net, diamond_code):
     loose = enumerate_typical_receptions(diamond_net, product, 1, epsilon=3.0)
     assert len(loose.vectors) == 16
     assert loose.slot == 1
-    assert loose.dist.prob(((2, 0), (2, 0))) == Fraction(1, 4)
+    assert dict(loose.dist.items())[((2, 0), (2, 0))] == Fraction(1, 4)
 
     # With eps = 0 a typical vector must hit each block exactly n_rep/4
     # times; at n_rep = 4 that means one appearance each: 4! vectors.
@@ -169,19 +170,6 @@ def test_typical_enumeration_budget(diamond_net, diamond_code):
     product = build_product_code(diamond_code, 12)
     with pytest.raises(TooLarge):
         enumerate_typical_receptions(diamond_net, product, 1, epsilon=1.0, budget=1000)
-
-
-def test_marginal_sums_to_one():
-    joint = JointDistribution(
-        ("a", "b"),
-        (
-            ((0, 0), Fraction(1, 4)),
-            ((0, 1), Fraction(1, 4)),
-            ((1, 0), Fraction(1, 2)),
-        ),
-    )
-    marg = joint.marginal(("a",))
-    assert dict(marg.table) == {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
 
 
 def _reference_typical_vectors(dist, n_rep, epsilon):
