@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,9 +84,6 @@ class QuantizedGain:
     re: int
     im: int = 0
 
-    def as_complex(self) -> complex:
-        return complex(self.re, self.im)
-
 
 @dataclass(frozen=True)
 class DiscreteSymbol:
@@ -111,14 +107,6 @@ class DiscreteSymbol:
             raise ChannelError(
                 f"symbol bits ({self.re_bits}, {self.im_bits}) out of range for bit depth {n}"
             )
-
-    @property
-    def re_value(self) -> Fraction:
-        return Fraction(self.re_bits, 1 << self.bit_depth)
-
-    @property
-    def im_value(self) -> Fraction:
-        return Fraction(self.im_bits, 1 << self.bit_depth)
 
     def as_complex(self) -> complex:
         # Dyadic fractions with n <= 52 are exact in binary64.
@@ -154,12 +142,6 @@ class Decomposition:
     v: complex
     z: complex
     c: Zint
-
-
-def _floor_div(num: int, den: int) -> int:
-    # Truncation toward zero of num/den for positive den.
-    q = abs(num) // den
-    return q if num >= 0 else -q
 
 
 def floor_parts(w: complex) -> Zint:
@@ -202,14 +184,6 @@ def quantize_gain(h: ComplexGain) -> QuantizedGain:
 Mimo = tuple[tuple[ComplexGain, ComplexGain], tuple[ComplexGain, ComplexGain]]
 
 
-def _trunc_product(g: QuantizedGain, x: DiscreteSymbol) -> Zint:
-    # Exact (a + bi)(p + qi)/2**n with componentwise truncation toward zero.
-    den = 1 << x.bit_depth
-    num_re = g.re * x.re_bits - g.im * x.im_bits
-    num_im = g.re * x.im_bits + g.im * x.re_bits
-    return (_floor_div(num_re, den), _floor_div(num_im, den))
-
-
 def superposition_output(
     inputs: Sequence[DiscreteSymbol], gains: Sequence[QuantizedGain]
 ) -> Zint:
@@ -222,9 +196,13 @@ def superposition_output(
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
     re = im = 0
     for x, g in zip(inputs, gains):
-        tr, ti = _trunc_product(g, x)
-        re += tr
-        im += ti
+        # (a + bi)(p + qi) / 2**n exactly: shift the integer numerators,
+        # rounding their magnitudes down, so each part truncates toward zero.
+        n = x.bit_depth
+        num_re = g.re * x.re_bits - g.im * x.im_bits
+        num_im = g.re * x.im_bits + g.im * x.re_bits
+        re += num_re >> n if num_re >= 0 else -(-num_re >> n)
+        im += num_im >> n if num_im >= 0 else -(-num_im >> n)
     return (re, im)
 
 

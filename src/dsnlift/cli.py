@@ -5,8 +5,9 @@ table of a network, ``pipeline`` runs a full experiment from a config
 file into an output directory, and ``bounds`` estimates the per-node
 noise-gap entropies of a network against its kappa reference.
 
-Exit codes: 0 success, 2 parse or validation failure or an input beyond
-the exact numeric range, 3 base-code search exhausted, 4 pruning or
+Exit codes: 0 success, 2 parse or validation failure, an input beyond
+the exact numeric range or the enumeration budget, or a base code that
+does not run on the network, 3 base-code search exhausted, 4 pruning or
 lifting produced an empty result.  Human-readable text goes to stdout;
 machine-readable artifacts are files.
 """
@@ -19,7 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import ChannelError, compute_bit_depth, quantize_gain
+from .channel import ChannelError, quantize_gain
+from .codes import BitDepthMismatch, CausalityError, TooManyErrors
 from .gaussian import ConfigError, verify_genie_bounds
 from .lifting import EmptyResult
 from .network import ParseError, SchemaError
@@ -35,6 +37,7 @@ from .pipeline import (
     run_pipeline,
     shipped_data_names,
 )
+from .typicality import TooLarge
 
 __all__ = ["main"]
 
@@ -50,8 +53,7 @@ def _fmt_complex(re: float, im: float) -> str:
 
 def cmd_quantize(args: argparse.Namespace) -> int:
     net = _load_validated_network(args.network)
-    n = compute_bit_depth(net.all_gain_components())
-    print(f"bit depth n = {n}")
+    print(f"bit depth n = {net.bit_depth}")
     print(f"{'edge':<12}{'gain':<24}quantized")
     for e in sorted(net.edges, key=lambda e: (e.src, e.dst)):
         if net.antenna_mode == "scalar":
@@ -114,9 +116,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     ok = rep.all_within_kappa()
     print(f"all within kappa: {'yes' if ok else 'NO'}")
     if args.out is not None:
-        doc = _bound_doc(rep, digest="")
-        doc.pop("config_hash")
-        Path(args.out).write_text(canonical_json(doc))
+        Path(args.out).write_text(canonical_json(_bound_doc(rep)))
         print(f"report written: {args.out}")
     return 0
 
@@ -161,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, SchemaError, ConfigError, ChannelError) as exc:
+    except (ParseError, SchemaError, ConfigError, ChannelError, TooLarge,
+            BitDepthMismatch, CausalityError, TooManyErrors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

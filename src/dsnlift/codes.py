@@ -15,25 +15,21 @@ sent, then the nodes receive at t in level order, each block map sending
 as soon as its node has received.  On a layered network this is the
 level-by-level block schedule; elsewhere every map must be causal and
 it is the interleaved one, so a causal code runs the same under both.
+The walk reads the bit depth, the levels and the receiving order from
+the RelayNetwork, which computes each once, and quantizes the in-link
+gains once per call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    DiscreteSymbol,
-    QuantizedGain,
-    Zint,
-    compute_bit_depth,
-    quantize_gain,
-    superposition_output,
-)
-from .network import LevelDecomposition, RelayNetwork, layer_decomposition
+from .channel import DiscreteSymbol, Zint, quantize_gain, superposition_output
+from .network import RelayNetwork
 
 __all__ = [
     "BitDepthMismatch",
@@ -217,49 +213,6 @@ class NetworkTrace:
     decoded: int | None
 
 
-@dataclass
-class _NetPlan:
-    bit_depth: int
-    levels: LevelDecomposition | None
-    in_links: dict[int, list[tuple[int, QuantizedGain]]]
-    # Nodes in the order run_dsn lets them receive: level by level when
-    # the network is layered, else by id.
-    order: list[int]
-
-
-_plan_cache: dict[RelayNetwork, _NetPlan] = {}
-
-
-def _plan(net: RelayNetwork) -> _NetPlan:
-    plan = _plan_cache.get(net)
-    if plan is not None:
-        return plan
-    if net.antenna_mode != "scalar":
-        raise CausalityError("code execution is defined for scalar networks only")
-    n = compute_bit_depth(net.all_gain_components())
-    in_links: dict[int, list[tuple[int, QuantizedGain]]] = {j: [] for j in range(net.node_count)}
-    for e in net.edges:
-        in_links[e.dst].append((e.src, quantize_gain(e.gain)))  # type: ignore[arg-type]
-    levels = layer_decomposition(net)
-    order = list(range(net.node_count)) if levels is None else [
-        j for level in levels.levels for j in sorted(level)
-    ]
-    plan = _NetPlan(bit_depth=n, levels=levels, in_links=in_links, order=order)
-    if len(_plan_cache) > 64:
-        _plan_cache.clear()
-    _plan_cache[net] = plan
-    return plan
-
-
-def _receive(plan: _NetPlan, node: int, tx: Mapping[int, Sequence[DiscreteSymbol]], t: int) -> Zint:
-    links = plan.in_links[node]
-    if not links:
-        return (0, 0)
-    inputs = [tx[src][t - 1] for src, _ in links]
-    gains = [g for _, g in links]
-    return superposition_output(inputs, gains)
-
-
 def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     """Run one message through the deterministic network.
 
@@ -274,32 +227,37 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     transmits: it sends zero symbols, which reach nobody after truncation
     when it has outgoing edges.
     """
-    plan = _plan(net)
-    if code.bit_depth != plan.bit_depth:
+    if net.antenna_mode != "scalar":
+        raise CausalityError("code execution is defined for scalar networks only")
+    if code.bit_depth != net.bit_depth:
         raise BitDepthMismatch(
-            f"code bit depth {code.bit_depth} vs network bit depth {plan.bit_depth}"
+            f"code bit depth {code.bit_depth} vs network bit depth {net.bit_depth}"
         )
     if not (0 <= message < code.message_count):
         raise ValueError(f"message {message} out of range")
     dest = net.destination
     zero = DiscreteSymbol.zero(code.bit_depth)
-    relays = [j for j in range(1, net.node_count) if j != dest]
-    for j in relays:
+    for j in net.relays:
         if j not in code.relay_maps:
             raise ValueError(f"no relay map for node {j}")
-        if plan.levels is None and not code.relay_maps[j].causal:
+        if net.levels is None and not code.relay_maps[j].causal:
             raise CausalityError(
                 f"relay map at node {j} is not causal; the synchronous schedule "
                 "needs causal maps on non-layered networks"
             )
-    maps = {j: code.relay_maps[j] for j in relays}
+    maps = {j: code.relay_maps[j] for j in net.relays}
 
-    tx: dict[int, list[DiscreteSymbol]] = {j: [] for j in plan.order}
-    rx: dict[int, list[Zint]] = {j: [] for j in plan.order}
+    tx: dict[int, list[DiscreteSymbol]] = {j: [] for j in net.order}
+    rx: dict[int, list[Zint]] = {j: [] for j in net.order}
     causal = [(m, rx[j], tx[j]) for j, m in maps.items() if m.causal]
     block = {j: m for j, m in maps.items() if not m.causal}
-    # Every node in receiving order, with its block map or None.
-    walk = [(j, rx[j], tx[j], block.get(j)) for j in plan.order]
+    # Every node in receiving order, with its block map or None and its
+    # in-links: the senders' symbol lists and the quantized gains.
+    walk = []
+    for j in net.order:
+        edges = net.in_edges(j)
+        gains = [quantize_gain(e.gain) for e in edges]  # type: ignore[arg-type]
+        walk.append((rx[j], tx[j], block.get(j), [tx[e.src] for e in edges], gains))
     codeword, from_source, from_dest = code.codebook[message], tx[net.source], tx[dest]
     for t in range(1, code.block_length + 1):
         from_source.append(codeword[t - 1])
@@ -307,8 +265,8 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
         for rmap, heard, sent in causal:
             assert len(heard) == t - 1
             sent.append(rmap.emit(t, heard))
-        for j, heard, sent, block_map in walk:
-            y = _receive(plan, j, tx, t)
+        for heard, sent, block_map, senders, gains in walk:
+            y = superposition_output([s[t - 1] for s in senders], gains)
             heard.append(y)
             if block_map is not None:
                 # A block map reads the reception at t: y.
@@ -539,27 +497,30 @@ def search_base_code(
     nr = block_length * rate
     if abs(nr - round(nr)) > 1e-9:
         raise ValueError(f"block_length * rate must be an integer, got {nr}")
+    if net.antenna_mode != "scalar":
+        raise CausalityError("code execution is defined for scalar networks only")
     K = 1 << round(nr)
-    plan = _plan(net)
-    n = plan.bit_depth
-    alphabet = enumerate_alphabet(n)
-    if K > len(alphabet) ** block_length:
+    n = net.bit_depth
+    # Symbol i of the alphabet, in enumerate_alphabet order, has bits
+    # (i >> n, i & mask); only the drawn symbols are built.
+    mask, size = (1 << n) - 1, 1 << (2 * n)
+    if K > size ** block_length:
         return None
-    causal = plan.levels is None
+    causal = net.levels is None
     rng = np.random.default_rng(seed)
     dest = net.destination
-    relays = [j for j in range(1, net.node_count) if j != dest]
 
     for _ in range(attempts):
         picks: set[Codeword] = set()
         while len(picks) < K:
-            picks.add(
-                tuple(alphabet[int(i)] for i in rng.integers(len(alphabet), size=block_length))
-            )
+            picks.add(tuple(
+                DiscreteSymbol(i >> n, i & mask, n)
+                for i in rng.integers(size, size=block_length).tolist()
+            ))
         codebook = sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw])
         maps = {
             j: _random_map(rng, net, j, n, block_length, causal, families)
-            for j in relays
+            for j in net.relays
         }
         candidate = RelayCode(
             block_length=block_length,

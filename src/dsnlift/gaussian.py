@@ -51,9 +51,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, _add_keeping_floor, compute_bit_depth, decompose_batch
+from .channel import ComplexGain, _add_keeping_floor, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
-from .lifting import LiftedCode, PrunedSets, kappa, kappa_mimo
+from .lifting import KappaParams, LiftedCode, PrunedSets
 from .network import RelayNetwork
 from .typicality import (
     ReceptionVectors,
@@ -423,13 +423,12 @@ def simulate_lifted(
     order = _decision_slots(net, N)
     if set(pruned.sets) != set(order):
         raise ConfigError(f"pruned sets cover slots {list(pruned.sets)}, need {sorted(order)}")
-    if compute_bit_depth(net.all_gain_components()) != base.bit_depth:
+    if net.bit_depth != base.bit_depth:
         raise ConfigError("code bit depth does not match the network")
     dest = net.destination
-    relays = [j for j in range(1, net.node_count) if j != dest]
-    layered = isinstance(order[0], int)
+    layered = net.levels is not None
     if not layered:
-        for j in relays:
+        for j in net.relays:
             if not base.relay_maps[j].causal:
                 raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
 
@@ -446,7 +445,7 @@ def simulate_lifted(
         for j in range(net.node_count) if j != dest or net.out_edges(dest)
     }
     tx[net.source] = _source_symbols(product, lifted)[pick]
-    for j in relays:
+    for j in net.relays:
         if base.relay_maps[j].causal:
             tx[j][:, :, 0] = base.relay_maps[j].emit_from(1, None).as_complex()
     block_errors = dict.fromkeys(sorted(order), 0)
@@ -709,10 +708,9 @@ def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundRepo
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    n = compute_bit_depth(net.all_gain_components())
+    n = net.bit_depth
     mimo = net.antenna_mode == "mimo2x2"
-    m = net.node_count - 1
-    reference = kappa_mimo(m) if mimo else kappa(m)
+    reference = KappaParams.for_network(net).reference
 
     entries: list[BoundEntry] = []
     for j in range(1, net.node_count):

@@ -21,6 +21,7 @@ import numpy as np
 from .codes import ProductCode, trace_all
 from .network import RelayNetwork
 from .typicality import (
+    BUDGET,
     FiniteDistribution,
     ReceptionVectors,
     SlotKey,
@@ -239,7 +240,6 @@ def build_lifted_code(
     product: ProductCode,
     pruned: PrunedSets,
     epsilon: float,
-    budget: int = 1 << 20,
 ) -> LiftedCode:
     """Intersect the inverse images of the pruned sets inside the product code.
 
@@ -257,9 +257,9 @@ def build_lifted_code(
     set's sorted codes.  An empty result is valid and reported as such,
     not an error.
     """
-    if product.codeword_count > budget:
+    if product.codeword_count > BUDGET:
         raise TooLarge(
-            f"{product.codeword_count} codewords exceed the enumeration budget {budget}"
+            f"{product.codeword_count} codewords exceed the enumeration budget {BUDGET}"
         )
     slots = sorted(pruned.sets)
     traces = trace_all(net, product.base)

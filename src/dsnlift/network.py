@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
-from .channel import ComplexGain, Mimo
+from .channel import ComplexGain, Mimo, compute_bit_depth
 
 __all__ = [
     "ParseError",
@@ -49,7 +50,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class RelayNetwork:
-    """A relay network with fixed source 0 and destination node_count - 1."""
+    """A relay network with fixed source 0 and destination node_count - 1.
+
+    The network owns the facts every layer derives from it: the bit depth
+    of its discrete model, its level decomposition and the order in which
+    its nodes receive.  Each is computed once, on first use.
+    """
 
     node_count: int
     edges: tuple[Edge, ...]
@@ -60,6 +66,29 @@ class RelayNetwork:
     @property
     def destination(self) -> int:
         return self.node_count - 1
+
+    @property
+    def relays(self) -> range:
+        """Every node but the source and the destination."""
+        return range(1, self.destination)
+
+    @cached_property
+    def bit_depth(self) -> int:
+        """Bit depth of the discrete model, from every gain component."""
+        return compute_bit_depth(self.all_gain_components())
+
+    @cached_property
+    def levels(self) -> LevelDecomposition | None:
+        """The BFS-depth partition, or None when the network is not layered."""
+        return layer_decomposition(self)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """Nodes in receiving order, the source first: level by level,
+        sorted within a level, when layered; by id otherwise."""
+        if self.levels is None:
+            return tuple(range(self.node_count))
+        return tuple(j for level in self.levels.levels for j in sorted(level))
 
     def in_edges(self, node: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.dst == node)

@@ -7,8 +7,8 @@ prune them, intersect to the lifted codebook, then optionally simulate
 the noisy network and estimate the per-node noise-gap entropies.
 
 Every random choice is driven by a seed named in the config, so a rerun
-with the same config writes byte-identical artifacts.  Each artifact
-embeds the config hash for provenance.
+with the same config writes byte-identical artifacts.  Every JSON
+artifact embeds the config hash for provenance, added as it is written.
 
 Artifacts are written by canonical_json, which produces the bytes of
 json.dumps(doc, sort_keys=True, indent=2) plus a newline without that
@@ -391,9 +391,13 @@ def _load_validated_network(name: str) -> RelayNetwork:
 
 def _load_base_code(cfg: ExperimentConfig, net: RelayNetwork) -> tuple[RelayCode, dict]:
     if "file" in cfg.base_code:
-        doc = json.loads(read_input_text(cfg.base_code["file"]))
-        code = deserialize_code(doc)
-        meta = {"source": "file", "file": cfg.base_code["file"]}
+        name = cfg.base_code["file"]
+        text = read_input_text(name)
+        try:
+            code = deserialize_code(json.loads(text))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"base code file {name!r} is not a valid code: {exc}") from exc
+        meta = {"source": "file", "file": name}
     else:
         s = cfg.base_code["search"]
         families = tuple(s.get("families", ("quantize_forward", "modulo", "table")))
@@ -461,15 +465,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
 
-    def emit(name: str, doc: Any) -> None:
+    def emit(name: str, doc: dict) -> None:
         path = out_dir / name
-        path.write_text(canonical_json(doc))
+        path.write_text(canonical_json({**doc, "config_hash": digest}))
         files[name] = path
 
-    emit("config.json", {"config": _config_doc(cfg), "config_hash": digest, "version": __version__})
+    emit("config.json", {"config": _config_doc(cfg), "version": __version__})
 
     base, base_meta = _load_base_code(cfg, net)
-    emit("base_code.json", {"code": serialize_code(base), "meta": base_meta, "config_hash": digest})
+    emit("base_code.json", {"code": serialize_code(base), "meta": base_meta})
 
     product = ProductCode(base, cfg.n_rep)
     emit(
@@ -479,7 +483,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
             "block_length": product.block_length,
             "codeword_count": product.codeword_count,
             "rate": product.rate,
-            "config_hash": digest,
         },
     )
 
@@ -499,7 +502,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                 }
                 for slot, ts in sorted(tsets.items())
             ],
-            "config_hash": digest,
         },
     )
 
@@ -537,7 +539,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                 }
                 for slot in sorted(pruned.sets)
             ],
-            "config_hash": digest,
         },
     )
 
@@ -559,7 +560,6 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                 }
                 for ci in lifted.codeword_indices
             ],
-            "config_hash": digest,
         },
     )
     if lifted.count == 0:
@@ -575,10 +575,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
         )
 
     report = rate_report(lifted, product, tsets)
-    emit(
-        "rate_report.json",
-        {**asdict(report), "config_hash": digest},
-    )
+    emit("rate_report.json", asdict(report))
 
     err_rate = None
     if cfg.simulate is not None:
@@ -596,11 +593,11 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
         err_rate = sim.message_error_rate
         files["simulation.csv"] = out_dir / "simulation.csv"
         files["simulation.csv"].write_text(_simulation_csv(sim))
-        emit("simulation.json", _simulation_doc(sim, digest))
+        emit("simulation.json", _simulation_doc(sim))
 
     if cfg.bounds is not None:
         rep = verify_genie_bounds(net, cfg.bounds.samples, cfg.bounds.seed)
-        emit("bound_report.json", _bound_doc(rep, digest))
+        emit("bound_report.json", _bound_doc(rep))
 
     return PipelineResult(
         out_dir=out_dir,
@@ -622,7 +619,7 @@ def _simulation_csv(sim: SimulationResult) -> str:
     return buf.getvalue()
 
 
-def _simulation_doc(sim: SimulationResult, digest: str) -> dict:
+def _simulation_doc(sim: SimulationResult) -> dict:
     return {
         "trials": sim.trials,
         "message_errors": sim.message_errors,
@@ -639,9 +636,8 @@ def _simulation_doc(sim: SimulationResult, digest: str) -> dict:
         "method": sim.method,
         "n_rep": sim.n_rep,
         "scheduling": sim.scheduling,
-        "config_hash": digest,
     }
 
 
-def _bound_doc(rep: BoundReport, digest: str) -> dict:
-    return {**asdict(rep), "all_within_kappa": rep.all_within_kappa(), "config_hash": digest}
+def _bound_doc(rep: BoundReport) -> dict:
+    return {**asdict(rep), "all_within_kappa": rep.all_within_kappa()}

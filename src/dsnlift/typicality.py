@@ -28,9 +28,10 @@ from typing import Hashable, Iterable, Mapping
 import numpy as np
 
 from .codes import NetworkTrace, ProductCode, trace_all
-from .network import RelayNetwork, layer_decomposition
+from .network import RelayNetwork
 
 __all__ = [
+    "BUDGET",
     "TooLarge",
     "FiniteDistribution",
     "ReceptionVectors",
@@ -44,7 +45,11 @@ __all__ = [
 
 
 class TooLarge(ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed the budget."""
+
+
+# Most candidate vectors (per slot) or product codewords that are enumerated.
+BUDGET = 1 << 20
 
 
 # A decision slot: a node id (block schedule) or a (node, t) pair
@@ -201,23 +206,20 @@ class TypicalSet:
     epsilon_2: float
     envelope: tuple[float, float]
 
-    @property
-    def node(self) -> int:
-        return _slot_node(self.slot)
-
 
 def _decision_slots(net: RelayNetwork, block_length: int) -> list[SlotKey]:
     """The decision slots of ``net`` in walk order.
 
-    A layered network relays whole blocks, so its slots are the nodes,
-    level by level.  Any other network is interleaved: its slots are the
-    (node, t) pairs in (t, node) order.  This is the one place the
-    schedule is decided for the slots.
+    A layered network relays whole blocks, so its slots are the nodes
+    after the source in the network's receiving order, level by level.
+    Any other network is interleaved: its slots are the (node, t) pairs in
+    (t, node) order.  This is the one place the schedule is decided for
+    the slots.
     """
-    levels = layer_decomposition(net)
-    if levels is not None:
-        return [j for level in levels.levels[1:] for j in sorted(level)]
-    return [(j, t) for t in range(1, block_length + 1) for j in range(1, net.node_count)]
+    receivers = net.order[1:]
+    if net.levels is not None:
+        return list(receivers)
+    return [(j, t) for t in range(1, block_length + 1) for j in receivers]
 
 
 def _slot_key(slot: SlotKey) -> list[int]:
@@ -267,26 +269,20 @@ def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
     return codes
 
 
-def _typical_vectors(
-    dist: FiniteDistribution, n_rep: int, epsilon: float, budget: int
-) -> ReceptionVectors:
+def _typical_vectors(dist: FiniteDistribution, n_rep: int, epsilon: float) -> ReceptionVectors:
     support = tuple(sorted(s for s, p in dist.items() if p > 0))
-    if len(support) ** n_rep > budget:
+    if len(support) ** n_rep > BUDGET:
         raise TooLarge(
-            f"{len(support)}**{n_rep} candidate vectors exceed the budget {budget}"
+            f"{len(support)}**{n_rep} candidate vectors exceed the budget {BUDGET}"
         )
     return ReceptionVectors(support, _typical_digit_rows(support, dist, n_rep, epsilon))
 
 
 def _build_set(
-    slot: SlotKey,
-    values_per_message: Sequence[Hashable],
-    n_rep: int,
-    epsilon: float,
-    budget: int,
+    slot: SlotKey, values_per_message: Sequence[Hashable], n_rep: int, epsilon: float
 ) -> TypicalSet:
     dist = FiniteDistribution.from_counts(Counter(values_per_message))
-    vectors = _typical_vectors(dist, n_rep, epsilon, budget)
+    vectors = _typical_vectors(dist, n_rep, epsilon)
     h = entropy(dist)
     e2 = epsilon2(dist, epsilon, n_rep)
     env = (2.0 ** (n_rep * (h - e2)), 2.0 ** (n_rep * (h + e2)))
@@ -301,7 +297,6 @@ def enumerate_typical_receptions(
     product: ProductCode,
     node: int,
     epsilon: float,
-    budget: int = 1 << 20,
 ) -> TypicalSet:
     """Typical reception-block vectors at a node, for block scheduling.
 
@@ -313,7 +308,7 @@ def enumerate_typical_receptions(
     all-zero typical vector.
     """
     traces = trace_all(net, product.base)
-    return _build_set(node, _slot_values(traces, node), product.n_rep, epsilon, budget)
+    return _build_set(node, _slot_values(traces, node), product.n_rep, epsilon)
 
 
 def enumerate_typical_symbol_vectors(
@@ -322,7 +317,6 @@ def enumerate_typical_symbol_vectors(
     node: int,
     t: int,
     epsilon: float,
-    budget: int = 1 << 20,
 ) -> TypicalSet:
     """Typical vectors of the t-th reception symbol, for interleaving.
 
@@ -333,4 +327,4 @@ def enumerate_typical_symbol_vectors(
     traces = trace_all(net, product.base)
     if not (1 <= t <= product.base.block_length):
         raise ValueError(f"symbol index {t} out of range")
-    return _build_set((node, t), _slot_values(traces, (node, t)), product.n_rep, epsilon, budget)
+    return _build_set((node, t), _slot_values(traces, (node, t)), product.n_rep, epsilon)

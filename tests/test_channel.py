@@ -75,8 +75,6 @@ def test_quantize_error_below_one_and_sign_consistent(re, im):
 
 def test_symbol_values_and_validation():
     s = DiscreteSymbol(3, 1, 2)
-    assert s.re_value == Fraction(3, 4)
-    assert s.im_value == Fraction(1, 4)
     assert s.as_complex() == complex(0.75, 0.25)
     with pytest.raises(ChannelError):
         DiscreteSymbol(4, 0, 2)

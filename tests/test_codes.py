@@ -13,6 +13,7 @@ from dsnlift.channel import (
     DiscreteSymbol,
     QuantizedGain,
     compute_bit_depth,
+    quantize_gain,
     superposition_output,
 )
 from dsnlift.codes import (
@@ -36,11 +37,10 @@ from dsnlift.codes import (
     serialize_code,
     trace_all,
     with_derived_decoder,
-    _plan,
     _random_map,
-    _receive,
 )
-from dsnlift.network import Edge, RelayNetwork, layer_decomposition
+from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network
+from dsnlift.pipeline import read_input_text
 
 
 def _line(gain: float) -> RelayNetwork:
@@ -203,6 +203,20 @@ def test_run_dsn_requires_causal_maps_off_layered_networks(nonlayered_net):
         run_dsn(nonlayered_net, code, 0)
 
 
+def test_code_execution_needs_a_scalar_network():
+    g = ComplexGain(2, 0)
+    mimo = RelayNetwork(
+        node_count=3, edges=(Edge(0, 1, ((g, g), (g, g))), Edge(1, 2, ((g, g), (g, g)))),
+        antenna_mode="mimo2x2",
+    )
+    code = RelayCode(1, 1, ((DiscreteSymbol(0, 0, 1),),), {1: ModuloMap(bit_depth=1)}, {})
+    with pytest.raises(CausalityError):
+        run_dsn(mimo, code, 0)
+    # Before a table map would read the two-antenna gains.
+    with pytest.raises(CausalityError):
+        search_base_code(mimo, block_length=1, rate=1.0, attempts=5, seed=0, families=("table",))
+
+
 def test_run_dsn_synchronous_schedule_on_nonlayered_network(nonlayered_net):
     n = 1
     zero_map = TableMap(bit_depth=n, entries=(), causal=True)
@@ -227,19 +241,25 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
     Layered networks run whole blocks level by level; other networks run
     a symbol-synchronous loop that snapshots every transmission at each t.
     """
-    plan = _plan(net)
     N = code.block_length
     dest = net.destination
     zero = DiscreteSymbol.zero(code.bit_depth)
     relays = [j for j in range(1, net.node_count) if j != dest]
+    links = {j: [(e.src, quantize_gain(e.gain)) for e in net.in_edges(j)]
+             for j in range(net.node_count)}
+
+    def receive(j, sent, t):
+        return superposition_output([sent[src][t - 1] for src, _ in links[j]],
+                                    [g for _, g in links[j]])
 
     tx = {net.source: code.codebook[message]}
     rx = {net.source: tuple((0, 0) for _ in range(N))}
 
-    if plan.levels is not None:
-        for level in plan.levels.levels[1:]:
+    levels = layer_decomposition(net)
+    if levels is not None:
+        for level in levels.levels[1:]:
             for j in sorted(level):
-                block = tuple(_receive(plan, j, tx, t) for t in range(1, N + 1))
+                block = tuple(receive(j, tx, t) for t in range(1, N + 1))
                 rx[j] = block
                 if j == dest:
                     tx[j] = tuple(zero for _ in range(N))
@@ -264,7 +284,7 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
                 txs[j].append(sym)
             snapshot = {j: tuple(txs[j]) for j in range(net.node_count)}
             for j in range(net.node_count):
-                hist[j].append(_receive(plan, j, snapshot, t))
+                hist[j].append(receive(j, snapshot, t))
         for j in range(net.node_count):
             tx[j] = tuple(txs[j])
             rx[j] = tuple(hist[j])
@@ -531,6 +551,47 @@ def test_search_on_nonlayered_network_returns_causal_maps(nonlayered_net):
     assert all(m.causal for m in code.relay_maps.values())
     for tr in trace_all(nonlayered_net, code):
         assert tr.decoded == tr.message
+
+
+def _alphabet_search(net, block_length, rate, attempts, seed):
+    """The base-code search drawing its symbols from the whole alphabet, as
+    enumerate_alphabet lists it; kept as the reference for search_base_code."""
+    K = 1 << round(block_length * rate)
+    n = compute_bit_depth(net.all_gain_components())
+    alphabet = enumerate_alphabet(n)
+    causal = layer_decomposition(net) is None
+    families = ("quantize_forward", "modulo", "table")
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        picks = set()
+        while len(picks) < K:
+            picks.add(tuple(alphabet[int(i)] for i in rng.integers(len(alphabet), size=block_length)))
+        codebook = tuple(sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw]))
+        maps = {
+            j: _random_map(rng, net, j, n, block_length, causal, families)
+            for j in range(1, net.node_count - 1)
+        }
+        code = RelayCode(block_length, n, codebook, maps, {})
+        receptions = [run_dsn(net, code, m).received[net.node_count - 1] for m in range(K)]
+        if len(set(receptions)) == K:
+            return dataclasses.replace(code, decoder={r: m for m, r in enumerate(receptions)})
+    return None
+
+
+@pytest.mark.parametrize(
+    "name, block_length, rate",
+    [("line", 1, 1.0), ("line", 2, 1.0), ("diamond", 1, 1.0), ("diamond", 2, 0.5),
+     ("nonlayered", 2, 0.5), ("nonlayered", 2, 1.0)],
+)
+def test_search_draws_what_the_whole_alphabet_draw_did(name, block_length, rate):
+    net = load_network(read_input_text(name))
+    assert compute_bit_depth(net.all_gain_components()) <= 2
+    found = 0
+    for seed in range(4):
+        want = _alphabet_search(net, block_length, rate, attempts=30, seed=seed)
+        assert search_base_code(net, block_length, rate, attempts=30, seed=seed) == want
+        found += want is not None
+    assert found == 4
 
 
 def test_serialize_round_trip(diamond_code):

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsnlift.codes import ProductCode, build_product_code, search_base_code, trace_all
@@ -326,10 +326,18 @@ def test_lift_matches_per_codeword_loop(name, n_rep, set_epsilon, lift_epsilon):
     search_seed=st.integers(0, 2**16),
     n_rep=st.integers(2, 4),
     set_epsilon=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
-    epsilon=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    epsilon=st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.75, 3.0]),
     override=st.sampled_from([0.0, 0.0625, 0.125]),
     prune_seed=st.integers(0, 2**16),
 )
+# A quarter step below a count boundary, where the reception sets at
+# epsilon 3 impose nothing and the digit filter alone decides: with K = 2
+# and n_rep = 2 the row (0, 0) is typical at 1 but not at 0.75, and with
+# K = 4 and n_rep = 4 the row (0, 0, 0, 1) at 2 but not at 1.75.
+@example(name="line", rate=0.5, search_seed=0, n_rep=2, set_epsilon=3.0, epsilon=0.75,
+         override=0.0, prune_seed=0)
+@example(name="line", rate=1.0, search_seed=0, n_rep=4, set_epsilon=3.0, epsilon=1.75,
+         override=0.0, prune_seed=0)
 def test_lift_matches_joint_typicality_on_random_base_codes(
     name, rate, search_seed, n_rep, set_epsilon, epsilon, override, prune_seed
 ):

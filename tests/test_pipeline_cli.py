@@ -368,3 +368,47 @@ def test_cli_bounds_int64_overflow_exits_2(tmp_path, capsys):
     rc = cli.main(["bounds", "--network", str(p), "--samples", "100"])
     assert rc == cli.EXIT_INPUT
     assert "overflow int64" in capsys.readouterr().err
+
+
+def _assert_input_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    return err
+
+
+def _run_doc(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    return ["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+
+
+def test_cli_pipeline_beyond_enumeration_budget_exits_2(tmp_path, capsys):
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "n_rep": 12}))
+    assert "budget" in err
+
+
+def _code_file(tmp_path, **changes):
+    doc = {**json.loads(read_input_text("diamond_code")), **changes}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_pipeline_unsupported_code_format_exits_2(tmp_path, capsys):
+    path = _code_file(tmp_path, format=2)
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
+    assert path in err and "format 2" in err
+
+
+def test_cli_pipeline_code_of_another_bit_depth_exits_2(tmp_path, capsys):
+    doc = {**MINI_CONFIG, "network": "line", "base_code": {"file": "diamond_code"}}
+    assert "bit depth" in _assert_input_error(capsys, _run_doc(tmp_path, doc))
+
+
+def test_cli_pipeline_code_whose_decoder_is_always_wrong_exits_2(tmp_path, capsys):
+    decoder = json.loads(read_input_text("diamond_code"))["decoder"]
+    path = _code_file(tmp_path, decoder=[[r, (m + 1) % len(decoder)] for r, m in decoder])
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
+    assert "cannot purify" in err

@@ -160,7 +160,6 @@ def test_typical_symbol_vectors_for_interleaving(diamond_net, diamond_code):
     product = build_product_code(diamond_code, 4)
     ts = enumerate_typical_symbol_vectors(diamond_net, product, 1, t=2, epsilon=0.0)
     assert ts.slot == (1, 2)
-    assert ts.node == 1
     assert len(ts.vectors) == 24
     with pytest.raises(ValueError):
         enumerate_typical_symbol_vectors(diamond_net, product, 1, t=3, epsilon=0.0)
@@ -169,7 +168,7 @@ def test_typical_symbol_vectors_for_interleaving(diamond_net, diamond_code):
 def test_typical_enumeration_budget(diamond_net, diamond_code):
     product = build_product_code(diamond_code, 12)
     with pytest.raises(TooLarge):
-        enumerate_typical_receptions(diamond_net, product, 1, epsilon=1.0, budget=1000)
+        enumerate_typical_receptions(diamond_net, product, 1, epsilon=1.0)
 
 
 def _reference_typical_vectors(dist, n_rep, epsilon):
@@ -220,7 +219,7 @@ HALF = FiniteDistribution((9, 10), (Fraction(1, 2), Fraction(1, 2)))
 @example(dist=HALF, n_rep=5, epsilon=0.2)
 @example(dist=HALF, n_rep=4, epsilon=0.25)
 def test_typical_vectors_match_per_vector_loop(dist, n_rep, epsilon):
-    got = typicality._typical_vectors(dist, n_rep, epsilon, budget=1 << 20)
+    got = typicality._typical_vectors(dist, n_rep, epsilon)
     assert tuple(got) == _reference_typical_vectors(dist, n_rep, epsilon)
 
 
