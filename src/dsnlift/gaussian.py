@@ -12,7 +12,10 @@ its decisions, in time order, into receptions it maps back to a message.
 The verification half estimates, per node, the entropies of the floored
 perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
-stay under the node-count constant kappa.
+stay under the node-count constant kappa.  It counts the samples
+_BOUND_CHUNK at a time, so past the four sample-long draws of a
+reception its memory does not grow with the sample count, and the
+bootstrap estimates its 200 resamples together.
 
 Every decision reads one per-use cost table.  A slot's candidates are
 digit rows over per-value rows of its alphabet, so the squared distance
@@ -448,10 +451,19 @@ def simulate_lifted(
     for j in net.relays:
         if base.relay_maps[j].causal:
             tx[j][:, :, 0] = base.relay_maps[j].emit_from(1, None).as_complex()
+    # The last slot that reads or writes each node's transmissions.  After
+    # it the node's power is taken and its array dropped.
+    last = dict.fromkeys(tx, 0)
+    for i, slot in enumerate(order):
+        j = _slot_node(slot)
+        last.update((e.src, i) for e in net.in_edges(j))
+        if j != dest and tables[slot].sends is not None:
+            last[j] = i
+    power: dict[int, float] = {}
     block_errors = dict.fromkeys(sorted(order), 0)
     failures = dict.fromkeys(sorted(order), 0)
     decided: dict[SlotKey, np.ndarray] = {}
-    for slot in order:
+    for i, slot in enumerate(order):
         j, table = _slot_node(slot), tables[slot]
         rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1] + _slot_key(slot)))
         y = _noise(rng, (trials, n_rep * table.rows.shape[1]), noise.scale)
@@ -465,6 +477,10 @@ def simulate_lifted(
             decided[slot] = chosen
         elif table.sends is not None:
             tx[j][:, :, table.sends] = table.reencode[chosen].reshape(trials, n_rep, -1)
+        for node in [node for node, at in last.items() if at == i]:
+            x = tx.pop(node)
+            if node != dest:
+                power[node] = float(np.mean(np.abs(x) ** 2))
 
     msg_errors = _destination_messages(base, pruned.sets, decided) != true_codewords
     batches: list[tuple[int, int, int]] = []
@@ -478,7 +494,7 @@ def simulate_lifted(
         message_error_rate=total_errors / trials,
         block_errors=block_errors,
         decode_failures=failures,
-        avg_power={j: float(np.mean(np.abs(x) ** 2)) for j, x in tx.items() if j != dest},
+        avg_power=dict(sorted(power.items())),
         noise_seed=noise.seed,
         noise_scale=noise.scale,
         method=method,
@@ -546,6 +562,26 @@ def miller_madow_entropy(counts: np.ndarray) -> float:
     return plug_in_entropy(c) + (k - 1) / (2.0 * n) * LOG2E
 
 
+def _miller_madow_rows(counts: np.ndarray) -> np.ndarray:
+    """miller_madow_entropy of every row of ``counts`` (rows, cells), bit-equal.
+
+    Rows with equally many nonzero cells are estimated together.  Each row
+    sums its own nonzero cells, in order, in the operations
+    miller_madow_entropy uses, and a sum's rounding depends only on the
+    terms and their count.
+    """
+    ests = np.empty(len(counts))
+    nonzero = (counts > 0).sum(axis=1)
+    for k in np.unique(nonzero).tolist():
+        rows = np.flatnonzero(nonzero == k)
+        c = counts[rows]
+        c = c[c > 0].reshape(len(rows), k).astype(np.float64)
+        n = c.sum(axis=1)
+        p = c / n[:, None]
+        ests[rows] = -(p * np.log2(p)).sum(axis=1) + (k - 1) / (2.0 * n) * LOG2E
+    return ests
+
+
 def bootstrap_entropy_ci(counts: np.ndarray, seed: int) -> tuple[float, float]:
     """95% percentile bootstrap interval for the Miller-Madow entropy,
     from 200 multinomial resamples of ``counts``."""
@@ -553,17 +589,9 @@ def bootstrap_entropy_ci(counts: np.ndarray, seed: int) -> tuple[float, float]:
     n = int(c.sum())
     p = c / n
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(n, p, size=200)
-    ests = np.asarray([miller_madow_entropy(row) for row in draws])
+    ests = _miller_madow_rows(rng.multinomial(n, p, size=200))
     lo, hi = np.quantile(ests, [0.025, 0.975])
     return float(lo), float(hi)
-
-
-def _pair_histogram(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Counts of the distinct (re, im) pairs of two int64 arrays."""
-    pairs = re * (1 << 32) + (im + (1 << 31))
-    _, counts = np.unique(pairs, return_counts=True)
-    return counts
 
 
 @dataclass(frozen=True)
@@ -608,42 +636,83 @@ class BoundReport:
         return not any(e.bound_estimate - e.ci_halfwidth > self.kappa_reference for e in self.entries)
 
 
-def _gap_floors(
+# Samples per step of the genie-bound count.  Per-sample temporaries are
+# _BOUND_CHUNK long, whatever the sample count.
+_BOUND_CHUNK = 1 << 14
+
+
+def _pair_keys(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """One int64 key per (re, im) pair, sorting as the pairs do."""
+    return re * (1 << 32) + (im + (1 << 31))
+
+
+def _key_counts(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct ``keys`` of positive weight, and the summed weight of each."""
+    live = weights > 0
+    keys, inverse = np.unique(keys[live], return_inverse=True)
+    return keys, np.bincount(inverse, weights[live], len(keys)).astype(np.int64)
+
+
+def _gap_histograms(
     gains: Sequence[ComplexGain],
     xr: np.ndarray,
     xi: np.ndarray,
     bit_depth: int,
     zr: np.ndarray,
     zi: np.ndarray,
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """int64 (re, im) pairs floor V, floor Z and C of each sample.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counts of the distinct (re, im) pairs of floor V, floor Z and C over
+    the samples, each in sorted pair order.
 
-    y', v and the deterministic float sum of y depend only on a sample's
+    y', v and the deterministic float sum a of y depend only on a sample's
     input row.  When the 2^(2nK) rows of K links at bit depth n number no
     more than the samples, so that their codes also fit in int64,
-    decompose_batch runs once on every row, with zero noise, and each
-    sample gathers its row's values.  Only y = sum + z (with its exact
-    floor) and the carry are finished per sample, in the same float
-    operations as decompose_batch, so the floors are bit-equal.  Otherwise
-    decompose_batch runs on the samples themselves.
+    decompose_batch runs once on every row, with zero noise.  A sample then
+    needs only its row, its noise cell and its carry bits
+    floor(a + z) - floor(a) - floor(z), in {0, 1} per part, with the sum
+    taken as decompose_batch takes it; its carry is that of the row with
+    zero noise plus the bits.  _BOUND_CHUNK samples at a time add their
+    counts into a (row, bits) table and a noise-cell table, whose sums
+    over rows of equal floor v, cells and rows of equal carry are the
+    histograms.  Otherwise decompose_batch runs on one chunk of samples at
+    a time and the per-chunk pair counts are summed.
     """
-    radix, k = 1 << bit_depth, len(gains)
-    zf_re, zf_im = np.floor(zr).astype(np.int64), np.floor(zi).astype(np.int64)
-    if radix ** (2 * k) > len(zr):
-        b = decompose_batch(gains, xr, xi, bit_depth, zr, zi)
-        return b.v_floor, (zf_re, zf_im), (b.c_re, b.c_im)
-    # The radix code of the row [xr, xi], without copying the two together.
-    code = (_radix_codes(xr, radix) << (bit_depth * k)) | _radix_codes(xi, radix)
+    radix, k, samples = 1 << bit_depth, len(gains), len(zr)
+    chunks = [slice(lo, lo + _BOUND_CHUNK) for lo in range(0, samples, _BOUND_CHUNK)]
+    if radix ** (2 * k) > samples:
+        parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[], [], []]
+        for c in chunks:
+            b = decompose_batch(gains, xr[c], xi[c], bit_depth, zr[c], zi[c])
+            for part, pair in zip(parts, (b.v_floor, b.z_floor, (b.c_re, b.c_im))):
+                part.append(_key_counts(_pair_keys(*pair), np.ones(len(pair[0]))))
+        return tuple(_key_counts(*map(np.concatenate, zip(*part)))[1] for part in parts)
     # Row r holds the digits of code r, first column most significant.
     rows = np.indices((radix,) * (2 * k), dtype=np.int64).reshape(2 * k, -1).T
     zero = np.zeros(len(rows))
     t = decompose_batch(gains, rows[:, :k], rows[:, k:], bit_depth, zero, zero)
+    fa_re, fa_im = np.floor(t.y_re), np.floor(t.y_im)
+    z_lo = (math.floor(zr.min()), math.floor(zi.min()))
+    z_cols = math.floor(zi.max()) - z_lo[1] + 1
+    z_cells = (math.floor(zr.max()) - z_lo[0] + 1) * z_cols
+    joint = np.zeros(4 * len(rows), dtype=np.int64)
+    cells = np.zeros(z_cells, dtype=np.int64)
+    for c in chunks:
+        # The radix code of the row [xr, xi], without copying the two together.
+        code = (_radix_codes(xr[c], radix) << (bit_depth * k)) | _radix_codes(xi[c], radix)
+        fz_re, fz_im = np.floor(zr[c]), np.floor(zi[c])
+        bit_re = np.floor(_add_keeping_floor(t.y_re[code], zr[c])) - fz_re - fa_re[code]
+        bit_im = np.floor(_add_keeping_floor(t.y_im[code], zi[c])) - fz_im - fa_im[code]
+        joint += np.bincount(4 * code + (2 * bit_re + bit_im).astype(np.int64), minlength=len(joint))
+        cell = (fz_re - z_lo[0]) * z_cols + (fz_im - z_lo[1])
+        cells += np.bincount(cell.astype(np.int64), minlength=z_cells)
     vf_re, vf_im = t.v_floor
-    y_re = _add_keeping_floor(t.y_re[code], zr)
-    y_im = _add_keeping_floor(t.y_im[code], zi)
-    c_re = np.floor(y_re).astype(np.int64) - (t.yp_re + vf_re)[code] - zf_re
-    c_im = np.floor(y_im).astype(np.int64) - (t.yp_im + vf_im)[code] - zf_im
-    return (vf_re[code], vf_im[code]), (zf_re, zf_im), (c_re, c_im)
+    c_re = (fa_re.astype(np.int64) - t.yp_re - vf_re)[:, None] + np.array([0, 0, 1, 1])
+    c_im = (fa_im.astype(np.int64) - t.yp_im - vf_im)[:, None] + np.array([0, 1, 0, 1])
+    return (
+        _key_counts(_pair_keys(vf_re, vf_im), joint.reshape(-1, 4).sum(axis=1))[1],
+        cells[cells > 0],
+        _key_counts(_pair_keys(c_re, c_im).reshape(-1), joint)[1],
+    )
 
 
 def _bound_entry(
@@ -663,8 +732,7 @@ def _bound_entry(
     sd = math.sqrt(0.5)
     zr = rng.normal(0.0, sd, samples)
     zi = rng.normal(0.0, sd, samples)
-    v, z, c = _gap_floors(gains, xr, xi, bit_depth, zr, zi)
-    hists = {"v": _pair_histogram(*v), "z": _pair_histogram(*z), "c": _pair_histogram(*c)}
+    hists = dict(zip("vzc", _gap_histograms(gains, xr, xi, bit_depth, zr, zi)))
     ests = {kk: miller_madow_entropy(h) for kk, h in hists.items()}
     cis = {
         kk: bootstrap_entropy_ci(h, seed=ci_seed + i)
@@ -702,9 +770,13 @@ def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundRepo
 
     A reception with K links at bit depth n has 2^(2nK) distinct input
     rows.  When they number no more than ``samples``, each distinct row is
-    decomposed once and only the noise part (y = sum + z and the carry) is
-    finished per sample; otherwise every sample is decomposed.  Both give
-    the same floors, so the report does not depend on the choice.
+    decomposed once, and each sample adds one count to a table indexed by
+    its row and its two carry bits and one to a table of noise cells;
+    otherwise every sample is decomposed.  Either way the samples are taken
+    _BOUND_CHUNK at a time, so past the four draws (xr, xi, zr, zi) the
+    memory is a few chunk-long arrays and the tables, whatever ``samples``
+    is.  Both ways give the same histograms, so the report does not depend
+    on the choice.
     """
     if samples < 1:
         raise ValueError("samples must be positive")

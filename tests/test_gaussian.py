@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,7 @@ from dsnlift.gaussian import (
     ConfigError,
     NoiseSpec,
     _decide,
-    _gap_floors,
+    _gap_histograms,
     bootstrap_entropy_ci,
     exact_gaussian_cell_entropy,
     gaussian_cell_probabilities,
@@ -122,6 +123,42 @@ def test_bootstrap_ci_is_deterministic_and_brackets_the_estimate():
     lo, hi = a
     assert lo < plug_in_entropy(counts) < hi
     assert hi - lo < 0.2
+
+
+def _bootstrap_per_row(counts, seed):
+    """bootstrap_entropy_ci with one miller_madow_entropy call per resample."""
+    c = np.asarray(counts, dtype=np.int64)
+    n = int(c.sum())
+    draws = np.random.default_rng(seed).multinomial(n, c / n, size=200)
+    lo, hi = np.quantile([miller_madow_entropy(row) for row in draws], [0.025, 0.975])
+    return float(lo), float(hi)
+
+
+# Common cells next to rare ones, which some resamples draw and some do not.
+_rare_and_common_counts = st.lists(
+    st.one_of(st.integers(1, 3), st.integers(50, 100_000)), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=_rare_and_common_counts, seed=st.integers(0, 2**32 - 1))
+def test_bootstrap_equals_the_per_resample_loop(counts, seed):
+    assert bootstrap_entropy_ci(np.asarray(counts), seed) == _bootstrap_per_row(counts, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), width=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_miller_madow_rows_equal_the_per_row_estimate(rows, width, seed):
+    # Zero, rare and common cells in every row, so rows differ in sum, in
+    # their nonzero cells and in how many there are; past 8 and 128 cells
+    # numpy sums in blocks.
+    rng = np.random.default_rng(seed)
+    kind = rng.integers(3, size=(rows, width))
+    counts = np.select([kind == 0, kind == 1], [0, rng.integers(1, 4, (rows, width))],
+                       rng.integers(50, 100_000, (rows, width)))
+    counts[:, 0] += 1
+    got = gaussian._miller_madow_rows(counts)
+    assert got.tolist() == [miller_madow_entropy(row) for row in counts]
 
 
 # --- decisions over whole candidates ----------------------------------------
@@ -411,26 +448,42 @@ def test_genie_bounds_mimo_doubles_the_per_antenna_gap():
     assert report.all_within_kappa()
 
 
-def _gap_floors_and_rows(gains, xr, xi, n, zr, zi):
-    """_gap_floors' pairs and the row count of each decompose_batch call."""
+def _pair_histogram(re, im):
+    """Counts of the distinct (re, im) pairs of two int64 arrays, in sorted order."""
+    _, counts = np.unique(re * (1 << 32) + (im + (1 << 31)), return_counts=True)
+    return counts
+
+
+# Samples per chunk in the _gap_histograms tests, so that small examples
+# cross chunk boundaries.
+_TEST_CHUNK = 7
+
+
+def _gap_histograms_and_rows(gains, xr, xi, n, zr, zi):
+    """_gap_histograms' counts and the row count of each decompose_batch call."""
     rows = []
 
     def spy(gains, x_re, *rest):
         rows.append(len(x_re))
         return decompose_batch(gains, x_re, *rest)
 
-    with mock.patch.object(gaussian, "decompose_batch", spy):
-        return _gap_floors(gains, xr, xi, n, zr, zi), rows
+    with mock.patch.object(gaussian, "decompose_batch", spy), \
+            mock.patch.object(gaussian, "_BOUND_CHUNK", _TEST_CHUNK):
+        return _gap_histograms(gains, xr, xi, n, zr, zi), rows
 
 
-def _assert_gap_floors_match_per_sample(gains, xr, xi, n, zr, zi):
-    got, rows = _gap_floors_and_rows(gains, xr, xi, n, zr, zi)
+def _assert_gap_histograms_match_per_sample(gains, xr, xi, n, zr, zi):
+    got, rows = _gap_histograms_and_rows(gains, xr, xi, n, zr, zi)
     b = decompose_batch(gains, xr, xi, n, zr, zi)
-    for pair, want in zip(got, (b.v_floor, b.z_floor, (b.c_re, b.c_im))):
-        for g, w in zip(pair, want):
-            assert g.dtype == np.int64
-            assert np.array_equal(g, w)
+    for g, pair in zip(got, (b.v_floor, b.z_floor, (b.c_re, b.c_im)), strict=True):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, _pair_histogram(*pair))
     return rows
+
+
+def _chunk_rows(samples):
+    """Row counts of decompose_batch over the samples, one chunk at a time."""
+    return [min(_TEST_CHUNK, samples - lo) for lo in range(0, samples, _TEST_CHUNK)]
 
 
 _gain_part = st.one_of(
@@ -449,10 +502,14 @@ _gain_part = st.one_of(
 )
 def test_gap_floors_equal_per_sample_decomposition(data, links, n, seed):
     # Distinct rows are decomposed once when they number no more than the
-    # samples; either way every floor pair equals the per-sample one.
+    # samples, and chunk by chunk otherwise; either way every histogram
+    # equals the one of the per-sample floor pairs.  The sizes give one
+    # sample, exactly one chunk and a partial last chunk.
     gains = [ComplexGain(data.draw(_gain_part), data.draw(_gain_part)) for _ in range(links)]
     distinct = 1 << (2 * n * links)
-    sizes = [distinct - 1, distinct, distinct + 123] if distinct <= 4096 else [1, 200]
+    sizes = [1, _TEST_CHUNK, 200]
+    if distinct <= 4096:
+        sizes += [distinct - 1, distinct, distinct + 123]
     samples = data.draw(st.sampled_from(sizes))
     rng = np.random.default_rng(seed)
     xr = rng.integers(0, 1 << n, size=(samples, links))
@@ -464,8 +521,8 @@ def test_gap_floors_equal_per_sample_decomposition(data, links, n, seed):
                    rng.integers(-16, 17, samples) / 8], np.floor(sums.y_re) - sums.y_re)
     zi = np.select([kind == 0, kind == 1], [rng.normal(0, 0.7, samples),
                    rng.integers(-16, 17, samples) / 8], np.ceil(sums.y_im) - sums.y_im)
-    rows = _assert_gap_floors_match_per_sample(gains, xr, xi, n, zr, zi)
-    assert rows == ([distinct] if distinct <= samples else [samples])
+    rows = _assert_gap_histograms_match_per_sample(gains, xr, xi, n, zr, zi)
+    assert rows == ([distinct] if distinct <= samples else _chunk_rows(samples))
 
 
 def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
@@ -475,7 +532,26 @@ def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
     xr = rng.integers(0, 1 << 16, size=(500, 2))
     xi = rng.integers(0, 1 << 16, size=(500, 2))
     zr, zi = rng.normal(0, 0.7, (2, 500))
-    assert _assert_gap_floors_match_per_sample(gains, xr, xi, 16, zr, zi) == [500]
+    assert _assert_gap_histograms_match_per_sample(gains, xr, xi, 16, zr, zi) == _chunk_rows(500)
+
+
+def test_genie_bounds_memory_stays_at_the_draws_plus_one_chunk(nonlayered_net):
+    # The largest reception's four draws (xr, xi of shape (samples, K) and
+    # zr, zi) are the only sample-long arrays.  Past them the count, its
+    # tables and the bootstrap peak at 1.2 MB (measured); the allowance is
+    # 4 MB.  Keeping the gathers, floors, carries and pair keys of all
+    # 200,000 samples at once adds 14.4 MB.
+    samples = 200_000
+    links = max(len(nonlayered_net.in_edges(j)) for j in range(1, nonlayered_net.node_count))
+    draws = samples * 8 * (2 * links + 2)
+    allowance = 4_000_000
+    tracemalloc.start()
+    try:
+        verify_genie_bounds(nonlayered_net, samples=samples, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < draws + allowance
 
 
 def test_genie_bounds_validation(diamond_net):
