@@ -50,6 +50,7 @@ __all__ = [
     "build_product_code",
     "interleave",
     "deinterleave",
+    "message_bits",
     "search_base_code",
     "serialize_code",
     "deserialize_code",
@@ -476,6 +477,16 @@ def _random_map(
             raise ValueError(f"unknown relay map family {family!r}")
 
 
+def message_bits(block_length: int, rate: float) -> int:
+    """Message bits per block, block_length * rate; ValueError unless a whole number >= 0."""
+    if rate < 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
+    nr = block_length * rate
+    if abs(nr - round(nr)) > 1e-9:
+        raise ValueError(f"block_length * rate must be an integer, got {nr}")
+    return round(nr)
+
+
 def search_base_code(
     net: RelayNetwork,
     block_length: int,
@@ -494,18 +505,19 @@ def search_base_code(
     """
     if block_length < 1:
         raise ValueError("block_length must be >= 1")
-    nr = block_length * rate
-    if abs(nr - round(nr)) > 1e-9:
-        raise ValueError(f"block_length * rate must be an integer, got {nr}")
+    bits = message_bits(block_length, rate)
     if net.antenna_mode != "scalar":
         raise CausalityError("code execution is defined for scalar networks only")
-    K = 1 << round(nr)
     n = net.bit_depth
+    # No block of 2n-bit symbols has more than 2^(2n block_length) values;
+    # testing that before 1 << bits keeps a huge rate from building a
+    # huge integer.
+    if bits > 2 * n * block_length:
+        return None
+    K = 1 << bits
     # Symbol i of the alphabet, in enumerate_alphabet order, has bits
     # (i >> n, i & mask); only the drawn symbols are built.
     mask, size = (1 << n) - 1, 1 << (2 * n)
-    if K > size ** block_length:
-        return None
     causal = net.levels is None
     rng = np.random.default_rng(seed)
     dest = net.destination

@@ -13,8 +13,8 @@ artifact embeds the config hash for provenance, added as it is written.
 Artifacts are written by canonical_json, which produces the bytes of
 json.dumps(doc, sort_keys=True, indent=2) plus a newline without that
 call's pure-Python encoder: it appends the indented layout to one flat
-chunk list, encodes scalars and keys with json's C encoder, and renders
-each shared tuple once per depth.
+chunk list, encodes scalars and keys with json's C encoder, and writes
+each pruned set's reception vectors straight from their digit rows.
 """
 
 from __future__ import annotations
@@ -29,11 +29,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .codes import (
     ProductCode,
     RelayCode,
     deserialize_code,
+    message_bits,
     purify_zero_error,
     search_base_code,
     serialize_code,
@@ -55,6 +58,7 @@ from .lifting import (
 )
 from .network import RelayNetwork, SchemaError, load_network, validate
 from .typicality import (
+    ReceptionVectors,
     _decision_slots,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
@@ -175,8 +179,11 @@ def load_config(text: str) -> ExperimentConfig:
         _require_keys(
             s, {"block_length", "rate", "attempts", "seed"}, {"families"}, "base_code.search"
         )
-        _as_int(s, "block_length", "base_code.search", 1)
-        _as_number(s, "rate", "base_code.search")
+        block_length = _as_int(s, "block_length", "base_code.search", 1)
+        try:
+            message_bits(block_length, _as_number(s, "rate", "base_code.search"))
+        except ValueError as exc:
+            raise ConfigError(f"base_code.search: {exc}") from None
         _as_int(s, "attempts", "base_code.search", 1)
         _as_int(s, "seed", "base_code.search", 0)
         fams = s.get("families")
@@ -224,7 +231,8 @@ def load_config(text: str) -> ExperimentConfig:
         use_off = s.get("use_offsets", True)
         if not isinstance(use_off, bool):
             raise ConfigError("simulate: use_offsets must be a boolean")
-        scale = _as_number({"noise_scale": 1.0, **s}, "noise_scale", "simulate")
+        # Scale 0 is the noiseless debug setting; a negative one is a typo.
+        scale = _as_number({"noise_scale": 1.0, **s}, "noise_scale", "simulate", 0.0)
         sim = SimSettings(
             trials=_as_int(s, "trials", "simulate", 1),
             noise_seed=_as_int(s, "noise_seed", "simulate", 0),
@@ -278,28 +286,18 @@ def _key_text(key: Any) -> str:
     return _encode_scalar(key) + ": "
 
 
-def _append_json(
-    obj: Any,
-    depth: int,
-    chunks: list[str],
-    tuple_spans: dict[tuple[int, int], tuple[int, int]],
-    breaks: list[str],
-) -> None:
+def _append_json(obj: Any, depth: int, chunks: list[str], breaks: list[str]) -> None:
     # Append obj's indented text at depth to chunks.  breaks[d] is a
     # newline plus the indent of depth d.
-    is_tuple = isinstance(obj, tuple)
-    if not (is_tuple or isinstance(obj, (dict, list))):
+    if isinstance(obj, ReceptionVectors):
+        _append_vectors(obj, depth, chunks, breaks)
+        return
+    if not isinstance(obj, (dict, list, tuple)):
         chunks.append(_encode_scalar(obj))
         return
     if not obj:
         chunks.append("{}" if isinstance(obj, dict) else "[]")
         return
-    if is_tuple:
-        span = tuple_spans.get((id(obj), depth))
-        if span is not None:
-            chunks.extend(chunks[span[0]:span[1]])
-            return
-        start = len(chunks)
     inner = depth + 1
     if inner == len(breaks):
         breaks.append(breaks[-1] + "  ")
@@ -311,7 +309,7 @@ def _append_json(
         for key, item in sorted(obj.items()):
             put(sep)
             put(_key_text(key))
-            _append_json(item, inner, chunks, tuple_spans, breaks)
+            _append_json(item, inner, chunks, breaks)
             sep = comma
         put(breaks[depth])
         put("}")
@@ -319,12 +317,48 @@ def _append_json(
     put("[")
     for item in obj:
         put(sep)
-        _append_json(item, inner, chunks, tuple_spans, breaks)
+        _append_json(item, inner, chunks, breaks)
         sep = comma
     put(breaks[depth])
     put("]")
-    if is_tuple:
-        tuple_spans[(id(obj), depth)] = (start, len(chunks))
+
+
+def _append_vectors(
+    vectors: ReceptionVectors, depth: int, chunks: list[str], breaks: list[str]
+) -> None:
+    # Append list(vectors) as laid out at depth: an array of rows at
+    # depth + 1, each an array of alphabet values at depth + 2.
+    digits = vectors.digits
+    if not len(digits):
+        chunks.append("[]")
+        return
+    row_depth, value_depth = depth + 1, depth + 2
+    while len(breaks) <= value_depth:
+        breaks.append(breaks[-1] + "  ")
+    texts = []
+    for value in vectors.alphabet:
+        value_chunks: list[str] = []
+        _append_json(value, value_depth, value_chunks, breaks)
+        texts.append("".join(value_chunks))
+    row_sep, value_sep = breaks[row_depth], breaks[value_depth]
+    close = row_sep + "]" if digits.shape[1] else "[]"
+    # Piece table: the first value of a row opens it, every later value
+    # follows a comma, and the last piece closes the row and starts the next.
+    pieces = (
+        ["[" + value_sep + t for t in texts]
+        + ["," + value_sep + t for t in texts]
+        + [close + "," + row_sep]
+    )
+    size = len(texts)
+    # Row i reads pieces[index[i]]: its first digit, its later digits
+    # shifted by size, then the closing piece.
+    index = np.full((len(digits), digits.shape[1] + 1), 2 * size, dtype=np.int64)
+    index[:, :-1] = digits
+    index[:, 1:-1] += size
+    chunks.append("[" + row_sep)
+    chunks.extend(map(pieces.__getitem__, index.ravel().tolist()))
+    chunks[-1] = close
+    chunks.append(breaks[depth] + "]")
 
 
 def canonical_json(doc: Any) -> str:
@@ -334,17 +368,15 @@ def canonical_json(doc: Any) -> str:
     This writer lays out the same indented text itself: containers append
     their brackets and separators to one flat chunk list, joined once at
     the end, and every scalar and dict key goes through json's C encoder.
-    A tuple's span of chunks is kept per (object identity, depth), so a
-    tuple shared across the document (a reception alphabet value) is
-    rendered once per depth and its chunks are copied after that.  The
-    document keeps every tuple alive for the call, so no id is reused.
-    No string is built per tuple, and the recursion is not a closure,
-    whose reference cycle would keep the chunk list alive after the call:
-    either raised the peak RSS of repeated diamond runs.  Unsupported
-    values raise TypeError as in json.dumps.
+    A ReceptionVectors is written as ``list(vectors)`` would be, straight
+    from its digit rows: each alphabet value is laid out once, and each
+    row is its digits' value texts between fixed separators.  The
+    recursion is not a closure, whose reference cycle would keep the chunk
+    list alive after the call and raise the peak RSS of repeated runs.
+    Unsupported values raise TypeError as in json.dumps.
     """
     chunks: list[str] = []
-    _append_json(doc, 0, chunks, {}, ["\n"])
+    _append_json(doc, 0, chunks, ["\n"])
     chunks.append("\n")
     return "".join(chunks)
 
@@ -534,8 +566,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     "slot": _slot_doc(slot),
                     "exponent": pruned.exponents[slot],
                     "count_bounds": list(pruned.bounds[slot]),
-                    # Alphabet values are tuples, which JSON writes as arrays.
-                    "vectors": list(pruned.sets[slot]),
+                    "vectors": pruned.sets[slot],
                 }
                 for slot in sorted(pruned.sets)
             ],

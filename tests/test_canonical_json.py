@@ -11,6 +11,7 @@ from dsnlift.cli import main
 from dsnlift.gaussian import verify_genie_bounds
 from dsnlift.network import load_network
 from dsnlift.pipeline import _bound_doc, canonical_json, read_input_text
+from dsnlift.typicality import ReceptionVectors
 
 
 def _oracle(doc) -> str:
@@ -49,6 +50,43 @@ _documents = st.recursive(_leaves, _containers, max_leaves=40)
 @given(doc=_documents)
 def test_matches_json_dumps(doc):
     assert canonical_json(doc) == _oracle(doc)
+
+
+_coordinates = st.integers(-3, 3) | st.floats(-2, 2, allow_nan=False)
+_pairs = st.tuples(_coordinates, _coordinates)
+# An interleaved slot's values are bare (re, im) pairs; a block slot's
+# are tuples of pairs, one per symbol of the base block.
+_alphabets = st.sets(_pairs, min_size=1, max_size=5) | st.integers(1, 3).flatmap(
+    lambda n: st.sets(st.tuples(*[_pairs] * n), min_size=1, max_size=5)
+)
+
+
+@st.composite
+def _vector_sets(draw):
+    alphabet = tuple(sorted(draw(_alphabets)))
+    width = draw(st.integers(0, 3))
+    digit = st.integers(0, len(alphabet) - 1)
+    # Lexicographic order of digit rows is their code order.
+    rows = sorted(draw(st.sets(st.tuples(*[digit] * width), max_size=8)))
+    return ReceptionVectors(alphabet, np.asarray(rows, dtype=np.int64).reshape(len(rows), width))
+
+
+def _listed(doc):
+    # The document the writer read before vectors were written straight
+    # from their digit rows: each set as a list of tuples.
+    if isinstance(doc, ReceptionVectors):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: _listed(item) for key, item in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_listed(item) for item in doc)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.recursive(_leaves | _vector_sets(), _containers, max_leaves=12))
+def test_reception_vectors_write_as_their_lists(doc):
+    assert canonical_json(doc) == _oracle(_listed(doc))
 
 
 def test_equal_but_distinct_scalars_in_tuples():

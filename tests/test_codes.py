@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -541,6 +542,14 @@ def test_search_not_found_when_rate_exceeds_zero_error_maximum():
 
 def test_search_rejects_alphabet_overflow_immediately():
     assert search_base_code(_line(2), block_length=1, rate=3.0, attempts=5, seed=0) is None
+    # A codebook size of 2^(10^9) would take 125 MB to write down.
+    tracemalloc.start()
+    try:
+        assert search_base_code(_line(2), block_length=1, rate=1e9, attempts=5, seed=0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_search_on_nonlayered_network_returns_causal_maps(nonlayered_net):

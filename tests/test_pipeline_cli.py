@@ -389,6 +389,29 @@ def test_cli_pipeline_beyond_enumeration_budget_exits_2(tmp_path, capsys):
     assert "budget" in err
 
 
+def _search(rate):
+    return {"search": {"block_length": 1, "rate": rate, "attempts": 2, "seed": 3}}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"network": "line", "base_code": _search(-1.0)}, "rate must be >= 0"),
+        ({"network": "line", "base_code": _search(0.5)}, "must be an integer"),
+        ({"simulate": {**MINI_CONFIG["simulate"], "noise_scale": -1.0}}, "noise_scale"),
+    ],
+    ids=["negative-rate", "fractional-message-bits", "negative-noise-scale"],
+)
+def test_cli_pipeline_out_of_range_config_numbers_exit_2(tmp_path, capsys, changes, message):
+    assert message in _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, **changes}))
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_config_keeps_noise_scale_zero():
+    cfg = _mini_cfg(simulate={**MINI_CONFIG["simulate"], "noise_scale": 0})
+    assert cfg.simulate.noise_scale == 0.0
+
+
 def _code_file(tmp_path, **changes):
     doc = {**json.loads(read_input_text("diamond_code")), **changes}
     path = tmp_path / "code.json"
