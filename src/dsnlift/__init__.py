@@ -27,7 +27,6 @@ from .codes import (
     QuantizeForward,
     RelayCode,
     TableMap,
-    build_product_code,
     deinterleave,
     interleave,
     purify_zero_error,

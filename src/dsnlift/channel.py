@@ -36,6 +36,7 @@ __all__ = [
     "quantize_gain",
     "superposition_output",
     "decompose_received",
+    "check_batch_range",
     "decompose_batch",
     "floor_parts",
 ]
@@ -322,6 +323,25 @@ def _add_keeping_floor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
+def check_batch_range(gains: Sequence[ComplexGain], bit_depth: int) -> None:
+    """Raise ChannelError unless decompose_batch stays in int64 for these
+    gains at this bit depth.
+
+    With Q the largest integer part of a gain component and K links, every
+    int64 intermediate stays in range when
+    bit_length(Q) + bit_depth + bit_length(K) + 2 <= 63.  That also keeps
+    the inputs' numerators below 2**bit_depth inside int64.
+    """
+    # |q x| < Q 2**n bounds each product numerator by 2**(bits(Q) + n + 1);
+    # y', floor(y) and the carry stay below 8 K Q.
+    q_max = max((abs(math.trunc(c)) for g in gains for c in (g.re, g.im)), default=0)
+    if q_max.bit_length() + bit_depth + len(gains).bit_length() + 2 > 63:
+        raise ChannelError(
+            f"gain integer parts up to {q_max} at bit depth {bit_depth} over {len(gains)} "
+            "links can overflow int64"
+        )
+
+
 def decompose_batch(
     gains: Sequence[ComplexGain],
     x_re_bits: np.ndarray,
@@ -337,25 +357,15 @@ def decompose_batch(
     evaluated in int64, the gap terms in float.  y keeps the exact floor
     of its float deterministic sum plus z, so while every term fits in 52
     bits the carries are the exact ones decompose_received returns.
-
-    With Q the largest integer part of a gain component and K links, every
-    int64 intermediate stays in range when
-    bit_length(Q) + bit_depth + bit_length(K) + 2 <= 63; beyond that the
-    call raises ChannelError instead of wrapping around.
+    Beyond the int64 range of check_batch_range the call raises
+    ChannelError instead of wrapping around.
     """
     if x_re_bits.shape != x_im_bits.shape or x_re_bits.ndim != 2:
         raise LengthMismatch("input bit arrays must share a (samples, links) shape")
     if x_re_bits.shape[1] != len(gains):
         raise LengthMismatch(f"{x_re_bits.shape[1]} input columns vs {len(gains)} gains")
     n = bit_depth
-    # |q x| < Q 2**n bounds each product numerator by 2**(bits(Q) + n + 1);
-    # y', floor(y) and the carry stay below 8 K Q.
-    q_max = max((abs(math.trunc(c)) for g in gains for c in (g.re, g.im)), default=0)
-    if q_max.bit_length() + n + len(gains).bit_length() + 2 > 63:
-        raise ChannelError(
-            f"gain integer parts up to {q_max} at bit depth {n} over {len(gains)} "
-            "links can overflow int64"
-        )
+    check_batch_range(gains, n)
     den = 1 << n
     g_re = np.array([g.re for g in gains], dtype=np.float64)
     g_im = np.array([g.im for g in gains], dtype=np.float64)

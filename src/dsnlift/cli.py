@@ -15,7 +15,6 @@ machine-readable artifacts are files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -164,9 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SchemaError, ConfigError, ChannelError, TooLarge,
             BitDepthMismatch, CausalityError, TooManyErrors) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SearchFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

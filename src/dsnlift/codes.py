@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import DiscreteSymbol, Zint, quantize_gain, superposition_output
+from .channel import ChannelError, DiscreteSymbol, Zint, quantize_gain, superposition_output
 from .network import RelayNetwork
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "trace_all",
     "with_derived_decoder",
     "purify_zero_error",
-    "build_product_code",
     "interleave",
     "deinterleave",
     "message_bits",
@@ -287,29 +286,28 @@ def trace_all(net: RelayNetwork, code: RelayCode) -> list[NetworkTrace]:
     return [run_dsn(net, code, m) for m in range(code.message_count)]
 
 
+def _decoder(receptions: Iterable[Reception]) -> dict[Reception, int]:
+    """The table decoder of destination receptions listed in message order.
+
+    Raises TooManyErrors when two messages reach the destination with the
+    same reception, since no decoder exists then.
+    """
+    decoder: dict[Reception, int] = {}
+    for m, r in enumerate(receptions):
+        if r in decoder:
+            raise TooManyErrors(f"messages {decoder[r]} and {m} share a destination reception")
+        decoder[r] = m
+    return decoder
+
+
 def with_derived_decoder(net: RelayNetwork, code: RelayCode) -> RelayCode:
     """Rebuild the decoder table from the code's own traces.
 
     Useful for hand-written codes: construct with an empty decoder, then
-    derive the exact table.  Raises TooManyErrors when two messages reach
-    the destination with the same reception, since no decoder exists then.
+    derive the exact table.  Raises TooManyErrors when no decoder exists.
     """
     traces = trace_all(net, code)
-    decoder: dict[Reception, int] = {}
-    for tr in traces:
-        r = tr.received[net.destination]
-        if r in decoder:
-            raise TooManyErrors(
-                f"messages {decoder[r]} and {tr.message} share a destination reception"
-            )
-        decoder[r] = tr.message
-    return RelayCode(
-        block_length=code.block_length,
-        bit_depth=code.bit_depth,
-        codebook=code.codebook,
-        relay_maps=dict(code.relay_maps),
-        decoder=decoder,
-    )
+    return replace(code, decoder=_decoder(tr.received[net.destination] for tr in traces))
 
 
 def purify_zero_error(net: RelayNetwork, code: RelayCode) -> RelayCode:
@@ -318,15 +316,19 @@ def purify_zero_error(net: RelayNetwork, code: RelayCode) -> RelayCode:
     On a deterministic network each codeword is decoded either always
     correctly or always incorrectly, so an average error delta below 1/2
     means more than half the codewords survive.  The surviving codewords
-    are renumbered in their original order and the decoder is rebuilt from
-    their traces.  Raises TooManyErrors when delta >= 1/2.
+    are renumbered in their original order.  Their traces do not change
+    with the renumbering, so the decoder is rebuilt from the traces that
+    found them.  Raises TooManyErrors when delta >= 1/2.
     """
-    correct = [tr.message for tr in trace_all(net, code) if tr.decoded == tr.message]
+    correct = [tr for tr in trace_all(net, code) if tr.decoded == tr.message]
     delta = 1.0 - len(correct) / code.message_count
     if delta >= 0.5:
         raise TooManyErrors(f"average error {delta:.4f} is not below 0.5; cannot purify")
-    survivors = replace(code, codebook=tuple(code.codebook[m] for m in correct), decoder={})
-    return with_derived_decoder(net, survivors)
+    return replace(
+        code,
+        codebook=tuple(code.codebook[tr.message] for tr in correct),
+        decoder=_decoder(tr.received[net.destination] for tr in correct),
+    )
 
 
 @dataclass
@@ -342,6 +344,10 @@ class ProductCode:
 
     base: RelayCode
     n_rep: int
+
+    def __post_init__(self) -> None:
+        if self.n_rep < 1:
+            raise ValueError("n_rep must be at least 1")
 
     @property
     def codeword_count(self) -> int:
@@ -392,13 +398,6 @@ class ProductCode:
                 return None
             digits.append(d)
         return self.message_index(digits)
-
-
-def build_product_code(code: RelayCode, n_rep: int) -> ProductCode:
-    """Adjoin n_rep base codewords per message.  Expects a zero-error base."""
-    if n_rep < 1:
-        raise ValueError("n_rep must be at least 1")
-    return ProductCode(base=code, n_rep=n_rep)
 
 
 def interleave(codewords: Sequence[Sequence], n_rep: int | None = None) -> tuple[tuple, ...]:
@@ -455,26 +454,28 @@ def _random_table_map(
     return TableMap(bit_depth=bit_depth, entries=tuple(entries), causal=causal)
 
 
+# The relay map families the search draws from.
+_FAMILIES = ("quantize_forward", "modulo", "table")
+
+
 def _random_map(
     rng: np.random.Generator, net: RelayNetwork, node: int, bit_depth: int,
-    block_length: int, causal: bool, families: Sequence[str],
+    block_length: int, causal: bool,
 ) -> RelayMap:
     lim = 1 << bit_depth
+    families = _FAMILIES
     while True:
         family = families[int(rng.integers(len(families)))]
         if family == "quantize_forward":
             return QuantizeForward(bit_depth, shift=int(rng.integers(lim)), causal=causal)
         if family == "modulo":
             return ModuloMap(bit_depth, mult=int(rng.integers(1, max(lim, 2))), causal=causal)
-        if family == "table":
-            tm = _random_table_map(rng, net, node, bit_depth, block_length, causal)
-            if tm is not None:
-                return tm
-            # Domain too large for a table at this node; fall through and
-            # draw again from the parametric families.
-            families = [f for f in families if f != "table"] or ["quantize_forward"]
-        else:
-            raise ValueError(f"unknown relay map family {family!r}")
+        tm = _random_table_map(rng, net, node, bit_depth, block_length, causal)
+        if tm is not None:
+            return tm
+        # Domain too large for a table at this node; draw again from the
+        # parametric families.
+        families = tuple(f for f in families if f != "table")
 
 
 def message_bits(block_length: int, rate: float) -> int:
@@ -493,15 +494,16 @@ def search_base_code(
     rate: float,
     attempts: int,
     seed: int,
-    families: Sequence[str] = ("quantize_forward", "modulo", "table"),
 ) -> RelayCode | None:
     """Randomized search for a zero-error base code.
 
-    Draws random distinct codebooks and random relay maps from the given
+    Draws random distinct codebooks and random relay maps from the three
     families, runs every message, and accepts the first draw for which the
-    destination receptions are pairwise distinct (the rebuilt table decoder
-    is then zero-error by construction).  Returns None when no draw works
-    within the attempt budget; that is an outcome, not an error.
+    destination receptions are pairwise distinct (the table decoder is
+    then zero-error by construction).  Returns None when no draw works
+    within the attempt budget; that is an outcome, not an error.  Raises
+    ChannelError when the 4^n symbols of bit depth n do not fit the int64
+    range the symbols are drawn in.
     """
     if block_length < 1:
         raise ValueError("block_length must be >= 1")
@@ -509,6 +511,8 @@ def search_base_code(
     if net.antenna_mode != "scalar":
         raise CausalityError("code execution is defined for scalar networks only")
     n = net.bit_depth
+    if 2 * n > 63:
+        raise ChannelError(f"bit depth {n} has 4^{n} symbols, beyond the int64 draw range")
     # No block of 2n-bit symbols has more than 2^(2n block_length) values;
     # testing that before 1 << bits keeps a huge rate from building a
     # huge integer.
@@ -530,26 +534,14 @@ def search_base_code(
                 for i in rng.integers(size, size=block_length).tolist()
             ))
         codebook = sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw])
-        maps = {
-            j: _random_map(rng, net, j, n, block_length, causal, families)
-            for j in net.relays
-        }
-        candidate = RelayCode(
-            block_length=block_length,
-            bit_depth=n,
-            codebook=tuple(codebook),
-            relay_maps=maps,
-            decoder={},
-        )
-        decoder: dict[Reception, int] = {}
-        for m in range(K):
-            r = run_dsn(net, candidate, m).received[dest]
-            if r in decoder:
-                break
-            decoder[r] = m
-        else:
-            candidate.decoder = decoder
-            return candidate
+        maps = {j: _random_map(rng, net, j, n, block_length, causal) for j in net.relays}
+        candidate = RelayCode(block_length, n, tuple(codebook), maps, decoder={})
+        try:
+            # Lazy, so the first shared reception ends the draw.
+            candidate.decoder = _decoder(run_dsn(net, candidate, m).received[dest] for m in range(K))
+        except TooManyErrors:
+            continue
+        return candidate
     return None
 
 

@@ -54,7 +54,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, _add_keeping_floor, decompose_batch
+from .channel import ComplexGain, _add_keeping_floor, check_batch_range, decompose_batch
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
 from .network import RelayNetwork
@@ -776,7 +776,8 @@ def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundRepo
     _BOUND_CHUNK at a time, so past the four draws (xr, xi, zr, zi) the
     memory is a few chunk-long arrays and the tables, whatever ``samples``
     is.  Both ways give the same histograms, so the report does not depend
-    on the choice.
+    on the choice.  Every reception passes check_batch_range before the
+    first draw, so a network beyond int64 raises ChannelError at once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -784,23 +785,27 @@ def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundRepo
     mimo = net.antenna_mode == "mimo2x2"
     reference = KappaParams.for_network(net).reference
 
-    entries: list[BoundEntry] = []
+    # (node, antenna, gains, seed key, bootstrap seed) of each reception.
+    receptions = []
     for j in range(1, net.node_count):
         in_edges = net.in_edges(j)
         if not in_edges:
             continue
-        # (antenna, gains, seed key, bootstrap seed) of each reception at j.
         if mimo:
-            receptions = [
-                (ant, [e.gain[r][ant] for e in in_edges for r in (0, 1)],  # type: ignore[index]
+            receptions += [
+                (j, ant, [e.gain[r][ant] for e in in_edges for r in (0, 1)],  # type: ignore[index]
                  [seed, j, ant], seed * 1000 + j * 10 + ant)
                 for ant in (0, 1)
             ]
         else:
-            receptions = [(None, [e.gain for e in in_edges], [seed, j], seed * 1000 + j)]
-        for ant, gains, key, ci_seed in receptions:
-            rng = np.random.default_rng(np.random.SeedSequence(key))
-            entries.append(_bound_entry(j, ant, gains, samples, n, rng, ci_seed, mimo, reference))
+            receptions.append((j, None, [e.gain for e in in_edges], [seed, j], seed * 1000 + j))
+    for _, _, gains, _, _ in receptions:
+        check_batch_range(gains, n)
+    entries = [
+        _bound_entry(j, ant, gains, samples, n, np.random.default_rng(np.random.SeedSequence(key)),
+                     ci_seed, mimo, reference)
+        for j, ant, gains, key, ci_seed in receptions
+    ]
     return BoundReport(
         mode=net.antenna_mode,
         samples=samples,

@@ -22,7 +22,6 @@ __all__ = [
     "SchemaError",
     "Edge",
     "RelayNetwork",
-    "LevelDecomposition",
     "validate",
     "layer_decomposition",
     "load_network",
@@ -78,8 +77,9 @@ class RelayNetwork:
         return compute_bit_depth(self.all_gain_components())
 
     @cached_property
-    def levels(self) -> LevelDecomposition | None:
-        """The BFS-depth partition, or None when the network is not layered."""
+    def levels(self) -> tuple[frozenset[int], ...] | None:
+        """The nodes by BFS depth from the source, one frozenset per depth,
+        or None when the network is not layered."""
         return layer_decomposition(self)
 
     @cached_property
@@ -88,7 +88,7 @@ class RelayNetwork:
         sorted within a level, when layered; by id otherwise."""
         if self.levels is None:
             return tuple(range(self.node_count))
-        return tuple(j for level in self.levels.levels for j in sorted(level))
+        return tuple(j for level in self.levels for j in sorted(level))
 
     def in_edges(self, node: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.dst == node)
@@ -106,13 +106,6 @@ class RelayNetwork:
                 for row in e.gain:  # type: ignore[union-attr]
                     out.extend(row)
         return out
-
-
-@dataclass(frozen=True)
-class LevelDecomposition:
-    """Partition of the nodes by BFS depth from the source."""
-
-    levels: tuple[frozenset[int], ...]
 
 
 def validate(net: RelayNetwork) -> list[str]:
@@ -140,7 +133,7 @@ def validate(net: RelayNetwork) -> list[str]:
             problems.append(f"duplicate edge {e.src}->{e.dst}")
         seen.add((e.src, e.dst))
 
-    if not _has_path(net, net.source, net.destination):
+    if net.destination not in _depths(net):
         problems.append("no path from source to destination")
     if net.node_count > 2 and not any(
         e.src == net.source and e.dst == 1 for e in net.edges
@@ -149,52 +142,41 @@ def validate(net: RelayNetwork) -> list[str]:
     return problems
 
 
-def _has_path(net: RelayNetwork, a: int, b: int) -> bool:
+def _depths(net: RelayNetwork) -> dict[int, int]:
+    """BFS depth from the source of every node reachable from it."""
     adj: dict[int, list[int]] = {}
     for e in net.edges:
         adj.setdefault(e.src, []).append(e.dst)
-    seen = {a}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            return True
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return False
-
-
-def layer_decomposition(net: RelayNetwork) -> LevelDecomposition | None:
-    """BFS-depth partition when every edge crosses exactly one level.
-
-    Returns None when the network is not layered: some node is not
-    reachable from the source, or some edge does not go from depth k to
-    depth k + 1.  Callers route non-layered networks to the interleaved
-    transmission scheme instead.
-    """
-    depth: dict[int, int] = {net.source: 0}
+    depth = {net.source: 0}
     queue = deque([net.source])
-    adj: dict[int, list[int]] = {}
-    for e in net.edges:
-        adj.setdefault(e.src, []).append(e.dst)
     while queue:
         u = queue.popleft()
         for w in adj.get(u, ()):
             if w not in depth:
                 depth[w] = depth[u] + 1
                 queue.append(w)
+    return depth
+
+
+def layer_decomposition(net: RelayNetwork) -> tuple[frozenset[int], ...] | None:
+    """The nodes by BFS depth from the source, when every edge crosses
+    exactly one level.
+
+    Returns None when the network is not layered: some node is not
+    reachable from the source, or some edge does not go from depth k to
+    depth k + 1.  Callers route non-layered networks to the interleaved
+    transmission scheme instead.
+    """
+    depth = _depths(net)
     if len(depth) != net.node_count:
         return None
     for e in net.edges:
         if depth[e.dst] != depth[e.src] + 1:
             return None
-    n_levels = max(depth.values()) + 1
-    levels = [set() for _ in range(n_levels)]
+    levels = [set() for _ in range(max(depth.values()) + 1)]
     for node, d in depth.items():
         levels[d].add(node)
-    return LevelDecomposition(tuple(frozenset(lv) for lv in levels))
+    return tuple(frozenset(lv) for lv in levels)
 
 
 # --- serialization ---------------------------------------------------------

@@ -105,8 +105,8 @@ class BoundSettings:
 class ExperimentConfig:
     """Everything a pipeline run depends on, seeds included.
 
-    base_code is either {"search": {block_length, rate, attempts, seed
-    [, families]}} or {"file": <shipped name or path>}.  eta is a number
+    base_code is either {"search": {block_length, rate, attempts, seed}}
+    or {"file": <shipped name or path>}.  eta is a number
     or the string "epsilon2" (tie the pruning slack to each slot's
     epsilon_2).  kappa_override None means the node-count formula value,
     which starves every slot at enumerable sizes; the CLI reports that
@@ -176,9 +176,7 @@ def load_config(text: str) -> ExperimentConfig:
         s = bc["search"]
         if not isinstance(s, dict):
             raise ConfigError("config: base_code.search must be an object")
-        _require_keys(
-            s, {"block_length", "rate", "attempts", "seed"}, {"families"}, "base_code.search"
-        )
+        _require_keys(s, {"block_length", "rate", "attempts", "seed"}, set(), "base_code.search")
         block_length = _as_int(s, "block_length", "base_code.search", 1)
         try:
             message_bits(block_length, _as_number(s, "rate", "base_code.search"))
@@ -186,11 +184,6 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"base_code.search: {exc}") from None
         _as_int(s, "attempts", "base_code.search", 1)
         _as_int(s, "seed", "base_code.search", 0)
-        fams = s.get("families")
-        if fams is not None and not (
-            isinstance(fams, list) and all(isinstance(f, str) for f in fams)
-        ):
-            raise ConfigError("base_code.search: families must be a list of strings")
     else:
         if not isinstance(bc["file"], str):
             raise ConfigError("config: base_code.file must be a string")
@@ -432,14 +425,12 @@ def _load_base_code(cfg: ExperimentConfig, net: RelayNetwork) -> tuple[RelayCode
         meta = {"source": "file", "file": name}
     else:
         s = cfg.base_code["search"]
-        families = tuple(s.get("families", ("quantize_forward", "modulo", "table")))
         code = search_base_code(
             net,
             block_length=s["block_length"],
             rate=s["rate"],
             attempts=s["attempts"],
             seed=s["seed"],
-            families=families,
         )
         if code is None:
             raise SearchFailed(

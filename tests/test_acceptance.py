@@ -27,10 +27,10 @@ from dsnlift.channel import (
 from dsnlift.codes import (
     CausalityError,
     ModuloMap,
+    ProductCode,
     QuantizeForward,
     RelayCode,
     TooManyErrors,
-    build_product_code,
     deinterleave,
     deserialize_code,
     enumerate_alphabet,
@@ -86,7 +86,7 @@ def _line_base(net: RelayNetwork, block_length: int, count: int) -> RelayCode:
 
 
 def _diamond_sets(net, code, n_rep, epsilon):
-    product = build_product_code(code, n_rep)
+    product = ProductCode(code, n_rep)
     sets = {}
     for j in range(1, net.node_count):
         ts = enumerate_typical_receptions(net, product, j, epsilon=epsilon)
@@ -375,7 +375,7 @@ def test_criterion_07_reception_preimages_partition_the_codebook(
         ("line", line_net, _line_base(line_net, 1, 4), 8),
         ("diamond", diamond_net, diamond_code, 8),
     ):
-        product = build_product_code(base, n_rep)
+        product = ProductCode(base, n_rep)
         total = product.codeword_count
         assert total <= 1 << 16
         flat = RelayCode(
@@ -408,7 +408,7 @@ def test_criterion_07_reception_preimages_partition_the_codebook(
     assert base is not None
     traces = trace_all(nonlayered_net, base)
     assert all(tr.received == trace_all(nonlayered_net, base)[k].received for k, tr in enumerate(traces))
-    product = build_product_code(base, 8)
+    product = ProductCode(base, 8)
     total = product.codeword_count
     assert total <= 1 << 16
     for j in range(1, nonlayered_net.node_count):

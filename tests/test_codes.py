@@ -27,7 +27,6 @@ from dsnlift.codes import (
     RelayCode,
     TableMap,
     TooManyErrors,
-    build_product_code,
     deinterleave,
     deserialize_code,
     enumerate_alphabet,
@@ -39,6 +38,7 @@ from dsnlift.codes import (
     trace_all,
     with_derived_decoder,
     _random_map,
+    _random_table_map,
 )
 from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network
 from dsnlift.pipeline import read_input_text
@@ -215,7 +215,7 @@ def test_code_execution_needs_a_scalar_network():
         run_dsn(mimo, code, 0)
     # Before a table map would read the two-antenna gains.
     with pytest.raises(CausalityError):
-        search_base_code(mimo, block_length=1, rate=1.0, attempts=5, seed=0, families=("table",))
+        search_base_code(mimo, block_length=1, rate=1.0, attempts=5, seed=0)
 
 
 def test_run_dsn_synchronous_schedule_on_nonlayered_network(nonlayered_net):
@@ -258,7 +258,7 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
 
     levels = layer_decomposition(net)
     if levels is not None:
-        for level in levels.levels[1:]:
+        for level in levels[1:]:
             for j in sorted(level):
                 block = tuple(receive(j, tx, t) for t in range(1, N + 1))
                 rx[j] = block
@@ -349,8 +349,7 @@ def _random_code(draw, net: RelayNetwork, causal_only: bool) -> RelayCode:
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     maps = {
-        j: _random_map(rng, net, j, n, N, causal_only or draw(st.booleans()),
-                       ("quantize_forward", "modulo", "table"))
+        j: _random_map(rng, net, j, n, N, causal_only or draw(st.booleans()))
         for j in range(1, net.node_count) if j != net.destination
     }
     return RelayCode(
@@ -438,7 +437,7 @@ def test_purify_rejects_half_faulty(line_net):
 
 
 def test_product_code_counts_and_digits(diamond_code):
-    product = build_product_code(diamond_code, 3)
+    product = ProductCode(diamond_code, 3)
     assert product.codeword_count == 64
     assert product.block_length == 6
     assert product.rate == diamond_code.rate
@@ -448,18 +447,18 @@ def test_product_code_counts_and_digits(diamond_code):
     with pytest.raises(ValueError):
         product.message_tuple(64)
     with pytest.raises(ValueError):
-        build_product_code(diamond_code, 0)
+        ProductCode(diamond_code, 0)
 
 
 def test_product_code_single_use_is_the_base(diamond_code):
-    product = build_product_code(diamond_code, 1)
+    product = ProductCode(diamond_code, 1)
     assert product.codeword_count == diamond_code.message_count
     for m in range(diamond_code.message_count):
         assert product.codeword(m) == diamond_code.codebook[m]
 
 
 def test_product_code_decodes_per_block(diamond_net, diamond_code):
-    product = build_product_code(diamond_code, 2)
+    product = ProductCode(diamond_code, 2)
     traces = trace_all(diamond_net, diamond_code)
     dest = diamond_net.destination
     for idx in (0, 5, 9, 15):
@@ -480,7 +479,7 @@ def test_product_code_index_round_trip(k, n_rep, data):
         relay_maps={},
         decoder={},
     )
-    product = build_product_code(base, n_rep)
+    product = ProductCode(base, n_rep)
     idx = data.draw(st.integers(0, product.codeword_count - 1))
     digits = product.message_tuple(idx)
     assert len(digits) == n_rep
@@ -562,6 +561,27 @@ def test_search_on_nonlayered_network_returns_causal_maps(nonlayered_net):
         assert tr.decoded == tr.message
 
 
+def test_search_falls_back_from_a_table_the_reception_domain_outgrows():
+    # Gain 200 at bit depth 7: node 1 hears 401^2 receptions, so a table of
+    # one block would need more than 20,000 entries.
+    net = _line(200)
+    n = net.bit_depth
+    assert _random_table_map(np.random.default_rng(0), net, 1, n, 1, False) is None
+    # Seed 2 draws the table family first, then quantize_forward from the
+    # two parametric families, then the shift.
+    replay = np.random.default_rng(2)
+    assert int(replay.integers(3)) == 2 and int(replay.integers(2)) == 0
+    want = QuantizeForward(n, shift=int(replay.integers(1 << n)))
+    assert _random_map(np.random.default_rng(2), net, 1, n, 1, False) == want
+    for seed in range(10):
+        assert not isinstance(_random_map(np.random.default_rng(seed), net, 1, n, 1, False), TableMap)
+    for seed in range(3):
+        code = search_base_code(net, block_length=1, rate=1.0, attempts=20, seed=seed)
+        assert code is not None
+        assert code == search_base_code(net, block_length=1, rate=1.0, attempts=20, seed=seed)
+        assert not isinstance(code.relay_maps[1], TableMap)
+
+
 def _alphabet_search(net, block_length, rate, attempts, seed):
     """The base-code search drawing its symbols from the whole alphabet, as
     enumerate_alphabet lists it; kept as the reference for search_base_code."""
@@ -569,7 +589,6 @@ def _alphabet_search(net, block_length, rate, attempts, seed):
     n = compute_bit_depth(net.all_gain_components())
     alphabet = enumerate_alphabet(n)
     causal = layer_decomposition(net) is None
-    families = ("quantize_forward", "modulo", "table")
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
         picks = set()
@@ -577,7 +596,7 @@ def _alphabet_search(net, block_length, rate, attempts, seed):
             picks.add(tuple(alphabet[int(i)] for i in rng.integers(len(alphabet), size=block_length)))
         codebook = tuple(sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw]))
         maps = {
-            j: _random_map(rng, net, j, n, block_length, causal, families)
+            j: _random_map(rng, net, j, n, block_length, causal)
             for j in range(1, net.node_count - 1)
         }
         code = RelayCode(block_length, n, codebook, maps, {})

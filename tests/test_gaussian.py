@@ -18,7 +18,6 @@ from dsnlift.codes import (
     ProductCode,
     QuantizeForward,
     RelayCode,
-    build_product_code,
     enumerate_alphabet,
     search_base_code,
     with_derived_decoder,
@@ -49,7 +48,7 @@ EXACT_CELL_ENTROPY = 1.658382319503
 
 
 def _diamond_lifted(diamond_net, diamond_code, n_rep, kappa_override=0.25, seed=77):
-    product = build_product_code(diamond_code, n_rep)
+    product = ProductCode(diamond_code, n_rep)
     sets = {}
     for j in range(1, diamond_net.node_count):
         ts = enumerate_typical_receptions(diamond_net, product, j, epsilon=3.0)
@@ -275,7 +274,7 @@ def test_simulation_input_validation(diamond_net, diamond_code):
 
     # Empty lifted code: wide reception sets, but the eps = 0 digit filter
     # at n_rep = 3 rejects every codeword (no exactly balanced sequence).
-    product3 = build_product_code(diamond_code, 3)
+    product3 = ProductCode(diamond_code, 3)
     sets = {}
     for j in range(1, diamond_net.node_count):
         ts = enumerate_typical_receptions(diamond_net, product3, j, epsilon=3.0)
@@ -310,7 +309,7 @@ def test_simulation_rejects_mismatched_networks(diamond_net, diamond_code):
 
 def test_simulation_rejects_slot_type_mismatch(diamond_net, diamond_code):
     # Per-symbol slots on a layered network are a scheduling mismatch.
-    product = build_product_code(diamond_code, 2)
+    product = ProductCode(diamond_code, 2)
     sets = {}
     for j in range(1, diamond_net.node_count):
         for t in (1, 2):
@@ -352,7 +351,7 @@ def test_layered_simulation_with_a_destination_out_edge():
         node_count=4, edges=(Edge(0, 1, g), Edge(0, 3, g), Edge(1, 2, g), Edge(3, 2, g))
     )
     assert validate(net) == []
-    assert layer_decomposition(net).levels == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
+    assert layer_decomposition(net) == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
     base = search_base_code(net, block_length=1, rate=1, attempts=100, seed=3)
     product = ProductCode(base, 2)
     lifted = _lift(net, product, epsilon=3.0, kappa_override=0.0, seed=1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dsnlift.codes import ProductCode, build_product_code, search_base_code, trace_all
+from dsnlift.codes import ProductCode, search_base_code, trace_all
 from dsnlift.lifting import (
     EmptyResult,
     KappaParams,
@@ -51,7 +51,7 @@ def _manual_set(vector_count: int, n_rep: int, eps2: float = 0.5) -> TypicalSet:
 
 
 def _diamond_sets(diamond_net, diamond_code, n_rep, epsilon):
-    product = build_product_code(diamond_code, n_rep)
+    product = ProductCode(diamond_code, n_rep)
     sets = {}
     for j in range(1, diamond_net.node_count):
         ts = enumerate_typical_receptions(diamond_net, product, j, epsilon)

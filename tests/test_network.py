@@ -57,11 +57,11 @@ def test_validate_flags_structural_problems():
 def test_layer_decomposition_shapes(line_net, diamond_net, nonlayered_net):
     line_levels = layer_decomposition(line_net)
     assert line_levels is not None
-    assert [set(lv) for lv in line_levels.levels] == [{0}, {1}, {2}]
+    assert [set(lv) for lv in line_levels] == [{0}, {1}, {2}]
 
     diamond_levels = layer_decomposition(diamond_net)
     assert diamond_levels is not None
-    assert [set(lv) for lv in diamond_levels.levels] == [{0}, {1, 2}, {3}]
+    assert [set(lv) for lv in diamond_levels] == [{0}, {1, 2}, {3}]
 
     assert layer_decomposition(nonlayered_net) is None
 

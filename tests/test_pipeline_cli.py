@@ -1,6 +1,7 @@
 """Experiment pipeline and command-line interface tests."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,7 @@ def test_load_config_shipped_diamond():
         lambda d: d.update(
             base_code={"search": {"block_length": 1, "rate": 1.0, "attempts": 1, "seed": -1}}
         ),
+        lambda d: d.update(base_code={"search": {**_search(1.0)["search"], "families": ["table"]}}),
     ],
 )
 def test_load_config_rejects_bad_documents(mutate):
@@ -306,6 +308,23 @@ def test_cli_pipeline_method_override_needs_simulate_section(tmp_path, capsys):
     assert "simulate" in capsys.readouterr().err
 
 
+def test_cli_pipeline_method_and_seed_overrides_reach_the_artifacts(tmp_path, capsys):
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_CONFIG))
+    plain, changed = tmp_path / "plain", tmp_path / "changed"
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    argv = ["pipeline", "--config", str(cfg_path), "--out", str(changed),
+            "--method", "threshold", "--seed", "5"]
+    assert cli.main(argv) == 0
+    config = json.loads((changed / "config.json").read_text())
+    sim = json.loads((changed / "simulation.json").read_text())
+    assert MINI_CONFIG["simulate"]["method"] == "ml" and MINI_CONFIG["simulate"]["noise_seed"] == 3
+    assert config["config"]["simulate"]["method"] == "threshold"
+    assert config["config"]["simulate"]["noise_seed"] == 5
+    assert (sim["method"], sim["noise_seed"]) == ("threshold", 5)
+    assert config["config_hash"] != json.loads((plain / "config.json").read_text())["config_hash"]
+
+
 def test_cli_pipeline_search_exhaustion_exits_3(tmp_path, capsys):
     doc = dict(MINI_CONFIG)
     doc["network"] = "line"
@@ -435,3 +454,37 @@ def test_cli_pipeline_code_whose_decoder_is_always_wrong_exits_2(tmp_path, capsy
     path = _code_file(tmp_path, decoder=[[r, (m + 1) % len(decoder)] for r, m in decoder])
     err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
     assert "cannot purify" in err
+
+
+def _line_file(tmp_path, *gains):
+    """A line network 0 -> 1 -> ... with one real decimal-string gain per edge."""
+    edges = [{"from": i, "to": i + 1, "gain": {"re": g, "im": "0"}} for i, g in enumerate(gains)]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"nodes": len(gains) + 1, "antenna_mode": "scalar", "edges": edges}))
+    return str(path)
+
+
+def test_cli_pipeline_search_beyond_int64_draws_exits_2(tmp_path, capsys):
+    # Gain 2^32: bit depth 32, whose 4^32 symbols do not fit an int64 draw.
+    doc = {**MINI_CONFIG, "network": _line_file(tmp_path, "4294967296", "4294967296"),
+           "base_code": _search(1.0)}
+    assert "int64" in _assert_input_error(capsys, _run_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "gains",
+    [("1e30",), ("2", "1099511627776")],
+    ids=["bit-depth-99", "second-reception-at-bit-depth-40"],
+)
+def test_cli_bounds_checks_int64_range_before_drawing(tmp_path, capsys, gains):
+    # 10^6 samples draw 8 MB per input or noise array of a reception; the
+    # check must come first, also for a network whose first reception fits.
+    argv = ["bounds", "--network", _line_file(tmp_path, *gains), "--samples", "1000000"]
+    tracemalloc.start()
+    try:
+        err = _assert_input_error(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "overflow int64" in err
+    assert peak < 1 << 22

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dsnlift import typicality
 from dsnlift.channel import ComplexGain
-from dsnlift.codes import RelayCode, build_product_code, trace_all
+from dsnlift.codes import ProductCode, RelayCode, trace_all
 from dsnlift.network import Edge, RelayNetwork
 from dsnlift.typicality import (
     FiniteDistribution,
@@ -130,7 +130,7 @@ def test_joint_typicality_of_deterministic_tuples(diamond_net, diamond_code):
 
 
 def test_typical_reception_counts_loose_and_exact(diamond_net, diamond_code):
-    product = build_product_code(diamond_code, 2)
+    product = ProductCode(diamond_code, 2)
     loose = enumerate_typical_receptions(diamond_net, product, 1, epsilon=3.0)
     assert len(loose.vectors) == 16
     assert loose.slot == 1
@@ -138,7 +138,7 @@ def test_typical_reception_counts_loose_and_exact(diamond_net, diamond_code):
 
     # With eps = 0 a typical vector must hit each block exactly n_rep/4
     # times; at n_rep = 4 that means one appearance each: 4! vectors.
-    product4 = build_product_code(diamond_code, 4)
+    product4 = ProductCode(diamond_code, 4)
     strict = enumerate_typical_receptions(diamond_net, product4, 1, epsilon=0.0)
     assert len(strict.vectors) == 24
 
@@ -146,7 +146,7 @@ def test_typical_reception_counts_loose_and_exact(diamond_net, diamond_code):
 def test_typical_set_envelope_bounds_cardinality(diamond_net, diamond_code):
     # H per reception block is exactly 2 bits here, so the envelope
     # 2^{n_rep (H +/- eps2)} must bracket the enumerated count.
-    product = build_product_code(diamond_code, 4)
+    product = ProductCode(diamond_code, 4)
     ts = enumerate_typical_receptions(diamond_net, product, 3, epsilon=0.05)
     lo, hi = ts.envelope
     assert lo <= hi
@@ -157,7 +157,7 @@ def test_typical_set_envelope_bounds_cardinality(diamond_net, diamond_code):
 
 
 def test_typical_symbol_vectors_for_interleaving(diamond_net, diamond_code):
-    product = build_product_code(diamond_code, 4)
+    product = ProductCode(diamond_code, 4)
     ts = enumerate_typical_symbol_vectors(diamond_net, product, 1, t=2, epsilon=0.0)
     assert ts.slot == (1, 2)
     assert len(ts.vectors) == 24
@@ -166,7 +166,7 @@ def test_typical_symbol_vectors_for_interleaving(diamond_net, diamond_code):
 
 
 def test_typical_enumeration_budget(diamond_net, diamond_code):
-    product = build_product_code(diamond_code, 12)
+    product = ProductCode(diamond_code, 12)
     with pytest.raises(TooLarge):
         enumerate_typical_receptions(diamond_net, product, 1, epsilon=1.0)
 
@@ -231,7 +231,7 @@ def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_c
         return is_strongly_typical(seq, dist, epsilon)
 
     monkeypatch.setattr(typicality, "is_strongly_typical", counted)
-    product = build_product_code(diamond_code, 8)
+    product = ProductCode(diamond_code, 8)
     ts = enumerate_typical_receptions(diamond_net, product, 1, epsilon=0.5)
     # Four equiprobable blocks, n_rep = 8: C(11, 3) = 165 types.
     assert len(calls) == 165
