@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .channel import (
     ComplexGain,
     Decomposition,
-    DiscreteSymbol,
     QuantizedGain,
     compute_bit_depth,
     decompose_received,

@@ -3,10 +3,13 @@
 A Gaussian relay link carries y = sum_i h_i x_i + z with complex gains h_i
 and unit-power inputs.  The discrete counterpart replaces each gain by its
 componentwise integer truncation and each input by a complex number whose
-real and imaginary parts are n-bit fractions in [0, 1).  All discrete
-arithmetic here is exact: inputs are stored as integer numerators over
-2**n and every product is evaluated in integer arithmetic before the
-truncation, so no float rounding can leak into the discrete outputs.
+real and imaginary parts are n-bit fractions in [0, 1).  A symbol is held
+as its integer numerators over 2**n, an (re_bits, im_bits) pair like the
+Gaussian-integer receptions; the bit depth n is not stored on it but
+passed in, and it belongs to the network and the code.  All discrete
+arithmetic here is exact: every product is evaluated in integer
+arithmetic before the truncation, so no float rounding can leak into the
+discrete outputs.
 
 Truncation is always toward zero and acts componentwise on the real and
 imaginary parts.  The floor-based decomposition of a noisy reception uses
@@ -29,11 +32,11 @@ __all__ = [
     "LengthMismatch",
     "ComplexGain",
     "QuantizedGain",
-    "DiscreteSymbol",
     "Decomposition",
     "DecompositionBatch",
     "compute_bit_depth",
     "quantize_gain",
+    "symbol_value",
     "superposition_output",
     "decompose_received",
     "check_batch_range",
@@ -86,42 +89,10 @@ class QuantizedGain:
     im: int = 0
 
 
-@dataclass(frozen=True)
-class DiscreteSymbol:
-    """One discrete channel input.
-
-    The real part is ``re_bits / 2**bit_depth`` and likewise for the
-    imaginary part, so both components lie on the n-bit fraction grid
-    {0, 2**-n, ..., 1 - 2**-n}.
-    """
-
-    re_bits: int
-    im_bits: int
-    bit_depth: int
-
-    def __post_init__(self) -> None:
-        n = self.bit_depth
-        if n < 1:
-            raise ChannelError(f"bit_depth must be >= 1, got {n}")
-        lim = 1 << n
-        if not (0 <= self.re_bits < lim and 0 <= self.im_bits < lim):
-            raise ChannelError(
-                f"symbol bits ({self.re_bits}, {self.im_bits}) out of range for bit depth {n}"
-            )
-
-    def as_complex(self) -> complex:
-        # Dyadic fractions with n <= 52 are exact in binary64.
-        d = float(1 << self.bit_depth)
-        return complex(self.re_bits / d, self.im_bits / d)
-
-    @classmethod
-    def zero(cls, bit_depth: int) -> "DiscreteSymbol":
-        return cls(0, 0, bit_depth)
-
-
 # A Gaussian integer, kept as an exact (re, im) int pair.  Tuples keep the
 # reception alphabet hashable and cheap, which matters once receptions are
-# used as dictionary keys in decoders and typical-set machinery.
+# used as dictionary keys in decoders and typical-set machinery.  A channel
+# input is the same pair type: (re_bits, im_bits) with 0 <= bits < 2**n.
 Zint = tuple[int, int]
 
 
@@ -185,23 +156,31 @@ def quantize_gain(h: ComplexGain) -> QuantizedGain:
 Mimo = tuple[tuple[ComplexGain, ComplexGain], tuple[ComplexGain, ComplexGain]]
 
 
+def symbol_value(x: Zint, bit_depth: int) -> complex:
+    """The complex input (re_bits + i im_bits) / 2**bit_depth of a symbol."""
+    # Dyadic fractions with n <= 52 are exact in binary64.
+    d = float(1 << bit_depth)
+    return complex(x[0] / d, x[1] / d)
+
+
 def superposition_output(
-    inputs: Sequence[DiscreteSymbol], gains: Sequence[QuantizedGain]
+    inputs: Sequence[Zint], gains: Sequence[QuantizedGain], bit_depth: int
 ) -> Zint:
     """Discrete reception: sum of truncated quantized-gain products.
 
+    Each input is an (re_bits, im_bits) pair on the grid of ``bit_depth``.
     Each product is evaluated exactly on the dyadic grid, truncated toward
     zero componentwise, and the truncated Gaussian integers are summed.
     """
     if len(inputs) != len(gains):
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
+    n = bit_depth
     re = im = 0
-    for x, g in zip(inputs, gains):
+    for (p, q), g in zip(inputs, gains):
         # (a + bi)(p + qi) / 2**n exactly: shift the integer numerators,
         # rounding their magnitudes down, so each part truncates toward zero.
-        n = x.bit_depth
-        num_re = g.re * x.re_bits - g.im * x.im_bits
-        num_im = g.re * x.im_bits + g.im * x.re_bits
+        num_re = g.re * p - g.im * q
+        num_im = g.re * q + g.im * p
         re += num_re >> n if num_re >= 0 else -(-num_re >> n)
         im += num_im >> n if num_im >= 0 else -(-num_im >> n)
     return (re, im)
@@ -224,9 +203,10 @@ def _float_view(num: int, exp: int) -> float:
 
 
 def decompose_received(
-    inputs: Sequence[DiscreteSymbol],
+    inputs: Sequence[Zint],
     gains: Sequence[ComplexGain],
     noise: complex,
+    bit_depth: int,
 ) -> Decomposition:
     """Genie split y = y' + v + z with integer carry.
 
@@ -247,16 +227,16 @@ def decompose_received(
     """
     if len(inputs) != len(gains):
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
-    y_prime = superposition_output(inputs, [quantize_gain(g) for g in gains])
+    n = bit_depth
+    y_prime = superposition_output(inputs, [quantize_gain(g) for g in gains], n)
 
     # (numerator, exponent) terms of sum h x, per component.
     re_terms: list[tuple[int, int]] = []
     im_terms: list[tuple[int, int]] = []
-    for x, g in zip(inputs, gains):
+    for (p, q), g in zip(inputs, gains):
         (a, ea), (b, eb) = _dyadic(g.re), _dyadic(g.im)
-        n = x.bit_depth
-        re_terms += [(a * x.re_bits, ea + n), (-b * x.im_bits, eb + n)]
-        im_terms += [(a * x.im_bits, ea + n), (b * x.re_bits, eb + n)]
+        re_terms += [(a * p, ea + n), (-b * q, eb + n)]
+        im_terms += [(a * q, ea + n), (b * p, eb + n)]
     z_re, z_im = _dyadic(noise.real), _dyadic(noise.imag)
     s = max(e for _, e in (*re_terms, *im_terms, z_re, z_im))
     hx_re = sum(m << (s - e) for m, e in re_terms)

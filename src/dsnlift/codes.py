@@ -1,7 +1,10 @@
 """Codes on the discrete superposition network.
 
 A relay code is a codebook for the source plus one deterministic map per
-relay.  Relay maps come in two memory models:
+relay.  A symbol is an (re_bits, im_bits) int pair, both in [0, 2**n);
+the code owns the bit depth n, and every relay map of a code has the
+code's.  The code and its table maps check their symbols once, when they
+are built.  Relay maps come in two memory models:
 
 * block maps, for layered networks, where the symbol a node emits at
   time t may use its reception at the same t, which the previous level
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelError, DiscreteSymbol, Zint, quantize_gain, superposition_output
+from .channel import ChannelError, Zint, quantize_gain, superposition_output
 from .network import RelayNetwork
 
 __all__ = [
@@ -42,10 +45,8 @@ __all__ = [
     "RelayCode",
     "ProductCode",
     "NetworkTrace",
-    "enumerate_alphabet",
     "run_dsn",
     "trace_all",
-    "with_derived_decoder",
     "purify_zero_error",
     "interleave",
     "deinterleave",
@@ -68,10 +69,15 @@ class CausalityError(ValueError):
     """A non-causal relay map was scheduled on a non-layered network."""
 
 
-def enumerate_alphabet(bit_depth: int) -> list[DiscreteSymbol]:
-    """All 4**bit_depth discrete symbols, in (re_bits, im_bits) order."""
+def _check_symbols(symbols: Iterable[Zint], bit_depth: int) -> None:
+    """ChannelError unless bit_depth >= 1 and both bits of every symbol lie
+    in [0, 2**bit_depth)."""
+    if bit_depth < 1:
+        raise ChannelError(f"bit_depth must be >= 1, got {bit_depth}")
     lim = 1 << bit_depth
-    return [DiscreteSymbol(r, i, bit_depth) for r in range(lim) for i in range(lim)]
+    for re, im in symbols:
+        if not (0 <= re < lim and 0 <= im < lim):
+            raise ChannelError(f"symbol bits ({re}, {im}) out of range for bit depth {bit_depth}")
 
 
 def _grid(value: int, shift: int, mult: int, bit_depth: int) -> int:
@@ -93,10 +99,15 @@ class RelayMap:
     causal: bool = False
     bit_depth: int
 
-    def emit(self, t: int, visible: Sequence[Zint]) -> DiscreteSymbol:
+    def __post_init__(self) -> None:
+        _check_symbols((), self.bit_depth)  # the bit depth alone
+
+    def emit(self, t: int, visible: Sequence[Zint]) -> Zint:
         return self.emit_from(t, self._pick(t, visible))
 
-    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
+    def emit_from(self, t: int, y: Zint | None) -> Zint:
+        """The symbol sent at t after reading y: an (re_bits, im_bits) pair
+        on the grid of the map's bit depth, which is its code's."""
         raise NotImplementedError
 
     def _pick(self, t: int, visible: Sequence[Zint]) -> Zint | None:
@@ -118,10 +129,10 @@ class QuantizeForward(RelayMap):
     shift: int = 0
     causal: bool = False
 
-    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
+    def emit_from(self, t: int, y: Zint | None) -> Zint:
         y = y or (0, 0)
         n = self.bit_depth
-        return DiscreteSymbol(_grid(y[0], self.shift, 1, n), _grid(y[1], self.shift, 1, n), n)
+        return (_grid(y[0], self.shift, 1, n), _grid(y[1], self.shift, 1, n))
 
 
 @dataclass(frozen=True)
@@ -132,10 +143,10 @@ class ModuloMap(RelayMap):
     mult: int = 1
     causal: bool = False
 
-    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
+    def emit_from(self, t: int, y: Zint | None) -> Zint:
         y = y or (0, 0)
         n = self.bit_depth
-        return DiscreteSymbol(_grid(y[0], 0, self.mult, n), _grid(y[1], 0, self.mult, n), n)
+        return (_grid(y[0], 0, self.mult, n), _grid(y[1], 0, self.mult, n))
 
 
 @dataclass(frozen=True)
@@ -144,7 +155,7 @@ class TableMap(RelayMap):
 
     Keys are (t, reception) pairs; a causal map at t=1 has nothing to look
     at and uses the key (1, None).  Missing keys fall back to ``default``
-    bits.
+    bits.  Every value and the default must lie on the bit-depth grid.
     """
 
     bit_depth: int
@@ -155,14 +166,14 @@ class TableMap(RelayMap):
     _table: dict = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        _check_symbols([self.default, *(bits for _, bits in self.entries)], self.bit_depth)
         object.__setattr__(self, "_table", dict(self.entries))
 
-    def emit_from(self, t: int, y: Zint | None) -> DiscreteSymbol:
-        bits = self._table.get((t, y), self.default)
-        return DiscreteSymbol(bits[0], bits[1], self.bit_depth)
+    def emit_from(self, t: int, y: Zint | None) -> Zint:
+        return self._table.get((t, y), self.default)
 
 
-Codeword = tuple[DiscreteSymbol, ...]
+Codeword = tuple[Zint, ...]
 Reception = tuple[Zint, ...]
 
 
@@ -173,7 +184,9 @@ class RelayCode:
     The decoder is an explicit table from the destination's length-N
     reception to a message index; receptions it has never seen decode to
     nothing.  For codes built by ``search_base_code`` the codebook holds
-    2**(N*R) distinct codewords.
+    2**(N*R) distinct codewords.  Building a code raises ChannelError for
+    a codebook symbol off the bit-depth grid, and BitDepthMismatch for a
+    relay map of another bit depth.
     """
 
     block_length: int
@@ -198,9 +211,12 @@ class RelayCode:
         for cw in self.codebook:
             if len(cw) != self.block_length:
                 raise ValueError("codeword length does not match block_length")
-            for s in cw:
-                if s.bit_depth != self.bit_depth:
-                    raise BitDepthMismatch("codeword symbol bit depth mismatch")
+        _check_symbols((s for cw in self.codebook for s in cw), self.bit_depth)
+        for j, m in self.relay_maps.items():
+            if m.bit_depth != self.bit_depth:
+                raise BitDepthMismatch(
+                    f"relay map at node {j} has bit depth {m.bit_depth}, the code {self.bit_depth}"
+                )
 
 
 @dataclass
@@ -236,7 +252,7 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     if not (0 <= message < code.message_count):
         raise ValueError(f"message {message} out of range")
     dest = net.destination
-    zero = DiscreteSymbol.zero(code.bit_depth)
+    n = code.bit_depth
     for j in net.relays:
         if j not in code.relay_maps:
             raise ValueError(f"no relay map for node {j}")
@@ -247,7 +263,7 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
             )
     maps = {j: code.relay_maps[j] for j in net.relays}
 
-    tx: dict[int, list[DiscreteSymbol]] = {j: [] for j in net.order}
+    tx: dict[int, list[Zint]] = {j: [] for j in net.order}
     rx: dict[int, list[Zint]] = {j: [] for j in net.order}
     causal = [(m, rx[j], tx[j]) for j, m in maps.items() if m.causal]
     block = {j: m for j, m in maps.items() if not m.causal}
@@ -261,12 +277,12 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     codeword, from_source, from_dest = code.codebook[message], tx[net.source], tx[dest]
     for t in range(1, code.block_length + 1):
         from_source.append(codeword[t - 1])
-        from_dest.append(zero)
+        from_dest.append((0, 0))
         for rmap, heard, sent in causal:
             assert len(heard) == t - 1
             sent.append(rmap.emit(t, heard))
         for heard, sent, block_map, senders, gains in walk:
-            y = superposition_output([s[t - 1] for s in senders], gains)
+            y = superposition_output([s[t - 1] for s in senders], gains, n)
             heard.append(y)
             if block_map is not None:
                 # A block map reads the reception at t: y.
@@ -298,16 +314,6 @@ def _decoder(receptions: Iterable[Reception]) -> dict[Reception, int]:
             raise TooManyErrors(f"messages {decoder[r]} and {m} share a destination reception")
         decoder[r] = m
     return decoder
-
-
-def with_derived_decoder(net: RelayNetwork, code: RelayCode) -> RelayCode:
-    """Rebuild the decoder table from the code's own traces.
-
-    Useful for hand-written codes: construct with an empty decoder, then
-    derive the exact table.  Raises TooManyErrors when no decoder exists.
-    """
-    traces = trace_all(net, code)
-    return replace(code, decoder=_decoder(tr.received[net.destination] for tr in traces))
 
 
 def purify_zero_error(net: RelayNetwork, code: RelayCode) -> RelayCode:
@@ -381,7 +387,7 @@ class ProductCode:
         return idx
 
     def codeword(self, index: int) -> Codeword:
-        parts: list[DiscreteSymbol] = []
+        parts: list[Zint] = []
         for d in self.message_tuple(index):
             parts.extend(self.base.codebook[d])
         return tuple(parts)
@@ -519,8 +525,8 @@ def search_base_code(
     if bits > 2 * n * block_length:
         return None
     K = 1 << bits
-    # Symbol i of the alphabet, in enumerate_alphabet order, has bits
-    # (i >> n, i & mask); only the drawn symbols are built.
+    # Symbol i of the 4^n alphabet, in (re_bits, im_bits) order, has bits
+    # (i >> n, i & mask).
     mask, size = (1 << n) - 1, 1 << (2 * n)
     causal = net.levels is None
     rng = np.random.default_rng(seed)
@@ -529,11 +535,9 @@ def search_base_code(
     for _ in range(attempts):
         picks: set[Codeword] = set()
         while len(picks) < K:
-            picks.add(tuple(
-                DiscreteSymbol(i >> n, i & mask, n)
-                for i in rng.integers(size, size=block_length).tolist()
-            ))
-        codebook = sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw])
+            draw = rng.integers(size, size=block_length).tolist()
+            picks.add(tuple((i >> n, i & mask) for i in draw))
+        codebook = sorted(picks)
         maps = {j: _random_map(rng, net, j, n, block_length, causal) for j in net.relays}
         candidate = RelayCode(block_length, n, tuple(codebook), maps, decoder={})
         try:
@@ -546,10 +550,6 @@ def search_base_code(
 
 
 # --- code serialization (format 1) ----------------------------------------
-
-
-def _sym_doc(s: DiscreteSymbol) -> list[int]:
-    return [s.re_bits, s.im_bits]
 
 
 def _map_doc(m: RelayMap) -> dict:
@@ -594,7 +594,7 @@ def serialize_code(code: RelayCode) -> dict:
         "format": 1,
         "block_length": code.block_length,
         "bit_depth": code.bit_depth,
-        "codebook": [[_sym_doc(s) for s in cw] for cw in code.codebook],
+        "codebook": [[list(s) for s in cw] for cw in code.codebook],
         "relay_maps": {str(j): _map_doc(m) for j, m in sorted(code.relay_maps.items())},
         "decoder": [
             [[list(pair) for pair in reception], msg]
@@ -607,10 +607,7 @@ def deserialize_code(doc: dict) -> RelayCode:
     if doc.get("format") != 1:
         raise ValueError(f"unsupported code format {doc.get('format')!r}")
     n = int(doc["bit_depth"])
-    codebook = tuple(
-        tuple(DiscreteSymbol(int(b[0]), int(b[1]), n) for b in cw)
-        for cw in doc["codebook"]
-    )
+    codebook = tuple(tuple((int(b[0]), int(b[1])) for b in cw) for cw in doc["codebook"])
     maps = {int(j): _map_from_doc(m, n) for j, m in doc["relay_maps"].items()}
     decoder = {
         tuple((int(p[0]), int(p[1])) for p in reception): int(msg)

@@ -54,7 +54,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, _add_keeping_floor, check_batch_range, decompose_batch
+from .channel import ComplexGain, _add_keeping_floor, check_batch_range, decompose_batch, symbol_value
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
 from .network import RelayNetwork
@@ -215,14 +215,14 @@ def _perturbations(net: RelayNetwork, traces: Sequence[NetworkTrace], node: int)
     whenever the reception determines the in-neighbour transmissions and
     a bounded approximation otherwise.
     """
-    in_edges = net.in_edges(node)
+    in_edges, n = net.in_edges(node), net.bit_depth
     rows = []
     for tr in traces:
         row = []
         for t, (re, im) in enumerate(tr.received[node]):
             acc = 0j
             for e in in_edges:
-                acc += e.gain.as_complex() * tr.transmitted[e.src][t].as_complex()  # type: ignore[union-attr]
+                acc += e.gain.as_complex() * symbol_value(tr.transmitted[e.src][t], n)  # type: ignore[union-attr]
             row.append(acc - complex(re, im))
         rows.append(row)
     return np.asarray(rows, dtype=np.complex128)
@@ -238,8 +238,9 @@ def _offset_rows(v: np.ndarray, received: Sequence, values: Sequence) -> np.ndar
 
 def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
     """Source symbols of every lifted codeword: (count, n_rep, N) complex."""
+    n = product.base.bit_depth
     book = np.asarray(
-        [[s.as_complex() for s in cw] for cw in product.base.codebook], dtype=np.complex128
+        [[symbol_value(s, n) for s in cw] for cw in product.base.codebook], dtype=np.complex128
     )
     digits = np.asarray(
         [product.message_tuple(ci) for ci in lifted.codeword_indices], dtype=np.int64
@@ -323,7 +324,8 @@ def _slot_tables(
             us = range(times.start + lag, min(times.stop + lag, N))
             if us:
                 # The i-th time set reads the i-th symbol the slot covers.
-                sent = [[rm.emit_from(u + 1, y).as_complex() for u, y in zip(us, b)] for b in blocks]
+                sent = [[symbol_value(rm.emit_from(u + 1, y), base.bit_depth) for u, y in zip(us, b)]
+                        for b in blocks]
                 sends, reencode = slice(us.start, us.stop), _gather(np.asarray(sent), index)
         tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, index), sends, reencode)
     return tables
@@ -450,7 +452,7 @@ def simulate_lifted(
     tx[net.source] = _source_symbols(product, lifted)[pick]
     for j in net.relays:
         if base.relay_maps[j].causal:
-            tx[j][:, :, 0] = base.relay_maps[j].emit_from(1, None).as_complex()
+            tx[j][:, :, 0] = symbol_value(base.relay_maps[j].emit_from(1, None), base.bit_depth)
     # The last slot that reads or writes each node's transmissions.  After
     # it the node's power is taken and its array dropped.
     last = dict.fromkeys(tx, 0)

@@ -23,11 +23,14 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -475,151 +478,168 @@ def _slot_doc(slot) -> Any:
     return slot if isinstance(slot, int) else list(slot)
 
 
+@contextmanager
+def _staged(out_dir: Path) -> Iterator[Path]:
+    """A new temporary sibling of out_dir to write into.  Its files move
+    into out_dir, created if missing, when the block succeeds; the
+    temporary directory is removed either way."""
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    try:
+        yield work
+        out_dir.mkdir(exist_ok=True)
+        for path in work.iterdir():
+            path.replace(out_dir / path.name)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
     """Execute the configured experiment and write artifacts into out_dir.
 
     Raises SearchFailed when no base code is found, EmptyResult when
     pruning starves a slot or the lifted code is empty, ConfigError /
-    SchemaError / ParseError for bad inputs.
+    SchemaError / ParseError for bad inputs.  The artifacts reach out_dir
+    only once every stage has succeeded, so a run that raises leaves
+    out_dir as it was; an existing out_dir is written into.
     """
     digest = config_hash(cfg)
     net = _load_validated_network(cfg.network)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
 
-    def emit(name: str, doc: dict) -> None:
-        path = out_dir / name
-        path.write_text(canonical_json({**doc, "config_hash": digest}))
-        files[name] = path
+    with _staged(out_dir) as work:
 
-    emit("config.json", {"config": _config_doc(cfg), "version": __version__})
+        def emit(name: str, doc: dict) -> None:
+            (work / name).write_text(canonical_json({**doc, "config_hash": digest}))
+            files[name] = out_dir / name
 
-    base, base_meta = _load_base_code(cfg, net)
-    emit("base_code.json", {"code": serialize_code(base), "meta": base_meta})
+        emit("config.json", {"config": _config_doc(cfg), "version": __version__})
 
-    product = ProductCode(base, cfg.n_rep)
-    emit(
-        "product_code.json",
-        {
-            "n_rep": cfg.n_rep,
-            "block_length": product.block_length,
-            "codeword_count": product.codeword_count,
-            "rate": product.rate,
-        },
-    )
+        base, base_meta = _load_base_code(cfg, net)
+        emit("base_code.json", {"code": serialize_code(base), "meta": base_meta})
 
-    tsets, symbols_per_slot, scheduling = _typical_sets(net, product, cfg.epsilon)
-    emit(
-        "typical_sets.json",
-        {
-            "epsilon": cfg.epsilon,
-            "n_rep": cfg.n_rep,
-            "scheduling": scheduling,
-            "slots": [
-                {
-                    "slot": _slot_doc(slot),
-                    "count": len(ts.vectors),
-                    "epsilon_2": ts.epsilon_2,
-                    "envelope": list(ts.envelope),
-                }
-                for slot, ts in sorted(tsets.items())
-            ],
-        },
-    )
-
-    kp = KappaParams.for_network(net, override=cfg.kappa_override)
-    try:
-        pruned = prune_sets(tsets, kp, cfg.eta, cfg.prune_seed, symbols_per_slot)
-    except EmptyResult as exc:
-        if cfg.kappa_override is None:
-            raise EmptyResult(
-                exc.slots,
-                "every pruned set rounds to zero at the formula kappa "
-                f"({kp.reference:.3f} bits/use); enumerable codes cannot survive that "
-                "fraction, so desk-scale runs need kappa_override",
-            ) from None
-        raise
-    emit(
-        "pruned_sets.json",
-        {
-            "master_seed": pruned.master_seed,
-            "eta": pruned.eta,
-            "n_rep": pruned.n_rep,
-            "symbols_per_slot": pruned.symbols_per_slot,
-            "kappa": {
-                "reference": kp.reference,
-                "effective": kp.effective,
-                "override": cfg.kappa_override,
+        product = ProductCode(base, cfg.n_rep)
+        emit(
+            "product_code.json",
+            {
+                "n_rep": cfg.n_rep,
+                "block_length": product.block_length,
+                "codeword_count": product.codeword_count,
+                "rate": product.rate,
             },
-            "slots": [
-                {
-                    "slot": _slot_doc(slot),
-                    "exponent": pruned.exponents[slot],
-                    "count_bounds": list(pruned.bounds[slot]),
-                    "vectors": pruned.sets[slot],
-                }
-                for slot in sorted(pruned.sets)
-            ],
-        },
-    )
-
-    lifted = build_lifted_code(net, product, pruned, cfg.epsilon)
-    emit(
-        "lifted_code.json",
-        {
-            "epsilon": cfg.epsilon,
-            "master_seed": pruned.master_seed,
-            "kappa": {"reference": kp.reference, "effective": kp.effective},
-            "codeword_count": lifted.count,
-            "codewords": [
-                {
-                    "index": ci,
-                    "slots": [
-                        {"slot": _slot_doc(s), "member": m}
-                        for s, m in sorted(lifted.provenance[ci].items())
-                    ],
-                }
-                for ci in lifted.codeword_indices
-            ],
-        },
-    )
-    if lifted.count == 0:
-        raise EmptyResult(
-            (),
-            "the lifted code is empty: no codeword's receptions land in every "
-            "pruned set"
-            + (
-                ""
-                if cfg.kappa_override is not None
-                else " (formula kappa leaves no room at enumerable sizes; set kappa_override)"
-            ),
         )
 
-    report = rate_report(lifted, product, tsets)
-    emit("rate_report.json", asdict(report))
-
-    err_rate = None
-    if cfg.simulate is not None:
-        s = cfg.simulate
-        sim = simulate_lifted(
-            net,
-            product,
-            lifted,
-            trials=s.trials,
-            noise=NoiseSpec(seed=s.noise_seed, scale=s.noise_scale),
-            method=s.method,
-            threshold=s.threshold,
-            use_offsets=s.use_offsets,
+        tsets, symbols_per_slot, scheduling = _typical_sets(net, product, cfg.epsilon)
+        emit(
+            "typical_sets.json",
+            {
+                "epsilon": cfg.epsilon,
+                "n_rep": cfg.n_rep,
+                "scheduling": scheduling,
+                "slots": [
+                    {
+                        "slot": _slot_doc(slot),
+                        "count": len(ts.vectors),
+                        "epsilon_2": ts.epsilon_2,
+                        "envelope": list(ts.envelope),
+                    }
+                    for slot, ts in sorted(tsets.items())
+                ],
+            },
         )
-        err_rate = sim.message_error_rate
-        files["simulation.csv"] = out_dir / "simulation.csv"
-        files["simulation.csv"].write_text(_simulation_csv(sim))
-        emit("simulation.json", _simulation_doc(sim))
 
-    if cfg.bounds is not None:
-        rep = verify_genie_bounds(net, cfg.bounds.samples, cfg.bounds.seed)
-        emit("bound_report.json", _bound_doc(rep))
+        kp = KappaParams.for_network(net, override=cfg.kappa_override)
+        try:
+            pruned = prune_sets(tsets, kp, cfg.eta, cfg.prune_seed, symbols_per_slot)
+        except EmptyResult as exc:
+            if cfg.kappa_override is None:
+                raise EmptyResult(
+                    exc.slots,
+                    "every pruned set rounds to zero at the formula kappa "
+                    f"({kp.reference:.3f} bits/use); enumerable codes cannot survive that "
+                    "fraction, so desk-scale runs need kappa_override",
+                ) from None
+            raise
+        emit(
+            "pruned_sets.json",
+            {
+                "master_seed": pruned.master_seed,
+                "eta": pruned.eta,
+                "n_rep": pruned.n_rep,
+                "symbols_per_slot": pruned.symbols_per_slot,
+                "kappa": {
+                    "reference": kp.reference,
+                    "effective": kp.effective,
+                    "override": cfg.kappa_override,
+                },
+                "slots": [
+                    {
+                        "slot": _slot_doc(slot),
+                        "exponent": pruned.exponents[slot],
+                        "count_bounds": list(pruned.bounds[slot]),
+                        "vectors": pruned.sets[slot],
+                    }
+                    for slot in sorted(pruned.sets)
+                ],
+            },
+        )
+
+        lifted = build_lifted_code(net, product, pruned, cfg.epsilon)
+        emit(
+            "lifted_code.json",
+            {
+                "epsilon": cfg.epsilon,
+                "master_seed": pruned.master_seed,
+                "kappa": {"reference": kp.reference, "effective": kp.effective},
+                "codeword_count": lifted.count,
+                "codewords": [
+                    {
+                        "index": ci,
+                        "slots": [
+                            {"slot": _slot_doc(s), "member": m}
+                            for s, m in sorted(lifted.provenance[ci].items())
+                        ],
+                    }
+                    for ci in lifted.codeword_indices
+                ],
+            },
+        )
+        if lifted.count == 0:
+            raise EmptyResult(
+                (),
+                "the lifted code is empty: no codeword's receptions land in every "
+                "pruned set"
+                + (
+                    ""
+                    if cfg.kappa_override is not None
+                    else " (formula kappa leaves no room at enumerable sizes; set kappa_override)"
+                ),
+            )
+
+        report = rate_report(lifted, product, tsets)
+        emit("rate_report.json", asdict(report))
+
+        err_rate = None
+        if cfg.simulate is not None:
+            s = cfg.simulate
+            sim = simulate_lifted(
+                net,
+                product,
+                lifted,
+                trials=s.trials,
+                noise=NoiseSpec(seed=s.noise_seed, scale=s.noise_scale),
+                method=s.method,
+                threshold=s.threshold,
+                use_offsets=s.use_offsets,
+            )
+            err_rate = sim.message_error_rate
+            (work / "simulation.csv").write_text(_simulation_csv(sim))
+            files["simulation.csv"] = out_dir / "simulation.csv"
+            emit("simulation.json", _simulation_doc(sim))
+
+        if cfg.bounds is not None:
+            rep = verify_genie_bounds(net, cfg.bounds.samples, cfg.bounds.seed)
+            emit("bound_report.json", _bound_doc(rep))
 
     return PipelineResult(
         out_dir=out_dir,

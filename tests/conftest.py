@@ -1,10 +1,12 @@
-"""Shared fixtures: shipped networks and a small hand-built diamond code."""
+"""Shared fixtures (shipped networks, a small hand-built diamond code) and
+derive_decoder, which gives a hand-built code the decoder of its traces."""
 
+import dataclasses
 import json
 
 import pytest
 
-from dsnlift.codes import deserialize_code
+from dsnlift.codes import _decoder, deserialize_code, trace_all
 from dsnlift.network import load_network
 from dsnlift.pipeline import read_input_text
 
@@ -27,3 +29,10 @@ def nonlayered_net():
 @pytest.fixture(scope="session")
 def diamond_code():
     return deserialize_code(json.loads(read_input_text("diamond_code")))
+
+
+def derive_decoder(net, code):
+    """``code`` with the table decoder of its own destination receptions;
+    TooManyErrors when two messages share one."""
+    traces = trace_all(net, code)
+    return dataclasses.replace(code, decoder=_decoder(tr.received[net.destination] for tr in traces))

@@ -18,7 +18,6 @@ import pytest
 
 from dsnlift.channel import (
     ComplexGain,
-    DiscreteSymbol,
     compute_bit_depth,
     decompose_batch,
     decompose_received,
@@ -33,13 +32,11 @@ from dsnlift.codes import (
     TooManyErrors,
     deinterleave,
     deserialize_code,
-    enumerate_alphabet,
     interleave,
     purify_zero_error,
     run_dsn,
     search_base_code,
     trace_all,
-    with_derived_decoder,
 )
 from dsnlift.gaussian import (
     NoiseSpec,
@@ -61,6 +58,8 @@ from dsnlift.pipeline import load_config, read_input_text, run_pipeline
 from dsnlift.typicality import enumerate_typical_receptions
 from dsnlift import cli
 
+from conftest import derive_decoder
+
 SEED = 20260818
 
 
@@ -70,7 +69,7 @@ def _report(num: int, text: str) -> None:
 
 def _line_base(net: RelayNetwork, block_length: int, count: int) -> RelayCode:
     """Zero-error chain code: message digits index the symbol alphabet."""
-    alphabet = enumerate_alphabet(1)
+    alphabet = [(r, i) for r in range(2) for i in range(2)]
     codebook = []
     for m in range(count):
         cw = tuple(alphabet[(m >> (2 * t)) & 3] for t in range(block_length))
@@ -82,7 +81,7 @@ def _line_base(net: RelayNetwork, block_length: int, count: int) -> RelayCode:
         relay_maps={1: QuantizeForward(bit_depth=1)},
         decoder={},
     )
-    return with_derived_decoder(net, code)
+    return derive_decoder(net, code)
 
 
 def _diamond_sets(net, code, n_rep, epsilon):
@@ -170,14 +169,14 @@ def test_criterion_02_reconstruction_identity():
     noise_grid = [complex(a, b) for a in noise_vals for b in noise_vals]
     exhaustive = 0
     for n in (1, 2):
-        symbols = [DiscreteSymbol(r, i, n) for r in range(1 << n) for i in range(1 << n)]
+        symbols = [(r, i) for r in range(1 << n) for i in range(1 << n)]
         for a, b in itertools.product(range(-4, 5), repeat=2):
             if max(abs(a), abs(b)) < 1:
                 continue
             g = ComplexGain(float(a), float(b))
             for x in symbols:
                 for z in noise_grid:
-                    d = decompose_received([x], [g], z)
+                    d = decompose_received([x], [g], z, n)
                     assert d.c[0] in (0, 1) and d.c[1] in (0, 1)
                     assert d.y == complex(d.y_prime[0], d.y_prime[1]) + d.v + d.z
                     exhaustive += 1
@@ -522,7 +521,7 @@ def test_criterion_10_interleaving_and_causal_schedule(nonlayered_net, tmp_path)
     noncausal = RelayCode(
         block_length=1,
         bit_depth=1,
-        codebook=((DiscreteSymbol(0, 0, 1),),),
+        codebook=(((0, 0),),),
         relay_maps={1: ModuloMap(bit_depth=1), 2: ModuloMap(bit_depth=1)},
         decoder={},
     )

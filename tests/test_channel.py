@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dsnlift.channel import (
     ChannelError,
     ComplexGain,
-    DiscreteSymbol,
     EmptyGainList,
     GainBelowUnit,
     LengthMismatch,
@@ -22,7 +21,9 @@ from dsnlift.channel import (
     floor_parts,
     quantize_gain,
     superposition_output,
+    symbol_value,
 )
+from dsnlift.codes import ModuloMap, RelayCode, TableMap
 
 finite_components = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -74,38 +75,41 @@ def test_quantize_error_below_one_and_sign_consistent(re, im):
 
 
 def test_symbol_values_and_validation():
-    s = DiscreteSymbol(3, 1, 2)
-    assert s.as_complex() == complex(0.75, 0.25)
+    assert symbol_value((3, 1), 2) == complex(0.75, 0.25)
+    # Symbols are checked where a code or a table map is built.
+    for bits, n in (((4, 0), 2), ((0, -1), 2), ((0, 0), 0)):
+        with pytest.raises(ChannelError):
+            RelayCode(1, n, ((bits,),), {}, {})
+        with pytest.raises(ChannelError):
+            TableMap(bit_depth=n, entries=(((1, (0, 0)), bits),))
+        with pytest.raises(ChannelError):
+            TableMap(bit_depth=n, entries=(), default=bits)
     with pytest.raises(ChannelError):
-        DiscreteSymbol(4, 0, 2)
-    with pytest.raises(ChannelError):
-        DiscreteSymbol(0, -1, 2)
-    with pytest.raises(ChannelError):
-        DiscreteSymbol(0, 0, 0)
+        ModuloMap(bit_depth=0)
 
 
 def test_superposition_real_example():
     # x = 0.75, quantized gain 2: trunc(1.5) = 1.
-    out = superposition_output([DiscreteSymbol(3, 0, 2)], [QuantizedGain(2, 0)])
+    out = superposition_output([(3, 0)], [QuantizedGain(2, 0)], 2)
     assert out == (1, 0)
 
 
 def test_superposition_complex_product_is_exact():
     # (1 + i)(0.5 + 0.5i) = i exactly, no truncation loss.
-    out = superposition_output([DiscreteSymbol(1, 1, 1)], [QuantizedGain(1, 1)])
+    out = superposition_output([(1, 1)], [QuantizedGain(1, 1)], 1)
     assert out == (0, 1)
 
 
 def test_superposition_truncates_each_term_separately():
     # trunc(2 * 0.75) + trunc(-3 * 0.25) = 1 + 0.
-    inputs = [DiscreteSymbol(3, 0, 2), DiscreteSymbol(1, 0, 2)]
-    out = superposition_output(inputs, [QuantizedGain(2, 0), QuantizedGain(-3, 0)])
+    inputs = [(3, 0), (1, 0)]
+    out = superposition_output(inputs, [QuantizedGain(2, 0), QuantizedGain(-3, 0)], 2)
     assert out == (1, 0)
 
 
 def test_superposition_length_mismatch():
     with pytest.raises(LengthMismatch):
-        superposition_output([DiscreteSymbol(0, 0, 1)], [])
+        superposition_output([(0, 0)], [], 1)
 
 
 def _fraction_trunc(fr: Fraction) -> int:
@@ -123,7 +127,7 @@ def test_truncated_product_matches_fraction_oracle(a, b, n, data):
     lim = 1 << n
     p = data.draw(st.integers(0, lim - 1))
     q = data.draw(st.integers(0, lim - 1))
-    out = superposition_output([DiscreteSymbol(p, q, n)], [QuantizedGain(a, b)])
+    out = superposition_output([(p, q)], [QuantizedGain(a, b)], n)
     re = _fraction_trunc(Fraction(a * p - b * q, lim))
     im = _fraction_trunc(Fraction(a * q + b * p, lim))
     assert out == (re, im)
@@ -137,7 +141,7 @@ def test_trunc_and_floor_parts():
 
 def test_decompose_single_link_example():
     # Gain 1, input 0.5, no noise: y' = 0, v = 0.5, z = 0, c = 0.
-    d = decompose_received([DiscreteSymbol(1, 0, 1)], [ComplexGain(1, 0)], 0j)
+    d = decompose_received([(1, 0)], [ComplexGain(1, 0)], 0j, 1)
     assert d.y_prime == (0, 0)
     assert d.v == complex(0.5, 0)
     assert d.z == 0j
@@ -150,15 +154,15 @@ def test_decompose_integer_gains_have_no_gain_error_term():
     rng = np.random.default_rng(7)
     gains = [ComplexGain(3, 0), ComplexGain(-2, 5)]
     for _ in range(200):
-        inputs = [DiscreteSymbol(int(rng.integers(8)), int(rng.integers(8)), 3) for _ in gains]
+        inputs = [(int(rng.integers(8)), int(rng.integers(8))) for _ in gains]
         noise = complex(rng.normal(), rng.normal())
-        d = decompose_received(inputs, gains, noise)
+        d = decompose_received(inputs, gains, noise, 3)
         want_re = Fraction(0)
         want_im = Fraction(0)
-        for g, x in zip(gains, inputs):
-            num_re = int(g.re) * x.re_bits - int(g.im) * x.im_bits
-            num_im = int(g.re) * x.im_bits + int(g.im) * x.re_bits
-            den = 1 << x.bit_depth
+        for g, (re_bits, im_bits) in zip(gains, inputs):
+            num_re = int(g.re) * re_bits - int(g.im) * im_bits
+            num_im = int(g.re) * im_bits + int(g.im) * re_bits
+            den = 1 << 3
             want_re += Fraction(num_re, den) - int(Fraction(num_re, den))
             want_im += Fraction(num_im, den) - int(Fraction(num_im, den))
         assert d.v.real == pytest.approx(float(want_re), abs=1e-12)
@@ -170,8 +174,8 @@ def test_decompose_single_positive_link_keeps_zero_v_floor():
     # in [0, 1) per component, so floor(v) is identically zero.
     rng = np.random.default_rng(8)
     for _ in range(200):
-        x = DiscreteSymbol(int(rng.integers(8)), int(rng.integers(8)), 3)
-        d = decompose_received([x], [ComplexGain(7, 0)], complex(rng.normal(), rng.normal()))
+        x = (int(rng.integers(8)), int(rng.integers(8)))
+        d = decompose_received([x], [ComplexGain(7, 0)], complex(rng.normal(), rng.normal()), 3)
         assert floor_parts(d.v) == (0, 0)
 
 
@@ -197,12 +201,9 @@ def test_decompose_identity_random_draws():
             continue
         n = compute_bit_depth(gains)
         lim = 1 << n
-        inputs = [
-            DiscreteSymbol(int(rng.integers(lim)), int(rng.integers(lim)), n)
-            for _ in range(k)
-        ]
+        inputs = [(int(rng.integers(lim)), int(rng.integers(lim))) for _ in range(k)]
         noise = complex(rng.normal(0, 3), rng.normal(0, 3))
-        d = decompose_received(inputs, gains, noise)
+        d = decompose_received(inputs, gains, noise, n)
         assert _identity_holds(d)
         assert d.c[0] in (0, 1) and d.c[1] in (0, 1)
         assert abs(d.v.real) < 3 * k and abs(d.v.imag) < 3 * k
@@ -224,8 +225,8 @@ def test_decompose_batch_matches_scalar():
     vf = batch.v_floor
     zf = batch.z_floor
     for i in range(rows):
-        inputs = [DiscreteSymbol(int(xr[i, k]), int(xi[i, k]), n) for k in range(2)]
-        d = decompose_received(inputs, gains, complex(zr[i], zi[i]))
+        inputs = [(int(xr[i, k]), int(xi[i, k])) for k in range(2)]
+        d = decompose_received(inputs, gains, complex(zr[i], zi[i]), n)
         assert (int(batch.yp_re[i]), int(batch.yp_im[i])) == d.y_prime
         assert (int(vf[0][i]), int(vf[1][i])) == floor_parts(d.v)
         assert (int(zf[0][i]), int(zf[1][i])) == floor_parts(d.z)
@@ -268,8 +269,8 @@ def test_decompose_batch_equals_scalar_below_float_limit(data, links, n):
     batch = decompose_batch(gains, xr, xi, n, zr, zi)
     vf = batch.v_floor
     for i in range(4):
-        inputs = [DiscreteSymbol(int(xr[i, k]), int(xi[i, k]), n) for k in range(links)]
-        d = decompose_received(inputs, gains, complex(zr[i], zi[i]))
+        inputs = [(int(xr[i, k]), int(xi[i, k])) for k in range(links)]
+        d = decompose_received(inputs, gains, complex(zr[i], zi[i]), n)
         assert (int(batch.yp_re[i]), int(batch.yp_im[i])) == d.y_prime
         assert (batch.v_re[i], batch.v_im[i]) == (d.v.real, d.v.imag)
         assert (int(vf[0][i]), int(vf[1][i])) == floor_parts(d.v)
@@ -296,9 +297,9 @@ def test_decompose_batch_exact_up_to_int64_limit_and_rejects_beyond(data, links,
         return
     batch = decompose_batch(gains, xr, xi, n, z, z)
     for i in range(3):
-        inputs = [DiscreteSymbol(int(xr[i, k]), int(xi[i, k]), n) for k in range(links)]
+        inputs = [(int(xr[i, k]), int(xi[i, k])) for k in range(links)]
         assert (int(batch.yp_re[i]), int(batch.yp_im[i])) == superposition_output(
-            inputs, quantized
+            inputs, quantized, n
         )
 
 
@@ -325,9 +326,9 @@ def test_decompose_carry_in_zero_one_at_every_bit_depth(data, links, n):
     gains = [ComplexGain(data.draw(comp), data.draw(comp)) for _ in range(links)]
     assert compute_bit_depth(gains) == n
     bits = st.integers(0, (1 << n) - 1)
-    inputs = [DiscreteSymbol(data.draw(bits), data.draw(bits), n) for _ in range(links)]
+    inputs = [(data.draw(bits), data.draw(bits)) for _ in range(links)]
     noise = st.floats(min_value=-8, max_value=8)
-    d = decompose_received(inputs, gains, complex(data.draw(noise), data.draw(noise)))
+    d = decompose_received(inputs, gains, complex(data.draw(noise), data.draw(noise)), n)
     assert d.c[0] in (0, 1) and d.c[1] in (0, 1)
 
 
@@ -335,8 +336,8 @@ def test_decompose_carry_exact_for_the_largest_gain():
     # h x = 2i (2**62 - 1) is a Gaussian integer, so v = 0 and c = 0;
     # summed in floats, this reception gives the carry (0, 2).
     n = 62
-    x = DiscreteSymbol((1 << n) - 1, (1 << n) - 1, n)
-    d = decompose_received([x], [ComplexGain(2.0**62 + 0.5, 2.0**62 + 0.5)], 0j)
+    x = ((1 << n) - 1, (1 << n) - 1)
+    d = decompose_received([x], [ComplexGain(2.0**62 + 0.5, 2.0**62 + 0.5)], 0j, n)
     assert d.y_prime == (0, 2**63 - 2)
     assert d.c == (0, 0)
 
@@ -346,7 +347,7 @@ def test_decompose_carry_exact_when_the_sum_rounds_onto_an_integer():
     # its floor is 0 and the carry floor(frac(v) + frac(z)) is 0, not 1.
     gains = [ComplexGain(2.0, 0.0)]
     z = -5e-324
-    d = decompose_received([DiscreteSymbol(1, 0, 1)], gains, complex(z, 0.0))
+    d = decompose_received([(1, 0)], gains, complex(z, 0.0), 1)
     assert d.c == (0, 0)
     assert _identity_holds(d)
     batch = decompose_batch(gains, np.array([[1]]), np.array([[0]]), 1,
@@ -372,8 +373,6 @@ def test_decompose_identity_property(re, im, zr, zi, p, q):
         return
     n = compute_bit_depth([gain])
     lim = 1 << n
-    d = decompose_received(
-        [DiscreteSymbol(p % lim, q % lim, n)], [gain], complex(zr, zi)
-    )
+    d = decompose_received([(p % lim, q % lim)], [gain], complex(zr, zi), n)
     assert _identity_holds(d)
     assert d.c[0] in (0, 1) and d.c[1] in (0, 1)

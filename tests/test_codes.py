@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dsnlift.channel import (
     ComplexGain,
-    DiscreteSymbol,
     QuantizedGain,
     compute_bit_depth,
     quantize_gain,
@@ -29,19 +28,24 @@ from dsnlift.codes import (
     TooManyErrors,
     deinterleave,
     deserialize_code,
-    enumerate_alphabet,
     interleave,
     purify_zero_error,
     run_dsn,
     search_base_code,
     serialize_code,
     trace_all,
-    with_derived_decoder,
     _random_map,
     _random_table_map,
 )
 from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network
 from dsnlift.pipeline import read_input_text
+
+from conftest import derive_decoder
+
+
+def _alphabet(n: int) -> list[tuple[int, int]]:
+    """All 4**n symbols of bit depth n, in (re_bits, im_bits) order."""
+    return [(r, i) for r in range(1 << n) for i in range(1 << n)]
 
 
 def _line(gain: float) -> RelayNetwork:
@@ -51,7 +55,7 @@ def _line(gain: float) -> RelayNetwork:
 
 def _line_code(block_length: int, count: int) -> RelayCode:
     """Distinct codewords on the gain-3 line; per-symbol maps are injective."""
-    alphabet = enumerate_alphabet(1)
+    alphabet = _alphabet(1)
     words = []
     for m in range(count):
         digits = [(m >> (2 * t)) & 3 for t in range(block_length)]
@@ -65,22 +69,16 @@ def _line_code(block_length: int, count: int) -> RelayCode:
     )
 
 
-def test_alphabet_enumeration():
-    assert len(enumerate_alphabet(1)) == 4
-    assert len(enumerate_alphabet(2)) == 16
-    assert enumerate_alphabet(1)[0] == DiscreteSymbol(0, 0, 1)
-
-
 def test_quantize_forward_reduces_reception_onto_grid():
     m = QuantizeForward(bit_depth=2)
-    assert m.emit(1, [(6, 0)]) == DiscreteSymbol(2, 0, 2)
+    assert m.emit(1, [(6, 0)]) == (2, 0)
     shifted = QuantizeForward(bit_depth=2, shift=1)
-    assert shifted.emit(1, [(6, 3)]) == DiscreteSymbol(3, 0, 2)
+    assert shifted.emit(1, [(6, 3)]) == (3, 0)
 
 
 def test_modulo_map_scales_then_reduces():
     m = ModuloMap(bit_depth=2, mult=3)
-    assert m.emit(1, [(3, 1)]) == DiscreteSymbol(1, 3, 2)
+    assert m.emit(1, [(3, 1)]) == (1, 3)
 
 
 def test_table_map_lookup_and_default():
@@ -89,8 +87,8 @@ def test_table_map_lookup_and_default():
         entries=(((1, (1, 0)), (1, 1)),),
         default=(0, 1),
     )
-    assert m.emit(1, [(1, 0)]) == DiscreteSymbol(1, 1, 1)
-    assert m.emit(1, [(9, 9)]) == DiscreteSymbol(0, 1, 1)
+    assert m.emit(1, [(1, 0)]) == (1, 1)
+    assert m.emit(1, [(9, 9)]) == (0, 1)
 
 
 def test_causal_maps_read_the_previous_symbol():
@@ -100,9 +98,9 @@ def test_causal_maps_read_the_previous_symbol():
         causal=True,
     )
     # At t=1 nothing is visible yet; the (1, None) entry applies.
-    assert m.emit(1, ()) == DiscreteSymbol(1, 0, 1)
+    assert m.emit(1, ()) == (1, 0)
     # At t=2 the map reads the reception at t-1 = index 0.
-    assert m.emit(2, ((1, 1),)) == DiscreteSymbol(0, 1, 1)
+    assert m.emit(2, ((1, 1),)) == (0, 1)
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -135,13 +133,13 @@ def test_emit_is_emit_from_of_the_one_picked_symbol(make, causal):
 
 
 def test_relay_code_validation():
-    sym = DiscreteSymbol(0, 0, 1)
+    sym = (0, 0)
     with pytest.raises(ValueError):
         RelayCode(1, 1, ((sym,), (sym,)), {}, {})
     with pytest.raises(ValueError):
         RelayCode(2, 1, ((sym,),), {}, {})
     with pytest.raises(BitDepthMismatch):
-        RelayCode(1, 2, ((sym,),), {}, {})
+        RelayCode(1, 2, ((sym,),), {1: ModuloMap(bit_depth=1)}, {})
 
 
 def test_run_dsn_line_hand_trace():
@@ -152,13 +150,13 @@ def test_run_dsn_line_hand_trace():
     code = RelayCode(
         block_length=1,
         bit_depth=1,
-        codebook=((DiscreteSymbol(1, 0, 1),),),
+        codebook=(((1, 0),),),
         relay_maps={1: QuantizeForward(bit_depth=1)},
         decoder={},
     )
     tr = run_dsn(net, code, 0)
     assert tr.received[1] == ((1, 0),)
-    assert tr.transmitted[1] == (DiscreteSymbol(1, 0, 1),)
+    assert tr.transmitted[1] == ((1, 0),)
     assert tr.received[2] == ((1, 0),)
     assert code.rate == 0.0
 
@@ -173,10 +171,7 @@ def test_run_dsn_diamond_frozen_traces(diamond_net, diamond_code):
         assert tr.received[3] == (want_y3[m], want_y3[m])
         assert tr.decoded == m
         # The destination contributes nothing to the network.
-        assert all(
-            s == DiscreteSymbol.zero(diamond_code.bit_depth)
-            for s in tr.transmitted[diamond_net.destination]
-        )
+        assert all(s == (0, 0) for s in tr.transmitted[diamond_net.destination])
 
 
 def test_run_dsn_all_zero_codeword_gives_all_zero_trace(diamond_net, diamond_code):
@@ -196,7 +191,7 @@ def test_run_dsn_requires_causal_maps_off_layered_networks(nonlayered_net):
     code = RelayCode(
         block_length=1,
         bit_depth=n,
-        codebook=((DiscreteSymbol(0, 0, n),),),
+        codebook=(((0, 0),),),
         relay_maps={1: ModuloMap(bit_depth=n), 2: ModuloMap(bit_depth=n)},
         decoder={},
     )
@@ -210,7 +205,7 @@ def test_code_execution_needs_a_scalar_network():
         node_count=3, edges=(Edge(0, 1, ((g, g), (g, g))), Edge(1, 2, ((g, g), (g, g)))),
         antenna_mode="mimo2x2",
     )
-    code = RelayCode(1, 1, ((DiscreteSymbol(0, 0, 1),),), {1: ModuloMap(bit_depth=1)}, {})
+    code = RelayCode(1, 1, (((0, 0),),), {1: ModuloMap(bit_depth=1)}, {})
     with pytest.raises(CausalityError):
         run_dsn(mimo, code, 0)
     # Before a table map would read the two-antenna gains.
@@ -221,7 +216,7 @@ def test_code_execution_needs_a_scalar_network():
 def test_run_dsn_synchronous_schedule_on_nonlayered_network(nonlayered_net):
     n = 1
     zero_map = TableMap(bit_depth=n, entries=(), causal=True)
-    alphabet = enumerate_alphabet(n)
+    alphabet = _alphabet(n)
     code = RelayCode(
         block_length=2,
         bit_depth=n,
@@ -244,14 +239,14 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
     """
     N = code.block_length
     dest = net.destination
-    zero = DiscreteSymbol.zero(code.bit_depth)
+    zero = (0, 0)
     relays = [j for j in range(1, net.node_count) if j != dest]
     links = {j: [(e.src, quantize_gain(e.gain)) for e in net.in_edges(j)]
              for j in range(net.node_count)}
 
     def receive(j, sent, t):
         return superposition_output([sent[src][t - 1] for src, _ in links[j]],
-                                    [g for _, g in links[j]])
+                                    [g for _, g in links[j]], code.bit_depth)
 
     tx = {net.source: code.codebook[message]}
     rx = {net.source: tuple((0, 0) for _ in range(N))}
@@ -343,7 +338,7 @@ def _random_code(draw, net: RelayNetwork, causal_only: bool) -> RelayCode:
     network block and causal maps are mixed."""
     n = compute_bit_depth(net.all_gain_components())
     N = draw(st.integers(1, 3))
-    alphabet = enumerate_alphabet(n)
+    alphabet = _alphabet(n)
     words = draw(st.lists(
         st.tuples(*[st.integers(0, len(alphabet) - 1)] * N), min_size=1, max_size=4, unique=True
     ))
@@ -382,25 +377,25 @@ def test_run_dsn_matches_two_schedule_reference_on_nonlayered_networks(net, data
     _assert_traces_match_reference(net, _random_code(data.draw, net, causal_only=True))
 
 
-def test_with_derived_decoder_builds_zero_error_decoder(line_net):
+def test_derived_decoder_is_zero_error(line_net):
     code = _line_code(1, 4)
-    derived = with_derived_decoder(line_net, code)
+    derived = derive_decoder(line_net, code)
     assert len(derived.decoder) == 4
     for tr in trace_all(line_net, derived):
         assert tr.decoded == tr.message
 
 
-def test_with_derived_decoder_rejects_colliding_receptions(line_net):
+def test_derived_decoder_rejects_colliding_receptions(line_net):
     constant_relay = TableMap(bit_depth=1, entries=(), default=(0, 0))
     code = RelayCode(
         block_length=1,
         bit_depth=1,
-        codebook=((DiscreteSymbol(0, 0, 1),), (DiscreteSymbol(1, 0, 1),)),
+        codebook=(((0, 0),), ((1, 0),)),
         relay_maps={1: constant_relay},
         decoder={},
     )
     with pytest.raises(TooManyErrors):
-        with_derived_decoder(line_net, code)
+        derive_decoder(line_net, code)
 
 
 def _corrupt(code: RelayCode, faulty: int) -> RelayCode:
@@ -423,7 +418,7 @@ def test_purify_is_identity_on_zero_error_codes(diamond_net, diamond_code):
 
 
 def test_purify_drops_exactly_the_faulty_codewords(line_net):
-    base = with_derived_decoder(line_net, _line_code(1, 4))
+    base = derive_decoder(line_net, _line_code(1, 4))
     cleaned = purify_zero_error(line_net, _corrupt(base, 1))
     assert cleaned.message_count == 3
     for tr in trace_all(line_net, cleaned):
@@ -431,7 +426,7 @@ def test_purify_drops_exactly_the_faulty_codewords(line_net):
 
 
 def test_purify_rejects_half_faulty(line_net):
-    base = with_derived_decoder(line_net, _line_code(1, 4))
+    base = derive_decoder(line_net, _line_code(1, 4))
     with pytest.raises(TooManyErrors):
         purify_zero_error(line_net, _corrupt(base, 2))
 
@@ -471,7 +466,7 @@ def test_product_code_decodes_per_block(diamond_net, diamond_code):
 
 @given(st.integers(2, 5), st.integers(1, 6), st.data())
 def test_product_code_index_round_trip(k, n_rep, data):
-    alphabet = enumerate_alphabet(2)
+    alphabet = _alphabet(2)
     base = RelayCode(
         block_length=1,
         bit_depth=2,
@@ -532,8 +527,8 @@ def test_search_not_found_when_rate_exceeds_zero_error_maximum():
     # multi-message zero-error code exists.
     net = _line(1)
     receptions = {
-        superposition_output([x], [QuantizedGain(1, 0)])
-        for x in enumerate_alphabet(1)
+        superposition_output([x], [QuantizedGain(1, 0)], 1)
+        for x in _alphabet(1)
     }
     assert receptions == {(0, 0)}
     assert search_base_code(net, block_length=1, rate=1.0, attempts=50, seed=0) is None
@@ -584,17 +579,17 @@ def test_search_falls_back_from_a_table_the_reception_domain_outgrows():
 
 def _alphabet_search(net, block_length, rate, attempts, seed):
     """The base-code search drawing its symbols from the whole alphabet, as
-    enumerate_alphabet lists it; kept as the reference for search_base_code."""
+    _alphabet lists it; kept as the reference for search_base_code."""
     K = 1 << round(block_length * rate)
     n = compute_bit_depth(net.all_gain_components())
-    alphabet = enumerate_alphabet(n)
+    alphabet = _alphabet(n)
     causal = layer_decomposition(net) is None
     rng = np.random.default_rng(seed)
     for _ in range(attempts):
         picks = set()
         while len(picks) < K:
             picks.add(tuple(alphabet[int(i)] for i in rng.integers(len(alphabet), size=block_length)))
-        codebook = tuple(sorted(picks, key=lambda cw: [(s.re_bits, s.im_bits) for s in cw]))
+        codebook = tuple(sorted(picks, key=lambda cw: [(s[0], s[1]) for s in cw]))
         maps = {
             j: _random_map(rng, net, j, n, block_length, causal)
             for j in range(1, net.node_count - 1)
@@ -640,7 +635,7 @@ def test_serialize_round_trip_with_table_maps(line_net):
     code = RelayCode(
         block_length=2,
         bit_depth=1,
-        codebook=((DiscreteSymbol(0, 0, 1), DiscreteSymbol(1, 0, 1)),),
+        codebook=(((0, 0), (1, 0)),),
         relay_maps={1: table},
         decoder={((0, 0), (1, 0)): 0},
     )

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsnlift import gaussian
+from dsnlift.channel import symbol_value
 from dsnlift.codes import ProductCode, trace_all
 from dsnlift.gaussian import (
     _CHUNK,
@@ -314,7 +315,7 @@ def _shipped(name):
 def _v_block(net, tr, node, t):
     acc = 0j
     for e in net.in_edges(node):
-        acc += e.gain.as_complex() * tr.transmitted[e.src][t].as_complex()
+        acc += e.gain.as_complex() * symbol_value(tr.transmitted[e.src][t], net.bit_depth)
     y = tr.received[node][t]
     return acc - complex(y[0], y[1])
 
@@ -346,7 +347,8 @@ def _reference_layered_tables(net, product, pruned, use_offsets):
             rm = base.relay_maps[j]
             reencode[j] = np.asarray(
                 [
-                    [rm.emit(t, block).as_complex() for block in vec for t in range(1, N + 1)]
+                    [symbol_value(rm.emit(t, block), base.bit_depth)
+                     for block in vec for t in range(1, N + 1)]
                     for vec in pruned.sets[j]
                 ],
                 dtype=np.complex128,
@@ -369,7 +371,8 @@ def _reference_interleaved_tables(net, base, pruned, use_offsets):
         if node != net.destination and t < base.block_length:
             rm = base.relay_maps[node]
             reencode[(node, t)] = np.asarray(
-                [[rm.emit(t + 1, (sym,) * t).as_complex() for sym in vec] for vec in vectors]
+                [[symbol_value(rm.emit(t + 1, (sym,) * t), base.bit_depth) for sym in vec]
+                 for vec in vectors]
             )
     return effective, reencode
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
+from conftest import derive_decoder
 from test_decode_kernel import _whole
 
 from dsnlift import gaussian
@@ -18,9 +19,7 @@ from dsnlift.codes import (
     ProductCode,
     QuantizeForward,
     RelayCode,
-    enumerate_alphabet,
     search_base_code,
-    with_derived_decoder,
 )
 from dsnlift.gaussian import (
     DEFAULT_THRESHOLD,
@@ -372,8 +371,8 @@ def test_layered_simulation_with_causal_relay_maps(
     # at t = 1 and a map of its decided y(1) at t = 2.
     g = ComplexGain(3.0, 0.0)
     line = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
-    A = enumerate_alphabet(1)
-    code = with_derived_decoder(line, RelayCode(
+    A = [(r, i) for r in range(2) for i in range(2)]
+    code = derive_decoder(line, RelayCode(
         block_length=2, bit_depth=1, codebook=tuple((a, A[1]) for a in A),
         relay_maps={1: QuantizeForward(1, shift=1, causal=True)}, decoder={},
     ))

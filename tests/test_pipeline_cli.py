@@ -281,6 +281,8 @@ def test_cli_pipeline_kappa_override_flag_can_starve(tmp_path, capsys):
     )
     assert rc == cli.EXIT_EMPTY
     assert "error:" in capsys.readouterr().err
+    # Neither --out nor the temporary directory the stages wrote into is left.
+    assert [p.name for p in tmp_path.iterdir()] == ["mini.json"]
 
 
 def test_cli_pipeline_kappa_override_flag_rejects_bad_numbers(tmp_path, capsys):
@@ -336,6 +338,7 @@ def test_cli_pipeline_search_exhaustion_exits_3(tmp_path, capsys):
     rc = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_SEARCH
     assert "no zero-error base code" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["hard.json"]
 
 
 def test_cli_pipeline_invalid_config_exits_2(tmp_path, capsys):
@@ -406,6 +409,7 @@ def _run_doc(tmp_path, doc):
 def test_cli_pipeline_beyond_enumeration_budget_exits_2(tmp_path, capsys):
     err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "n_rep": 12}))
     assert "budget" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def _search(rate):
@@ -454,6 +458,47 @@ def test_cli_pipeline_code_whose_decoder_is_always_wrong_exits_2(tmp_path, capsy
     path = _code_file(tmp_path, decoder=[[r, (m + 1) % len(decoder)] for r, m in decoder])
     err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
     assert "cannot purify" in err
+
+
+_MODULO = {"family": "modulo", "mult": 1, "causal": False}
+
+
+def _table_at_node_1(entries, default):
+    table = {"family": "table", "entries": entries, "default": default, "causal": False}
+    return {"1": table, "2": _MODULO}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"codebook": [[[0, 0], [0, 0]], [[2, 0], [4, 0]], [[0, 2], [0, 2]], [[2, 2], [2, 2]]]},
+         "(4, 0) out of range for bit depth 2"),
+        ({"relay_maps": _table_at_node_1([[1, [0, 0], [0, 4]]], [0, 0])},
+         "(0, 4) out of range for bit depth 2"),
+        ({"relay_maps": _table_at_node_1([[1, [0, 0], [1, 1]]], [-1, 0])},
+         "(-1, 0) out of range for bit depth 2"),
+        ({"bit_depth": 0}, "bit_depth must be >= 1"),
+    ],
+    ids=["codebook-symbol", "table-entry", "table-default", "bit-depth-0"],
+)
+def test_cli_pipeline_code_off_the_symbol_grid_exits_2_at_load(tmp_path, capsys, changes, message):
+    path = _code_file(tmp_path, **changes)
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
+    assert path in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_pipeline_writes_into_an_existing_out_dir(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert cli.main(_run_doc(tmp_path, MINI_CONFIG)) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "notes.txt" in files and "rate_report.json" in files
+    # A failed run leaves the directory as it found it.
+    assert cli.main(_run_doc(tmp_path, {**MINI_CONFIG, "n_rep": 12})) == cli.EXIT_INPUT
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
 
 
 def _line_file(tmp_path, *gains):
