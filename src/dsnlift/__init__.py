@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .channel import (
     ComplexGain,
     Decomposition,
-    QuantizedGain,
     compute_bit_depth,
     decompose_received,
     quantize_gain,
@@ -26,8 +25,6 @@ from .codes import (
     QuantizeForward,
     RelayCode,
     TableMap,
-    deinterleave,
-    interleave,
     purify_zero_error,
     run_dsn,
     search_base_code,
@@ -51,7 +48,6 @@ from .network import (
     RelayNetwork,
     layer_decomposition,
     load_network,
-    save_network,
     validate,
 )
 from .pipeline import ExperimentConfig, load_config, run_pipeline

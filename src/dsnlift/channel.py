@@ -3,10 +3,11 @@
 A Gaussian relay link carries y = sum_i h_i x_i + z with complex gains h_i
 and unit-power inputs.  The discrete counterpart replaces each gain by its
 componentwise integer truncation and each input by a complex number whose
-real and imaginary parts are n-bit fractions in [0, 1).  A symbol is held
-as its integer numerators over 2**n, an (re_bits, im_bits) pair like the
-Gaussian-integer receptions; the bit depth n is not stored on it but
-passed in, and it belongs to the network and the code.  All discrete
+real and imaginary parts are n-bit fractions in [0, 1).  Truncated gains,
+symbols and receptions are all (re, im) int pairs: a truncated gain and a
+reception are Gaussian integers, and a symbol is held as its integer
+numerators over 2**n.  The bit depth n is not stored on a symbol but
+passed in; it belongs to the network and the code.  All discrete
 arithmetic here is exact: every product is evaluated in integer
 arithmetic before the truncation, so no float rounding can leak into the
 discrete outputs.
@@ -31,7 +32,6 @@ __all__ = [
     "GainBelowUnit",
     "LengthMismatch",
     "ComplexGain",
-    "QuantizedGain",
     "Decomposition",
     "DecompositionBatch",
     "compute_bit_depth",
@@ -81,18 +81,11 @@ class ComplexGain:
         return complex(self.re, self.im)
 
 
-@dataclass(frozen=True)
-class QuantizedGain:
-    """Componentwise integer truncation of a ComplexGain."""
-
-    re: int
-    im: int = 0
-
-
 # A Gaussian integer, kept as an exact (re, im) int pair.  Tuples keep the
 # reception alphabet hashable and cheap, which matters once receptions are
 # used as dictionary keys in decoders and typical-set machinery.  A channel
-# input is the same pair type: (re_bits, im_bits) with 0 <= bits < 2**n.
+# input is the same pair type: (re_bits, im_bits) with 0 <= bits < 2**n,
+# and so is a truncated gain.
 Zint = tuple[int, int]
 
 
@@ -145,12 +138,12 @@ def compute_bit_depth(gains: Iterable[ComplexGain]) -> int:
     return max(best, 1)
 
 
-def quantize_gain(h: ComplexGain) -> QuantizedGain:
-    """Truncate both components of a gain toward zero.
+def quantize_gain(h: ComplexGain) -> Zint:
+    """Truncate both components of a gain toward zero, as an (re, im) pair.
 
     The sign never flips and the error in each component is below one.
     """
-    return QuantizedGain(math.trunc(h.re), math.trunc(h.im))
+    return (math.trunc(h.re), math.trunc(h.im))
 
 
 Mimo = tuple[tuple[ComplexGain, ComplexGain], tuple[ComplexGain, ComplexGain]]
@@ -164,11 +157,12 @@ def symbol_value(x: Zint, bit_depth: int) -> complex:
 
 
 def superposition_output(
-    inputs: Sequence[Zint], gains: Sequence[QuantizedGain], bit_depth: int
+    inputs: Sequence[Zint], gains: Sequence[Zint], bit_depth: int
 ) -> Zint:
     """Discrete reception: sum of truncated quantized-gain products.
 
-    Each input is an (re_bits, im_bits) pair on the grid of ``bit_depth``.
+    Each input is an (re_bits, im_bits) pair on the grid of ``bit_depth``
+    and each gain a truncated (re, im) pair from quantize_gain.
     Each product is evaluated exactly on the dyadic grid, truncated toward
     zero componentwise, and the truncated Gaussian integers are summed.
     """
@@ -176,11 +170,11 @@ def superposition_output(
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
     n = bit_depth
     re = im = 0
-    for (p, q), g in zip(inputs, gains):
+    for (p, q), (a, b) in zip(inputs, gains):
         # (a + bi)(p + qi) / 2**n exactly: shift the integer numerators,
         # rounding their magnitudes down, so each part truncates toward zero.
-        num_re = g.re * p - g.im * q
-        num_im = g.re * q + g.im * p
+        num_re = a * p - b * q
+        num_im = a * q + b * p
         re += num_re >> n if num_re >= 0 else -(-num_re >> n)
         im += num_im >> n if num_im >= 0 else -(-num_im >> n)
     return (re, im)

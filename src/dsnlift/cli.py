@@ -23,13 +23,12 @@ from .channel import ChannelError, quantize_gain
 from .codes import BitDepthMismatch, CausalityError, TooManyErrors
 from .gaussian import ConfigError, verify_genie_bounds
 from .lifting import EmptyResult
-from .network import ParseError, SchemaError
+from .network import ParseError, SchemaError, load_network
 from .pipeline import (
     SearchFailed,
     _as_int,
     _as_number,
     _bound_doc,
-    _load_validated_network,
     canonical_json,
     load_config,
     read_input_text,
@@ -51,22 +50,20 @@ def _fmt_complex(re: float, im: float) -> str:
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    net = _load_validated_network(args.network)
+    net = load_network(read_input_text(args.network))
     print(f"bit depth n = {net.bit_depth}")
     print(f"{'edge':<12}{'gain':<24}quantized")
     for e in sorted(net.edges, key=lambda e: (e.src, e.dst)):
         if net.antenna_mode == "scalar":
-            q = quantize_gain(e.gain)
             print(f"{e.src}->{e.dst:<9}{_fmt_complex(e.gain.re, e.gain.im):<24}"
-                  f"{_fmt_complex(q.re, q.im)}")
+                  f"{_fmt_complex(*quantize_gain(e.gain))}")
         else:
             for k in (0, 1):
                 for l in (0, 1):
                     g = e.gain[k][l]
-                    q = quantize_gain(g)
                     label = f"{e.src}->{e.dst}[{k}{l}]"
                     print(f"{label:<12}{_fmt_complex(g.re, g.im):<24}"
-                          f"{_fmt_complex(q.re, q.im)}")
+                          f"{_fmt_complex(*quantize_gain(g))}")
     return 0
 
 
@@ -99,7 +96,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    net = _load_validated_network(args.network)
+    net = load_network(read_input_text(args.network))
     samples = _as_int(vars(args), "samples", "--samples", 1)
     seed = _as_int(vars(args), "seed", "--seed", 0)
     rep = verify_genie_bounds(net, samples=samples, seed=seed)

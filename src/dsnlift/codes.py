@@ -12,6 +12,9 @@ are built.  Relay maps come in two memory models:
 * causal maps, for arbitrary networks, where the symbol emitted at t may
   only use receptions at times strictly before t.
 
+Either way a map reads one reception, y(t) or y(t-1), and the scheduler
+hands it to ``emit_from(t, y)``, the one entry point of every map.
+
 run_dsn executes both in one walk over t (the time expansion of the
 network): at each t the symbols that read only earlier receptions are
 sent, then the nodes receive at t in level order, each block map sending
@@ -48,8 +51,6 @@ __all__ = [
     "run_dsn",
     "trace_all",
     "purify_zero_error",
-    "interleave",
-    "deinterleave",
     "message_bits",
     "search_base_code",
     "serialize_code",
@@ -85,15 +86,12 @@ def _grid(value: int, shift: int, mult: int, bit_depth: int) -> int:
 
 
 class RelayMap:
-    """Deterministic map from reception history to the next symbol.
+    """Deterministic map from one reception to the next symbol.
 
-    ``emit(t, visible)`` produces the symbol for local time t (1-based)
-    from the node's receptions ``visible``: through t at least for a block
-    map, the strict prefix y'(1..t-1) for a causal map.  Either way a map
-    reads one symbol, which ``_pick`` selects: y(t) for block maps, y(t-1)
-    for causal maps, None at t=1.  Subclasses map that symbol in
-    ``emit_from(t, y)``, which a scheduler that already knows the symbol
-    calls directly.
+    A map reads one reception of its node per local time t (1-based):
+    y(t) for a block map, y(t-1) for a causal map, and nothing (None) for
+    a causal map at t=1.  The scheduler picks that reception and calls
+    ``emit_from(t, y)``, the one entry point.
     """
 
     causal: bool = False
@@ -102,18 +100,10 @@ class RelayMap:
     def __post_init__(self) -> None:
         _check_symbols((), self.bit_depth)  # the bit depth alone
 
-    def emit(self, t: int, visible: Sequence[Zint]) -> Zint:
-        return self.emit_from(t, self._pick(t, visible))
-
     def emit_from(self, t: int, y: Zint | None) -> Zint:
         """The symbol sent at t after reading y: an (re_bits, im_bits) pair
         on the grid of the map's bit depth, which is its code's."""
         raise NotImplementedError
-
-    def _pick(self, t: int, visible: Sequence[Zint]) -> Zint | None:
-        if self.causal:
-            return visible[t - 2] if t >= 2 else None
-        return visible[t - 1]
 
 
 @dataclass(frozen=True)
@@ -280,7 +270,8 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
         from_dest.append((0, 0))
         for rmap, heard, sent in causal:
             assert len(heard) == t - 1
-            sent.append(rmap.emit(t, heard))
+            # A causal map reads the reception at t - 1, nothing at t = 1.
+            sent.append(rmap.emit_from(t, heard[-1] if heard else None))
         for heard, sent, block_map, senders, gains in walk:
             y = superposition_output([s[t - 1] for s in senders], gains, n)
             heard.append(y)
@@ -406,38 +397,11 @@ class ProductCode:
         return self.message_index(digits)
 
 
-def interleave(codewords: Sequence[Sequence], n_rep: int | None = None) -> tuple[tuple, ...]:
-    """Regroup n_rep codewords of length N into N blocks of n_rep symbols.
-
-    Block t holds the t-th symbol of every codeword, in codeword order.
-    """
-    if n_rep is not None and len(codewords) != n_rep:
-        raise ValueError(f"expected {n_rep} codewords, got {len(codewords)}")
-    if not codewords:
-        return ()
-    N = len(codewords[0])
-    if any(len(cw) != N for cw in codewords):
-        raise ValueError("codewords must share one length")
-    return tuple(tuple(cw[t] for cw in codewords) for t in range(N))
-
-
-def deinterleave(blocks: Sequence[Sequence], n_rep: int | None = None) -> tuple[tuple, ...]:
-    """Inverse of interleave: N blocks of n_rep symbols back to n_rep codewords."""
-    if not blocks:
-        return ()
-    width = len(blocks[0])
-    if n_rep is not None and width != n_rep:
-        raise ValueError(f"expected blocks of width {n_rep}, got {width}")
-    if any(len(b) != width for b in blocks):
-        raise ValueError("blocks must share one width")
-    return tuple(tuple(b[k] for b in blocks) for k in range(width))
-
-
 def _reception_bound(net: RelayNetwork, node: int) -> int:
     bound = 0
     for e in net.in_edges(node):
-        q = quantize_gain(e.gain)  # type: ignore[arg-type]
-        bound += abs(q.re) + abs(q.im)
+        a, b = quantize_gain(e.gain)  # type: ignore[arg-type]
+        bound += abs(a) + abs(b)
     return bound
 
 
@@ -570,21 +534,32 @@ def _map_doc(m: RelayMap) -> dict:
     raise ValueError(f"cannot serialize relay map {type(m).__name__}")
 
 
+def _int(v: object) -> int:
+    """A JSON integer as read; ValueError for anything else, a bool or a
+    fractional number included, so no value is truncated on the way in."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _pair(v: Sequence) -> Zint:
+    re, im = v
+    return (_int(re), _int(im))
+
+
 def _map_from_doc(doc: dict, bit_depth: int) -> RelayMap:
     family = doc["family"]
     causal = bool(doc["causal"])
     if family == "quantize_forward":
-        return QuantizeForward(bit_depth, shift=int(doc["shift"]), causal=causal)
+        return QuantizeForward(bit_depth, shift=_int(doc["shift"]), causal=causal)
     if family == "modulo":
-        return ModuloMap(bit_depth, mult=int(doc["mult"]), causal=causal)
+        return ModuloMap(bit_depth, mult=_int(doc["mult"]), causal=causal)
     if family == "table":
         entries = tuple(
-            ((int(t), tuple(y) if y is not None else None), (int(b[0]), int(b[1])))
+            ((_int(t), _pair(y) if y is not None else None), _pair(b))
             for t, y, b in doc["entries"]
         )
-        return TableMap(
-            bit_depth, entries=entries, default=tuple(doc["default"]), causal=causal
-        )
+        return TableMap(bit_depth, entries=entries, default=_pair(doc["default"]), causal=causal)
     raise ValueError(f"unknown relay map family {family!r}")
 
 
@@ -606,15 +581,12 @@ def serialize_code(code: RelayCode) -> dict:
 def deserialize_code(doc: dict) -> RelayCode:
     if doc.get("format") != 1:
         raise ValueError(f"unsupported code format {doc.get('format')!r}")
-    n = int(doc["bit_depth"])
-    codebook = tuple(tuple((int(b[0]), int(b[1])) for b in cw) for cw in doc["codebook"])
+    n = _int(doc["bit_depth"])
+    codebook = tuple(tuple(_pair(b) for b in cw) for cw in doc["codebook"])
     maps = {int(j): _map_from_doc(m, n) for j, m in doc["relay_maps"].items()}
-    decoder = {
-        tuple((int(p[0]), int(p[1])) for p in reception): int(msg)
-        for reception, msg in doc["decoder"]
-    }
+    decoder = {tuple(_pair(p) for p in reception): _int(msg) for reception, msg in doc["decoder"]}
     return RelayCode(
-        block_length=int(doc["block_length"]),
+        block_length=_int(doc["block_length"]),
         bit_depth=n,
         codebook=codebook,
         relay_maps=maps,

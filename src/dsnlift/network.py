@@ -1,10 +1,11 @@
-"""Relay network topology and its on-disk form.
+"""Relay network topology, its validation and its on-disk form.
 
 Networks are directed graphs over nodes 0..M with node 0 the source and
 node M the destination.  Gains live on the edges, either a single complex
 gain or, in two-antenna mode, a 2x2 matrix of them.  Files store gains as
 decimal strings so that loading is not at the mercy of whatever float
-formatting produced the file.
+formatting produced the file.  validate owns every structural rule, and
+load_network returns only networks that validate accepts.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "validate",
     "layer_decomposition",
     "load_network",
-    "save_network",
 ]
 
 
@@ -179,7 +179,7 @@ def layer_decomposition(net: RelayNetwork) -> tuple[frozenset[int], ...] | None:
     return tuple(frozenset(lv) for lv in levels)
 
 
-# --- serialization ---------------------------------------------------------
+# --- loading ---------------------------------------------------------------
 
 _TOP_KEYS = {"nodes", "antenna_mode", "edges"}
 _EDGE_KEYS = {"from", "to", "gain"}
@@ -207,11 +207,12 @@ def _parse_gain(raw: Any, where: str) -> ComplexGain:
 
 
 def load_network(text: str) -> RelayNetwork:
-    """Parse a network document.
+    """Parse a network document into a network that validate accepts.
 
-    Raises ParseError for malformed JSON and SchemaError for structural
-    problems: unknown fields, wrong types, node ids out of range, self
-    loops, duplicate edges, or gain shape not matching the antenna mode.
+    Raises ParseError for malformed JSON.  Raises SchemaError for a
+    document off the schema (unknown or missing fields, wrong types, an
+    unknown antenna mode, a gain shape not matching the mode) and, with
+    validate's problems joined by "; ", for a network validate rejects.
     """
     try:
         doc = json.loads(text)
@@ -227,8 +228,8 @@ def load_network(text: str) -> RelayNetwork:
         raise SchemaError(f"missing top-level fields {sorted(missing)}")
 
     nodes = doc["nodes"]
-    if not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 2:
-        raise SchemaError(f"nodes must be an integer >= 2, got {nodes!r}")
+    if not isinstance(nodes, int) or isinstance(nodes, bool):
+        raise SchemaError(f"nodes must be an integer, got {nodes!r}")
     mode = doc["antenna_mode"]
     if mode not in ("scalar", "mimo2x2"):
         raise SchemaError(f"antenna_mode must be 'scalar' or 'mimo2x2', got {mode!r}")
@@ -236,7 +237,6 @@ def load_network(text: str) -> RelayNetwork:
         raise SchemaError("edges must be a list")
 
     edges: list[Edge] = []
-    seen: set[tuple[int, int]] = set()
     for i, raw in enumerate(doc["edges"]):
         where = f"edges[{i}]"
         if not isinstance(raw, dict):
@@ -250,14 +250,6 @@ def load_network(text: str) -> RelayNetwork:
         for v in (src, dst):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise SchemaError(f"{where}: node ids must be integers")
-        if not (0 <= src < nodes and 0 <= dst < nodes):
-            raise SchemaError(f"{where}: node id out of range for {nodes} nodes")
-        if src == dst:
-            raise SchemaError(f"{where}: self loop at node {src}")
-        if (src, dst) in seen:
-            raise SchemaError(f"{where}: duplicate edge {src}->{dst}")
-        seen.add((src, dst))
-
         if mode == "scalar":
             gain: GainLike = _parse_gain(raw["gain"], where)
         else:
@@ -271,29 +263,8 @@ def load_network(text: str) -> RelayNetwork:
             )
         edges.append(Edge(src, dst, gain))
 
-    return RelayNetwork(node_count=nodes, edges=tuple(edges), antenna_mode=mode)
-
-
-def _format_component(x: float) -> str:
-    # repr of a float is the shortest string that round-trips, which keeps
-    # save -> load -> save byte-stable.
-    return repr(float(x))
-
-
-def _gain_doc(g: ComplexGain) -> dict[str, str]:
-    return {"re": _format_component(g.re), "im": _format_component(g.im)}
-
-
-def save_network(net: RelayNetwork) -> str:
-    """Serialize in canonical form: edges sorted, keys sorted, 2-space indent."""
-    edocs = []
-    for e in sorted(net.edges, key=lambda e: (e.src, e.dst)):
-        if net.antenna_mode == "scalar":
-            gain_doc: Any = _gain_doc(e.gain)  # type: ignore[arg-type]
-        else:
-            gain_doc = [[_gain_doc(g) for g in row] for row in e.gain]  # type: ignore[union-attr]
-        edocs.append({"from": e.src, "to": e.dst, "gain": gain_doc})
-    from .pipeline import canonical_json  # pipeline imports this module
-
-    doc = {"nodes": net.node_count, "antenna_mode": net.antenna_mode, "edges": edocs}
-    return canonical_json(doc)
+    net = RelayNetwork(node_count=nodes, edges=tuple(edges), antenna_mode=mode)
+    problems = validate(net)
+    if problems:
+        raise SchemaError("; ".join(problems))
+    return net

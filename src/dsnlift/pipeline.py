@@ -59,7 +59,7 @@ from .lifting import (
     prune_sets,
     rate_report,
 )
-from .network import RelayNetwork, SchemaError, load_network, validate
+from .network import RelayNetwork, load_network
 from .typicality import (
     ReceptionVectors,
     _decision_slots,
@@ -408,15 +408,6 @@ def read_input_text(name: str) -> str:
     return shipped.read_text()
 
 
-def _load_validated_network(name: str) -> RelayNetwork:
-    """The network of a file or shipped name; SchemaError if it is not valid."""
-    net = load_network(read_input_text(name))
-    problems = validate(net)
-    if problems:
-        raise SchemaError("; ".join(problems))
-    return net
-
-
 def _load_base_code(cfg: ExperimentConfig, net: RelayNetwork) -> tuple[RelayCode, dict]:
     if "file" in cfg.base_code:
         name = cfg.base_code["file"]
@@ -504,7 +495,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
     out_dir as it was; an existing out_dir is written into.
     """
     digest = config_hash(cfg)
-    net = _load_validated_network(cfg.network)
+    net = load_network(read_input_text(cfg.network))
     files: dict[str, Path] = {}
 
     with _staged(out_dir) as work:

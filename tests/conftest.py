@@ -1,5 +1,6 @@
-"""Shared fixtures (shipped networks, a small hand-built diamond code) and
-derive_decoder, which gives a hand-built code the decoder of its traces."""
+"""Shared fixtures (shipped networks, a small hand-built diamond code),
+derive_decoder, which gives a hand-built code the decoder of its traces,
+and read_at, the reception a relay map reads at a time."""
 
 import dataclasses
 import json
@@ -36,3 +37,12 @@ def derive_decoder(net, code):
     TooManyErrors when two messages share one."""
     traces = trace_all(net, code)
     return dataclasses.replace(code, decoder=_decoder(tr.received[net.destination] for tr in traces))
+
+
+def read_at(rmap, t, received):
+    """The one reception ``rmap`` reads at time t (1-based) of its node's
+    ``received``: y(t) for a block map, y(t-1) for a causal map and None
+    for a causal map at t=1."""
+    if rmap.causal:
+        return received[t - 2] if t >= 2 else None
+    return received[t - 1]

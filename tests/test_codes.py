@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dsnlift.channel import (
     ComplexGain,
-    QuantizedGain,
     compute_bit_depth,
     quantize_gain,
     superposition_output,
@@ -26,9 +25,7 @@ from dsnlift.codes import (
     RelayCode,
     TableMap,
     TooManyErrors,
-    deinterleave,
     deserialize_code,
-    interleave,
     purify_zero_error,
     run_dsn,
     search_base_code,
@@ -40,7 +37,7 @@ from dsnlift.codes import (
 from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network
 from dsnlift.pipeline import read_input_text
 
-from conftest import derive_decoder
+from conftest import derive_decoder, read_at
 
 
 def _alphabet(n: int) -> list[tuple[int, int]]:
@@ -71,14 +68,14 @@ def _line_code(block_length: int, count: int) -> RelayCode:
 
 def test_quantize_forward_reduces_reception_onto_grid():
     m = QuantizeForward(bit_depth=2)
-    assert m.emit(1, [(6, 0)]) == (2, 0)
+    assert m.emit_from(1, (6, 0)) == (2, 0)
     shifted = QuantizeForward(bit_depth=2, shift=1)
-    assert shifted.emit(1, [(6, 3)]) == (3, 0)
+    assert shifted.emit_from(1, (6, 3)) == (3, 0)
 
 
 def test_modulo_map_scales_then_reduces():
     m = ModuloMap(bit_depth=2, mult=3)
-    assert m.emit(1, [(3, 1)]) == (1, 3)
+    assert m.emit_from(1, (3, 1)) == (1, 3)
 
 
 def test_table_map_lookup_and_default():
@@ -87,49 +84,24 @@ def test_table_map_lookup_and_default():
         entries=(((1, (1, 0)), (1, 1)),),
         default=(0, 1),
     )
-    assert m.emit(1, [(1, 0)]) == (1, 1)
-    assert m.emit(1, [(9, 9)]) == (0, 1)
+    assert m.emit_from(1, (1, 0)) == (1, 1)
+    assert m.emit_from(1, (9, 9)) == (0, 1)
 
 
 def test_causal_maps_read_the_previous_symbol():
-    m = TableMap(
+    # Gain-2 line at bit depth 1: node 1 hears trunc(2 x), which is (1, 1)
+    # for the source symbol (1, 1) and (0, 0) for (0, 0).
+    relay = TableMap(
         bit_depth=1,
-        entries=(((1, None), (1, 0)), ((2, (1, 1)), (0, 1))),
+        entries=(((1, None), (1, 0)), ((2, (1, 1)), (0, 1)), ((2, (0, 0)), (1, 1))),
         causal=True,
     )
-    # At t=1 nothing is visible yet; the (1, None) entry applies.
-    assert m.emit(1, ()) == (1, 0)
-    # At t=2 the map reads the reception at t-1 = index 0.
-    assert m.emit(2, ((1, 1),)) == (0, 1)
-
-
-@pytest.mark.parametrize("causal", [False, True])
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda causal: QuantizeForward(bit_depth=2, shift=1, causal=causal),
-        lambda causal: ModuloMap(bit_depth=2, mult=3, causal=causal),
-        lambda causal: TableMap(
-            bit_depth=2,
-            entries=(
-                ((1, None), (1, 0)), ((1, (3, 1)), (2, 3)), ((2, (3, 1)), (0, 1)),
-                ((2, (6, 0)), (3, 3)), ((3, (6, 0)), (1, 2)), ((3, (-2, 5)), (2, 1)),
-            ),
-            default=(3, 0),
-            causal=causal,
-        ),
-    ],
-    ids=["quantize_forward", "modulo", "table"],
-)
-def test_emit_is_emit_from_of_the_one_picked_symbol(make, causal):
-    m = make(causal)
-    block = ((3, 1), (6, 0), (-2, 5))
-    for t in range(1, len(block) + 1):
-        # Block maps see the whole block; causal maps see the prefix y(1..t-1).
-        visible = block[: t - 1] if causal else block
-        y = m._pick(t, visible)
-        assert y == ((block[t - 2] if t >= 2 else None) if causal else block[t - 1])
-        assert m.emit(t, visible) == m.emit_from(t, y)
+    code = RelayCode(2, 1, (((1, 1), (0, 0)),), {1: relay}, {})
+    tr = run_dsn(_line(2), code, 0)
+    assert tr.received[1] == ((1, 1), (0, 0))
+    # At t=1 nothing has been heard yet, so the (1, None) entry applies; at
+    # t=2 the relay sends the entry keyed by its reception at t=1.
+    assert tr.transmitted[1] == ((1, 0), (0, 1))
 
 
 def test_relay_code_validation():
@@ -260,7 +232,8 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
                 if j == dest:
                     tx[j] = tuple(zero for _ in range(N))
                 else:
-                    tx[j] = tuple(code.relay_maps[j].emit(t, block) for t in range(1, N + 1))
+                    rmap = code.relay_maps[j]
+                    tx[j] = tuple(rmap.emit_from(t, read_at(rmap, t, block)) for t in range(1, N + 1))
     else:
         for j in relays:
             if not code.relay_maps[j].causal:
@@ -276,7 +249,8 @@ def _two_schedule_run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> N
                 else:
                     visible = tuple(hist[j])
                     assert len(visible) == t - 1
-                    sym = code.relay_maps[j].emit(t, visible)
+                    rmap = code.relay_maps[j]
+                    sym = rmap.emit_from(t, read_at(rmap, t, visible))
                 txs[j].append(sym)
             snapshot = {j: tuple(txs[j]) for j in range(net.node_count)}
             for j in range(net.node_count):
@@ -482,30 +456,6 @@ def test_product_code_index_round_trip(k, n_rep, data):
     assert product.message_index(digits) == idx
 
 
-def test_interleave_explicit_example():
-    blocks = interleave([("a1", "a2"), ("b1", "b2")])
-    assert blocks == (("a1", "b1"), ("a2", "b2"))
-    assert deinterleave(blocks) == (("a1", "a2"), ("b1", "b2"))
-    assert interleave([("a1", "a2")], n_rep=1) == (("a1",), ("a2",))
-    with pytest.raises(ValueError):
-        interleave([("a1",)], n_rep=2)
-    with pytest.raises(ValueError):
-        interleave([("a1", "a2"), ("b1",)])
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.data())
-def test_interleave_round_trip(n_rep, length, data):
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(0, 9), min_size=length, max_size=length),
-            min_size=n_rep,
-            max_size=n_rep,
-        )
-    )
-    codewords = tuple(tuple(r) for r in rows)
-    assert deinterleave(interleave(codewords), n_rep=n_rep) == codewords
-
-
 def test_search_finds_zero_error_code_on_gain_two_line():
     net = _line(2)
     code = search_base_code(net, block_length=1, rate=1.0, attempts=300, seed=3)
@@ -527,7 +477,7 @@ def test_search_not_found_when_rate_exceeds_zero_error_maximum():
     # multi-message zero-error code exists.
     net = _line(1)
     receptions = {
-        superposition_output([x], [QuantizedGain(1, 0)], 1)
+        superposition_output([x], [(1, 0)], 1)
         for x in _alphabet(1)
     }
     assert receptions == {(0, 0)}

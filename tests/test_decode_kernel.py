@@ -37,6 +37,8 @@ from dsnlift.network import load_network
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
 from dsnlift.typicality import ReceptionVectors
 
+from conftest import read_at
+
 # --- oracle: dense complex distances ------------------------------------------
 
 
@@ -347,7 +349,7 @@ def _reference_layered_tables(net, product, pruned, use_offsets):
             rm = base.relay_maps[j]
             reencode[j] = np.asarray(
                 [
-                    [symbol_value(rm.emit(t, block), base.bit_depth)
+                    [symbol_value(rm.emit_from(t, read_at(rm, t, block)), base.bit_depth)
                      for block in vec for t in range(1, N + 1)]
                     for vec in pruned.sets[j]
                 ],
@@ -371,7 +373,8 @@ def _reference_interleaved_tables(net, base, pruned, use_offsets):
         if node != net.destination and t < base.block_length:
             rm = base.relay_maps[node]
             reencode[(node, t)] = np.asarray(
-                [[symbol_value(rm.emit(t + 1, (sym,) * t), base.bit_depth) for sym in vec]
+                # A causal map reads at t + 1 the reception at t.
+                [[symbol_value(rm.emit_from(t + 1, sym), base.bit_depth) for sym in vec]
                  for vec in vectors]
             )
     return effective, reencode

@@ -478,8 +478,16 @@ def _table_at_node_1(entries, default):
         ({"relay_maps": _table_at_node_1([[1, [0, 0], [1, 1]]], [-1, 0])},
          "(-1, 0) out of range for bit depth 2"),
         ({"bit_depth": 0}, "bit_depth must be >= 1"),
+        # Fractional values are rejected, not truncated onto the grid.
+        ({"codebook": [[[0, 0], [0, 0]], [[1.5, 0], [2, 0]], [[0, 2], [0, 2]], [[2, 2], [2, 2]]]},
+         "expected an integer, got 1.5"),
+        ({"relay_maps": _table_at_node_1([[1, [0, 0], [1.5, 1]]], [0, 0])},
+         "expected an integer, got 1.5"),
+        ({"relay_maps": _table_at_node_1([[1, [0, 0], [1, 1]]], [1.5, 0])},
+         "expected an integer, got 1.5"),
     ],
-    ids=["codebook-symbol", "table-entry", "table-default", "bit-depth-0"],
+    ids=["codebook-symbol", "table-entry", "table-default", "bit-depth-0",
+         "fractional-codebook-bit", "fractional-table-entry", "fractional-table-default"],
 )
 def test_cli_pipeline_code_off_the_symbol_grid_exits_2_at_load(tmp_path, capsys, changes, message):
     path = _code_file(tmp_path, **changes)
