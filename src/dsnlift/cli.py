@@ -6,9 +6,10 @@ file into an output directory, and ``bounds`` estimates the per-node
 noise-gap entropies of a network against its kappa reference.
 
 Exit codes: 0 success, 2 parse or validation failure, an input beyond
-the exact numeric range or the enumeration budget, or a base code that
-does not run on the network, 3 base-code search exhausted, 4 pruning or
-lifting produced an empty result.  Human-readable text goes to stdout;
+the exact numeric range or the enumeration budget, a base code that
+does not run on the network, or an input path that cannot be read or an
+output path that cannot be written, 3 base-code search exhausted, 4
+pruning or lifting produced an empty result.  Human-readable text goes to stdout;
 machine-readable artifacts are files.
 """
 
@@ -158,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, SchemaError, ConfigError, ChannelError, TooLarge,
-            BitDepthMismatch, CausalityError, TooManyErrors) as exc:
+            BitDepthMismatch, CausalityError, TooManyErrors, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SearchFailed as exc:

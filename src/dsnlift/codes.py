@@ -549,7 +549,9 @@ def _pair(v: Sequence) -> Zint:
 
 def _map_from_doc(doc: dict, bit_depth: int) -> RelayMap:
     family = doc["family"]
-    causal = bool(doc["causal"])
+    causal = doc["causal"]
+    if not isinstance(causal, bool):
+        raise ValueError(f"causal must be a boolean, got {causal!r}")
     if family == "quantize_forward":
         return QuantizeForward(bit_depth, shift=_int(doc["shift"]), causal=causal)
     if family == "modulo":
@@ -579,8 +581,8 @@ def serialize_code(code: RelayCode) -> dict:
 
 
 def deserialize_code(doc: dict) -> RelayCode:
-    if doc.get("format") != 1:
-        raise ValueError(f"unsupported code format {doc.get('format')!r}")
+    if _int(doc.get("format")) != 1:
+        raise ValueError(f"unsupported code format {doc['format']!r}")
     n = _int(doc["bit_depth"])
     codebook = tuple(tuple(_pair(b) for b in cw) for cw in doc["codebook"])
     maps = {int(j): _map_from_doc(m, n) for j, m in doc["relay_maps"].items()}

@@ -10,11 +10,10 @@ Every random choice is driven by a seed named in the config, so a rerun
 with the same config writes byte-identical artifacts.  Every JSON
 artifact embeds the config hash for provenance, added as it is written.
 
-Artifacts are written by canonical_json, which produces the bytes of
-json.dumps(doc, sort_keys=True, indent=2) plus a newline without that
-call's pure-Python encoder: it appends the indented layout to one flat
-chunk list, encodes scalars and keys with json's C encoder, and writes
-each pruned set's reception vectors straight from their digit rows.
+Artifacts are written by canonical_json: json.dumps(doc, sort_keys=True,
+indent=2) plus a newline.  json.dumps lays out every document; each
+pruned set's reception vectors are spliced in straight from their digit
+rows, which spares the pure-Python encoder the bulk of pruned_sets.json.
 """
 
 from __future__ import annotations
@@ -167,7 +166,7 @@ def load_config(text: str) -> ExperimentConfig:
     required = {"format", "network", "base_code", "n_rep", "epsilon", "prune_seed"}
     optional = {"purify", "eta", "kappa_override", "simulate", "bounds"}
     _require_keys(doc, required, optional, "config")
-    if doc["format"] != CONFIG_FORMAT:
+    if _as_int(doc, "format", "config") != CONFIG_FORMAT:
         raise ConfigError(f"config format {doc['format']!r} not supported (expected {CONFIG_FORMAT})")
     if not isinstance(doc["network"], str):
         raise ConfigError("config: network must be a string")
@@ -267,76 +266,22 @@ def _config_doc(cfg: ExperimentConfig) -> dict:
     return {"format": CONFIG_FORMAT, **asdict(cfg)}
 
 
-# One-shot C encoder for a single scalar or an already-converted dict key.
-_encode_scalar = json.JSONEncoder().encode
+# The placeholders a ReceptionVectors stands in for while json.dumps lays
+# out a document, tried in turn: attempt 0, 1, ...
+_VECTORS_MARK = "@dsnlift-vectors-{}@"
 
 
-def _key_text(key: Any) -> str:
-    # Dict keys become JSON strings the way json.dumps converts them.
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-            )
-        key = _encode_scalar(key)
-    return _encode_scalar(key) + ": "
-
-
-def _append_json(obj: Any, depth: int, chunks: list[str], breaks: list[str]) -> None:
-    # Append obj's indented text at depth to chunks.  breaks[d] is a
-    # newline plus the indent of depth d.
-    if isinstance(obj, ReceptionVectors):
-        _append_vectors(obj, depth, chunks, breaks)
-        return
-    if not isinstance(obj, (dict, list, tuple)):
-        chunks.append(_encode_scalar(obj))
-        return
-    if not obj:
-        chunks.append("{}" if isinstance(obj, dict) else "[]")
-        return
-    inner = depth + 1
-    if inner == len(breaks):
-        breaks.append(breaks[-1] + "  ")
-    put = chunks.append
-    sep = breaks[inner]
-    comma = "," + sep
-    if isinstance(obj, dict):
-        put("{")
-        for key, item in sorted(obj.items()):
-            put(sep)
-            put(_key_text(key))
-            _append_json(item, inner, chunks, breaks)
-            sep = comma
-        put(breaks[depth])
-        put("}")
-        return
-    put("[")
-    for item in obj:
-        put(sep)
-        _append_json(item, inner, chunks, breaks)
-        sep = comma
-    put(breaks[depth])
-    put("]")
-
-
-def _append_vectors(
-    vectors: ReceptionVectors, depth: int, chunks: list[str], breaks: list[str]
-) -> None:
+def _append_vectors(vectors: ReceptionVectors, depth: int, chunks: list[str]) -> None:
     # Append list(vectors) as laid out at depth: an array of rows at
     # depth + 1, each an array of alphabet values at depth + 2.
     digits = vectors.digits
     if not len(digits):
         chunks.append("[]")
         return
-    row_depth, value_depth = depth + 1, depth + 2
-    while len(breaks) <= value_depth:
-        breaks.append(breaks[-1] + "  ")
-    texts = []
-    for value in vectors.alphabet:
-        value_chunks: list[str] = []
-        _append_json(value, value_depth, value_chunks, breaks)
-        texts.append("".join(value_chunks))
-    row_sep, value_sep = breaks[row_depth], breaks[value_depth]
+    outer_sep, row_sep, value_sep = ("\n" + "  " * d for d in (depth, depth + 1, depth + 2))
+    # json.dumps puts no raw newline inside a string, so each line break
+    # of a value laid out at depth 0 takes the value's own indent.
+    texts = [json.dumps(value, indent=2).replace("\n", value_sep) for value in vectors.alphabet]
     close = row_sep + "]" if digits.shape[1] else "[]"
     # Piece table: the first value of a row opens it, every later value
     # follows a comma, and the last piece closes the row and starts the next.
@@ -354,25 +299,43 @@ def _append_vectors(
     chunks.append("[" + row_sep)
     chunks.extend(map(pieces.__getitem__, index.ravel().tolist()))
     chunks[-1] = close
-    chunks.append(breaks[depth] + "]")
+    chunks.append(outer_sep + "]")
 
 
 def canonical_json(doc: Any) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)`` plus a newline, byte for byte.
 
-    json.dumps drops to its pure-Python encoder whenever an indent is set.
-    This writer lays out the same indented text itself: containers append
-    their brackets and separators to one flat chunk list, joined once at
-    the end, and every scalar and dict key goes through json's C encoder.
-    A ReceptionVectors is written as ``list(vectors)`` would be, straight
-    from its digit rows: each alphabet value is laid out once, and each
-    row is its digits' value texts between fixed separators.  The
-    recursion is not a closure, whose reference cycle would keep the chunk
-    list alive after the call and raise the peak RSS of repeated runs.
-    Unsupported values raise TypeError as in json.dumps.
+    json.dumps lays out the document, with each ReceptionVectors swapped
+    for a placeholder string.  Each placeholder is then replaced by the
+    text ``list(vectors)`` would have there, written straight from the
+    digit rows: each alphabet value is laid out once, and each row is its
+    digits' value texts between fixed separators, so the list of tuples is
+    never built and the pure-Python encoder never walks the rows.  When the
+    document's own strings hold a placeholder, the next one in the sequence
+    is tried.  Other unsupported values raise TypeError as in json.dumps.
     """
-    chunks: list[str] = []
-    _append_json(doc, 0, chunks, ["\n"])
+    attempt = 0
+    while True:
+        held: list[ReceptionVectors] = []
+        mark = _VECTORS_MARK.format(attempt)
+
+        def hold(obj: Any) -> str:
+            if not isinstance(obj, ReceptionVectors):
+                raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            held.append(obj)
+            return mark
+
+        parts = json.dumps(doc, sort_keys=True, indent=2, default=hold).split(f'"{mark}"')
+        # Every quoted mark ends a distinct string; one per held set means
+        # no string of the document's own ends with the mark.
+        if len(parts) == len(held) + 1:
+            break
+        attempt += 1
+    chunks = [parts[0]]
+    for vectors, after in zip(held, parts[1:]):
+        line = chunks[-1][chunks[-1].rfind("\n") + 1 :]
+        _append_vectors(vectors, (len(line) - len(line.lstrip(" "))) // 2, chunks)
+        chunks.append(after)
     chunks.append("\n")
     return "".join(chunks)
 

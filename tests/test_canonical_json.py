@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dsnlift.cli import main
 from dsnlift.gaussian import verify_genie_bounds
 from dsnlift.network import load_network
-from dsnlift.pipeline import _bound_doc, canonical_json, read_input_text
+from dsnlift.pipeline import _VECTORS_MARK, _bound_doc, canonical_json, read_input_text
 from dsnlift.typicality import ReceptionVectors
 
 
@@ -125,3 +125,47 @@ def test_bounds_out_writes_the_oracle_bytes(tmp_path):
                  "--out", str(out)]) == 0
     rep = verify_genie_bounds(load_network(read_input_text("line")), samples=2000, seed=4)
     assert out.read_text() == _oracle(_bound_doc(rep))
+
+
+def _small_set():
+    return ReceptionVectors(((0, 1), (2, 3)), np.array([[0, 1], [1, 0]], dtype=np.int64))
+
+
+_MARKS = [_VECTORS_MARK.format(i) for i in range(3)]
+
+
+@pytest.mark.parametrize(
+    "strings",
+    [
+        {"value": _MARKS[0]},
+        {_MARKS[0]: "key"},
+        {"tail": 'x"' + _MARKS[0]},
+        {"all": [_MARKS[0], {_MARKS[1]: 'x"' + _MARKS[2]}]},
+    ],
+    ids=["value", "key", "string-tail", "three-marks"],
+)
+def test_document_strings_that_hold_the_placeholder(strings):
+    # The quoted placeholder shows up in the document's own text; the
+    # writer must notice and move on to the next placeholder.
+    doc = {**strings, "vectors": _small_set(), "z": [_small_set()]}
+    assert canonical_json(doc) == _oracle(_listed(doc))
+
+
+def test_one_vector_set_at_two_depths():
+    shared = _small_set()
+    doc = {"a": shared, "b": [[shared, {"c": shared}]]}
+    assert canonical_json(doc) == _oracle(_listed(doc))
+
+
+class _HashableSet(ReceptionVectors):
+    # ReceptionVectors compares by value and is unhashable; this one can be a key.
+    __hash__ = object.__hash__
+
+
+def test_vector_set_as_a_key_raises_type_error():
+    small = _small_set()
+    doc = {_HashableSet(small.alphabet, small.digits): 1}
+    with pytest.raises(TypeError):
+        _oracle(doc)
+    with pytest.raises(TypeError):
+        canonical_json(doc)

@@ -422,8 +422,12 @@ def _search(rate):
         ({"network": "line", "base_code": _search(-1.0)}, "rate must be >= 0"),
         ({"network": "line", "base_code": _search(0.5)}, "must be an integer"),
         ({"simulate": {**MINI_CONFIG["simulate"], "noise_scale": -1.0}}, "noise_scale"),
+        # JSON true and 1.0 compare equal to 1 but are not the format number.
+        ({"format": True}, "format must be an integer"),
+        ({"format": 1.0}, "format must be an integer"),
     ],
-    ids=["negative-rate", "fractional-message-bits", "negative-noise-scale"],
+    ids=["negative-rate", "fractional-message-bits", "negative-noise-scale",
+         "format-true", "format-float"],
 )
 def test_cli_pipeline_out_of_range_config_numbers_exit_2(tmp_path, capsys, changes, message):
     assert message in _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, **changes}))
@@ -463,6 +467,11 @@ def test_cli_pipeline_code_whose_decoder_is_always_wrong_exits_2(tmp_path, capsy
 _MODULO = {"family": "modulo", "mult": 1, "causal": False}
 
 
+def _relay_1_of_diamond_code(**changes):
+    maps = json.loads(read_input_text("diamond_code"))["relay_maps"]
+    return {**maps, "1": {**maps["1"], **changes}}
+
+
 def _table_at_node_1(entries, default):
     table = {"family": "table", "entries": entries, "default": default, "causal": False}
     return {"1": table, "2": _MODULO}
@@ -485,9 +494,14 @@ def _table_at_node_1(entries, default):
          "expected an integer, got 1.5"),
         ({"relay_maps": _table_at_node_1([[1, [0, 0], [1, 1]]], [1.5, 0])},
          "expected an integer, got 1.5"),
+        ({"format": True}, "expected an integer, got True"),
+        # A non-empty string is truthy; it must not load as a causal map.
+        ({"relay_maps": _relay_1_of_diamond_code(causal="false")},
+         "causal must be a boolean, got 'false'"),
     ],
     ids=["codebook-symbol", "table-entry", "table-default", "bit-depth-0",
-         "fractional-codebook-bit", "fractional-table-entry", "fractional-table-default"],
+         "fractional-codebook-bit", "fractional-table-entry", "fractional-table-default",
+         "format-true", "causal-string"],
 )
 def test_cli_pipeline_code_off_the_symbol_grid_exits_2_at_load(tmp_path, capsys, changes, message):
     path = _code_file(tmp_path, **changes)
@@ -507,6 +521,25 @@ def test_cli_pipeline_writes_into_an_existing_out_dir(tmp_path, capsys):
     assert cli.main(_run_doc(tmp_path, {**MINI_CONFIG, "n_rep": 12})) == cli.EXIT_INPUT
     assert {p.name: p.read_bytes() for p in out.iterdir()} == files
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--network", "line", "--samples", "100", "--out", "{tmp}/missing/bounds.json"],
+        ["pipeline", "--config", "{tmp}/cfg.json", "--out", "{tmp}/file/out"],
+        ["pipeline", "--config", "{tmp}/cfg.json", "--out", "{tmp}/file"],
+        ["pipeline", "--config", "{tmp}", "--out", "{tmp}/out"],
+    ],
+    ids=["bounds-out-in-missing-dir", "out-under-a-file", "out-is-a-file", "config-is-a-dir"],
+)
+def test_cli_unusable_paths_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "cfg.json").write_text(json.dumps(MINI_CONFIG))
+    (tmp_path / "file").write_text("kept")
+    _assert_input_error(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    # No output and no staging sibling (.out-*, .file-*) is left behind.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def _line_file(tmp_path, *gains):
