@@ -27,6 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "ConfigError",
     "ChannelError",
     "EmptyGainList",
     "GainBelowUnit",
@@ -45,7 +46,11 @@ __all__ = [
 ]
 
 
-class ChannelError(ValueError):
+class ConfigError(ValueError):
+    """An input the program refuses."""
+
+
+class ChannelError(ConfigError):
     """Base class for channel arithmetic errors."""
 
 

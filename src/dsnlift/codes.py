@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelError, Zint, quantize_gain, superposition_output
-from .network import RelayNetwork
+from .channel import ChannelError, ConfigError, Zint, quantize_gain, superposition_output
+from .network import RelayNetwork, SchemaError, _int, _require_keys
 
 __all__ = [
     "BitDepthMismatch",
@@ -58,15 +58,15 @@ __all__ = [
 ]
 
 
-class BitDepthMismatch(ValueError):
+class BitDepthMismatch(ConfigError):
     pass
 
 
-class TooManyErrors(ValueError):
+class TooManyErrors(ConfigError):
     """Average error of the code is too high for purification."""
 
 
-class CausalityError(ValueError):
+class CausalityError(ConfigError):
     """A non-causal relay map was scheduled on a non-layered network."""
 
 
@@ -231,7 +231,9 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     schedule.  Other networks need every relay map to be causal, and the
     walk is the symbol-synchronous schedule.  The destination never
     transmits: it sends zero symbols, which reach nobody after truncation
-    when it has outgoing edges.
+    when it has outgoing edges.  A code that cannot run on net raises a
+    ConfigError: on a MIMO network, of another bit depth, without a map
+    for some relay, or with a block map on a non-layered network.
     """
     if net.antenna_mode != "scalar":
         raise CausalityError("code execution is defined for scalar networks only")
@@ -245,7 +247,7 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     n = code.bit_depth
     for j in net.relays:
         if j not in code.relay_maps:
-            raise ValueError(f"no relay map for node {j}")
+            raise ConfigError(f"no relay map for node {j}")
         if net.levels is None and not code.relay_maps[j].causal:
             raise CausalityError(
                 f"relay map at node {j} is not causal; the synchronous schedule "
@@ -534,35 +536,35 @@ def _map_doc(m: RelayMap) -> dict:
     raise ValueError(f"cannot serialize relay map {type(m).__name__}")
 
 
-def _int(v: object) -> int:
-    """A JSON integer as read; ValueError for anything else, a bool or a
-    fractional number included, so no value is truncated on the way in."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValueError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _pair(v: Sequence) -> Zint:
+def _pair(v: Sequence, what: str) -> Zint:
     re, im = v
-    return (_int(re), _int(im))
+    return (_int(re, what), _int(im, what))
 
 
-def _map_from_doc(doc: dict, bit_depth: int) -> RelayMap:
-    family = doc["family"]
+# The fields of a code document, and of a relay map's beyond "family" and
+# "causal", by family.
+_CODE_KEYS = {"format", "block_length", "bit_depth", "codebook", "relay_maps", "decoder"}
+_MAP_KEYS = {"quantize_forward": {"shift"}, "modulo": {"mult"}, "table": {"entries", "default"}}
+
+
+def _map_from_doc(doc: Any, bit_depth: int, where: str) -> RelayMap:
+    family = doc.get("family") if isinstance(doc, dict) else None
+    if not (isinstance(family, str) and family in _MAP_KEYS):
+        raise SchemaError(f"{where}: unknown relay map family {family!r}")
+    _require_keys(doc, {"family", "causal", *_MAP_KEYS[family]}, set(), where)
     causal = doc["causal"]
     if not isinstance(causal, bool):
-        raise ValueError(f"causal must be a boolean, got {causal!r}")
+        raise SchemaError(f"{where}: causal must be a boolean, got {causal!r}")
     if family == "quantize_forward":
-        return QuantizeForward(bit_depth, shift=_int(doc["shift"]), causal=causal)
+        return QuantizeForward(bit_depth, shift=_int(doc["shift"], f"{where}.shift"), causal=causal)
     if family == "modulo":
-        return ModuloMap(bit_depth, mult=_int(doc["mult"]), causal=causal)
-    if family == "table":
-        entries = tuple(
-            ((_int(t), _pair(y) if y is not None else None), _pair(b))
-            for t, y, b in doc["entries"]
-        )
-        return TableMap(bit_depth, entries=entries, default=_pair(doc["default"]), causal=causal)
-    raise ValueError(f"unknown relay map family {family!r}")
+        return ModuloMap(bit_depth, mult=_int(doc["mult"], f"{where}.mult"), causal=causal)
+    what = f"{where}.entries"
+    entries = tuple(
+        ((_int(t, what), _pair(y, what) if y is not None else None), _pair(b, what))
+        for t, y, b in doc["entries"]
+    )
+    return TableMap(bit_depth, entries, _pair(doc["default"], f"{where}.default"), causal)
 
 
 def serialize_code(code: RelayCode) -> dict:
@@ -580,15 +582,18 @@ def serialize_code(code: RelayCode) -> dict:
     }
 
 
-def deserialize_code(doc: dict) -> RelayCode:
-    if _int(doc.get("format")) != 1:
+def deserialize_code(doc: Any) -> RelayCode:
+    """The relay code of a format-1 document.  SchemaError for an unknown or
+    missing field, in the document or a relay map, or a non-integer value."""
+    _require_keys(doc, _CODE_KEYS, set(), "base code")
+    if _int(doc["format"], "format") != 1:
         raise ValueError(f"unsupported code format {doc['format']!r}")
-    n = _int(doc["bit_depth"])
-    codebook = tuple(tuple(_pair(b) for b in cw) for cw in doc["codebook"])
-    maps = {int(j): _map_from_doc(m, n) for j, m in doc["relay_maps"].items()}
-    decoder = {tuple(_pair(p) for p in reception): _int(msg) for reception, msg in doc["decoder"]}
+    n = _int(doc["bit_depth"], "bit_depth")
+    codebook = tuple(tuple(_pair(b, "codebook symbol") for b in cw) for cw in doc["codebook"])
+    maps = {int(j): _map_from_doc(m, n, f"relay_maps.{j}") for j, m in doc["relay_maps"].items()}
+    decoder = {tuple(_pair(p, "decoder") for p in r): _int(m, "decoder") for r, m in doc["decoder"]}
     return RelayCode(
-        block_length=_int(doc["block_length"]),
+        block_length=_int(doc["block_length"], "block_length"),
         bit_depth=n,
         codebook=codebook,
         relay_maps=maps,

@@ -54,7 +54,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channel import ComplexGain, _add_keeping_floor, check_batch_range, decompose_batch, symbol_value
+from .channel import (
+    ComplexGain, ConfigError, _add_keeping_floor, check_batch_range, decompose_batch, symbol_value,
+)
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
 from .network import RelayNetwork
@@ -69,7 +71,6 @@ from .typicality import (
 )
 
 __all__ = [
-    "ConfigError",
     "NoiseSpec",
     "BoundEntry",
     "BoundReport",
@@ -88,10 +89,6 @@ LOG2E = math.log2(math.e)
 DEFAULT_THRESHOLD = -6.0
 # Trials per row of SimulationResult.batches.
 _BATCH_ROWS = 4096
-
-
-class ConfigError(ValueError):
-    """Simulation inputs do not fit together."""
 
 
 @dataclass(frozen=True)
@@ -414,34 +411,28 @@ def simulate_lifted(
 
     With use_offsets the decoder centres each candidate at reception plus
     its canonical perturbation; otherwise the perturbation is left inside
-    the noise ball.
+    the noise ball.  A code that cannot run on net raises run_dsn's
+    ConfigError, before any draw.
     """
-    if net.antenna_mode != "scalar":
-        raise ConfigError("simulation is defined for scalar networks")
+    base = product.base
+    traces = trace_all(net, base)
     if lifted.count == 0:
         raise ConfigError("lifted code is empty; nothing to simulate")
     if trials < 1:
         raise ConfigError("need at least one trial")
     pruned = lifted.pruned
-    base = product.base
     n_rep, N = product.n_rep, base.block_length
     order = _decision_slots(net, N)
     if set(pruned.sets) != set(order):
         raise ConfigError(f"pruned sets cover slots {list(pruned.sets)}, need {sorted(order)}")
-    if net.bit_depth != base.bit_depth:
-        raise ConfigError("code bit depth does not match the network")
     dest = net.destination
     layered = net.levels is not None
-    if not layered:
-        for j in net.relays:
-            if not base.relay_maps[j].causal:
-                raise ConfigError(f"relay map at node {j} is not causal; interleaved scheduling needs causal maps")
 
     threshold_val = DEFAULT_THRESHOLD if threshold is None else float(threshold)
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
     pick = msg_rng.integers(lifted.count, size=trials)
     true_codewords = np.asarray(lifted.codeword_indices, dtype=np.int64)[pick]
-    tables = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
+    tables = _slot_tables(net, base, pruned, traces, use_offsets)
 
     # Every node's transmissions over the trials, uses and base-block times.
     # The destination's stay zero and are kept only for its out-edges.

@@ -21,12 +21,11 @@ import numpy as np
 from .codes import ProductCode, trace_all
 from .network import RelayNetwork
 from .typicality import (
-    BUDGET,
     FiniteDistribution,
     ReceptionVectors,
     SlotKey,
-    TooLarge,
     TypicalSet,
+    _check_budget,
     _radix_codes,
     _slot_key,
     _slot_values,
@@ -257,10 +256,7 @@ def build_lifted_code(
     set's sorted codes.  An empty result is valid and reported as such,
     not an error.
     """
-    if product.codeword_count > BUDGET:
-        raise TooLarge(
-            f"{product.codeword_count} codewords exceed the enumeration budget {BUDGET}"
-        )
+    _check_budget(product.base.message_count, product.n_rep, "codewords")
     slots = sorted(pruned.sets)
     traces = trace_all(net, product.base)
     K = product.base.message_count

@@ -5,7 +5,8 @@ node M the destination.  Gains live on the edges, either a single complex
 gain or, in two-antenna mode, a 2x2 matrix of them.  Files store gains as
 decimal strings so that loading is not at the mercy of whatever float
 formatting produced the file.  validate owns every structural rule, and
-load_network returns only networks that validate accepts.
+load_network returns only networks that validate accepts.  Every input
+reader parses JSON, checks fields and reads integers with the rules here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from .channel import ComplexGain, Mimo, compute_bit_depth
+from .channel import ComplexGain, ConfigError, Mimo, compute_bit_depth
 
 __all__ = [
     "ParseError",
@@ -29,12 +30,47 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
+class ParseError(ConfigError):
     """The document is not valid JSON."""
 
 
-class SchemaError(ValueError):
-    """The document is JSON but does not match the network schema."""
+class SchemaError(ConfigError):
+    """The document is JSON but does not match its schema."""
+
+
+# --- the JSON rules every reader shares ------------------------------------
+
+
+def _parse_json(text: str, what: str) -> Any:
+    """The JSON value of text; ParseError, naming what, for malformed text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _require_keys(doc: Any, required: set[str], optional: set[str], where: str) -> None:
+    """SchemaError unless doc is an object with every required field and no
+    field beyond the required and the optional ones."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object")
+    extra = set(doc) - required - optional
+    if extra:
+        raise SchemaError(f"{where}: unknown fields {sorted(extra)}")
+    missing = required - set(doc)
+    if missing:
+        raise SchemaError(f"{where}: missing fields {sorted(missing)}")
+
+
+def _int(v: Any, what: str, minimum: int | None = None) -> int:
+    """v when it is a JSON integer of at least minimum, if given; SchemaError
+    for anything else, a bool or a fractional number included, so no value
+    is truncated on the way in."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError(f"{what} must be an integer, got {v!r}")
+    if minimum is not None and v < minimum:
+        raise SchemaError(f"{what} must be >= {minimum}")
+    return v
 
 
 GainLike = ComplexGain | Mimo
@@ -181,10 +217,6 @@ def layer_decomposition(net: RelayNetwork) -> tuple[frozenset[int], ...] | None:
 
 # --- loading ---------------------------------------------------------------
 
-_TOP_KEYS = {"nodes", "antenna_mode", "edges"}
-_EDGE_KEYS = {"from", "to", "gain"}
-_GAIN_KEYS = {"re", "im"}
-
 
 def _parse_component(raw: Any, where: str) -> float:
     if not isinstance(raw, str):
@@ -196,13 +228,7 @@ def _parse_component(raw: Any, where: str) -> float:
 
 
 def _parse_gain(raw: Any, where: str) -> ComplexGain:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{where}: gain must be an object with re/im")
-    extra = set(raw) - _GAIN_KEYS
-    if extra:
-        raise SchemaError(f"{where}: unknown gain fields {sorted(extra)}")
-    if set(raw) != _GAIN_KEYS:
-        raise SchemaError(f"{where}: gain needs both re and im")
+    _require_keys(raw, {"re", "im"}, set(), f"{where}.gain")
     return ComplexGain(_parse_component(raw["re"], where), _parse_component(raw["im"], where))
 
 
@@ -214,22 +240,9 @@ def load_network(text: str) -> RelayNetwork:
     unknown antenna mode, a gain shape not matching the mode) and, with
     validate's problems joined by "; ", for a network validate rejects.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("top level must be an object")
-    extra = set(doc) - _TOP_KEYS
-    if extra:
-        raise SchemaError(f"unknown top-level fields {sorted(extra)}")
-    missing = _TOP_KEYS - set(doc)
-    if missing:
-        raise SchemaError(f"missing top-level fields {sorted(missing)}")
-
-    nodes = doc["nodes"]
-    if not isinstance(nodes, int) or isinstance(nodes, bool):
-        raise SchemaError(f"nodes must be an integer, got {nodes!r}")
+    doc = _parse_json(text, "network")
+    _require_keys(doc, {"nodes", "antenna_mode", "edges"}, set(), "network")
+    nodes = _int(doc["nodes"], "nodes")
     mode = doc["antenna_mode"]
     if mode not in ("scalar", "mimo2x2"):
         raise SchemaError(f"antenna_mode must be 'scalar' or 'mimo2x2', got {mode!r}")
@@ -239,17 +252,8 @@ def load_network(text: str) -> RelayNetwork:
     edges: list[Edge] = []
     for i, raw in enumerate(doc["edges"]):
         where = f"edges[{i}]"
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{where}: must be an object")
-        extra = set(raw) - _EDGE_KEYS
-        if extra:
-            raise SchemaError(f"{where}: unknown fields {sorted(extra)}")
-        if set(raw) != _EDGE_KEYS:
-            raise SchemaError(f"{where}: needs from, to and gain")
-        src, dst = raw["from"], raw["to"]
-        for v in (src, dst):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise SchemaError(f"{where}: node ids must be integers")
+        _require_keys(raw, {"from", "to", "gain"}, set(), where)
+        src, dst = _int(raw["from"], f"{where}.from"), _int(raw["to"], f"{where}.to")
         if mode == "scalar":
             gain: GainLike = _parse_gain(raw["gain"], where)
         else:

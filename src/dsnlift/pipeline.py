@@ -34,6 +34,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from . import __version__
+from .channel import ConfigError
 from .codes import (
     ProductCode,
     RelayCode,
@@ -45,7 +46,6 @@ from .codes import (
 )
 from .gaussian import (
     BoundReport,
-    ConfigError,
     NoiseSpec,
     SimulationResult,
     simulate_lifted,
@@ -58,9 +58,10 @@ from .lifting import (
     prune_sets,
     rate_report,
 )
-from .network import RelayNetwork, load_network
+from .network import RelayNetwork, _int, _parse_json, _require_keys, load_network
 from .typicality import (
     ReceptionVectors,
+    _check_budget,
     _decision_slots,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
@@ -127,46 +128,22 @@ class ExperimentConfig:
     bounds: BoundSettings | None = None
 
 
-def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    extra = set(doc) - required - optional
-    if extra:
-        raise ConfigError(f"{where}: unknown fields {sorted(extra)}")
-    missing = required - set(doc)
-    if missing:
-        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
-
-
-def _as_int(doc: dict, key: str, where: str, minimum: int | None = None) -> int:
-    v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}: {key} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}")
-    return v
-
-
-def _as_number(doc: dict, key: str, where: str, minimum: float | None = None) -> float:
-    v = doc[key]
+def _as_number(v: Any, what: str, minimum: float | None = None) -> float:
     # The comparison is False for NaN; JSON text may hold NaN and Infinity.
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"{where}: {key} must be a finite number")
+        raise ConfigError(f"{what} must be a finite number")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}")
+        raise ConfigError(f"{what} must be >= {minimum}")
     return float(v)
 
 
 def load_config(text: str) -> ExperimentConfig:
     """Parse and validate an experiment config document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config top level must be an object")
+    doc = _parse_json(text, "config")
     required = {"format", "network", "base_code", "n_rep", "epsilon", "prune_seed"}
     optional = {"purify", "eta", "kappa_override", "simulate", "bounds"}
     _require_keys(doc, required, optional, "config")
-    if _as_int(doc, "format", "config") != CONFIG_FORMAT:
+    if _int(doc["format"], "config: format") != CONFIG_FORMAT:
         raise ConfigError(f"config format {doc['format']!r} not supported (expected {CONFIG_FORMAT})")
     if not isinstance(doc["network"], str):
         raise ConfigError("config: network must be a string")
@@ -176,23 +153,21 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError('config: base_code must be {"search": {...}} or {"file": ...}')
     if "search" in bc:
         s = bc["search"]
-        if not isinstance(s, dict):
-            raise ConfigError("config: base_code.search must be an object")
         _require_keys(s, {"block_length", "rate", "attempts", "seed"}, set(), "base_code.search")
-        block_length = _as_int(s, "block_length", "base_code.search", 1)
+        block_length = _int(s["block_length"], "base_code.search: block_length", 1)
         try:
-            message_bits(block_length, _as_number(s, "rate", "base_code.search"))
+            message_bits(block_length, _as_number(s["rate"], "base_code.search: rate"))
         except ValueError as exc:
             raise ConfigError(f"base_code.search: {exc}") from None
-        _as_int(s, "attempts", "base_code.search", 1)
-        _as_int(s, "seed", "base_code.search", 0)
+        _int(s["attempts"], "base_code.search: attempts", 1)
+        _int(s["seed"], "base_code.search: seed", 0)
     else:
         if not isinstance(bc["file"], str):
             raise ConfigError("config: base_code.file must be a string")
 
-    n_rep = _as_int(doc, "n_rep", "config", 1)
-    epsilon = _as_number(doc, "epsilon", "config", 0.0)
-    prune_seed = _as_int(doc, "prune_seed", "config", 0)
+    n_rep = _int(doc["n_rep"], "config: n_rep", 1)
+    epsilon = _as_number(doc["epsilon"], "config: epsilon", 0.0)
+    prune_seed = _int(doc["prune_seed"], "config: prune_seed", 0)
     purify = doc.get("purify", True)
     if not isinstance(purify, bool):
         raise ConfigError("config: purify must be a boolean")
@@ -201,16 +176,14 @@ def load_config(text: str) -> ExperimentConfig:
         if eta != "epsilon2":
             raise ConfigError('config: eta must be a number or "epsilon2"')
     else:
-        eta = _as_number({"eta": eta}, "eta", "config", 0.0)
+        eta = _as_number(eta, "config: eta", 0.0)
     kov = doc.get("kappa_override")
     if kov is not None:
-        kov = _as_number(doc, "kappa_override", "config", 0.0)
+        kov = _as_number(kov, "config: kappa_override", 0.0)
 
     sim = None
     if doc.get("simulate") is not None:
         s = doc["simulate"]
-        if not isinstance(s, dict):
-            raise ConfigError("config: simulate must be an object")
         _require_keys(
             s,
             {"trials", "noise_seed"},
@@ -222,15 +195,15 @@ def load_config(text: str) -> ExperimentConfig:
             raise ConfigError('simulate: method must be "ml" or "threshold"')
         thr = s.get("threshold")
         if thr is not None:
-            thr = _as_number({"threshold": thr}, "threshold", "simulate")
+            thr = _as_number(thr, "simulate: threshold")
         use_off = s.get("use_offsets", True)
         if not isinstance(use_off, bool):
             raise ConfigError("simulate: use_offsets must be a boolean")
         # Scale 0 is the noiseless debug setting; a negative one is a typo.
-        scale = _as_number({"noise_scale": 1.0, **s}, "noise_scale", "simulate", 0.0)
+        scale = _as_number(s.get("noise_scale", 1.0), "simulate: noise_scale", 0.0)
         sim = SimSettings(
-            trials=_as_int(s, "trials", "simulate", 1),
-            noise_seed=_as_int(s, "noise_seed", "simulate", 0),
+            trials=_int(s["trials"], "simulate: trials", 1),
+            noise_seed=_int(s["noise_seed"], "simulate: noise_seed", 0),
             method=method,
             threshold=thr,
             use_offsets=use_off,
@@ -240,12 +213,10 @@ def load_config(text: str) -> ExperimentConfig:
     bounds = None
     if doc.get("bounds") is not None:
         b = doc["bounds"]
-        if not isinstance(b, dict):
-            raise ConfigError("config: bounds must be an object")
         _require_keys(b, {"samples", "seed"}, set(), "bounds")
         bounds = BoundSettings(
-            samples=_as_int(b, "samples", "bounds", 1),
-            seed=_as_int(b, "seed", "bounds", 0),
+            samples=_int(b["samples"], "bounds: samples", 1),
+            seed=_int(b["seed"], "bounds: seed", 0),
         )
 
     return ExperimentConfig(
@@ -376,7 +347,7 @@ def _load_base_code(cfg: ExperimentConfig, net: RelayNetwork) -> tuple[RelayCode
         name = cfg.base_code["file"]
         text = read_input_text(name)
         try:
-            code = deserialize_code(json.loads(text))
+            code = deserialize_code(_parse_json(text, "base code"))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"base code file {name!r} is not a valid code: {exc}") from exc
         meta = {"source": "file", "file": name}
@@ -436,7 +407,10 @@ def _slot_doc(slot) -> Any:
 def _staged(out_dir: Path) -> Iterator[Path]:
     """A new temporary sibling of out_dir to write into.  Its files move
     into out_dir, created if missing, when the block succeeds; the
-    temporary directory is removed either way."""
+    temporary directory is removed either way.  An out_dir that exists
+    but is no directory is refused before the block runs."""
+    if out_dir.exists() and not out_dir.is_dir():
+        raise NotADirectoryError(f"output directory {str(out_dir)!r} exists and is not a directory")
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
     try:
@@ -452,8 +426,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
     """Execute the configured experiment and write artifacts into out_dir.
 
     Raises SearchFailed when no base code is found, EmptyResult when
-    pruning starves a slot or the lifted code is empty, ConfigError /
-    SchemaError / ParseError for bad inputs.  The artifacts reach out_dir
+    pruning starves a slot or the lifted code is empty, ConfigError for
+    bad inputs (a product code beyond the enumeration budget included) and
+    OSError for an unusable out_dir.  The artifacts reach out_dir
     only once every stage has succeeded, so a run that raises leaves
     out_dir as it was; an existing out_dir is written into.
     """
@@ -473,6 +448,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
         emit("base_code.json", {"code": serialize_code(base), "meta": base_meta})
 
         product = ProductCode(base, cfg.n_rep)
+        _check_budget(base.message_count, cfg.n_rep, "product codewords")
         emit(
             "product_code.json",
             {

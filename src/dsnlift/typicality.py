@@ -27,6 +27,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
+from .channel import ConfigError
 from .codes import NetworkTrace, ProductCode, trace_all
 from .network import RelayNetwork
 
@@ -44,12 +45,19 @@ __all__ = [
 ]
 
 
-class TooLarge(ValueError):
+class TooLarge(ConfigError):
     """Exhaustive enumeration would exceed the budget."""
 
 
 # Most candidate vectors (per slot) or product codewords that are enumerated.
 BUDGET = 1 << 20
+
+
+def _check_budget(k: int, n_rep: int, what: str) -> None:
+    """TooLarge when k**n_rep, the count of length-n_rep vectors over k values, exceeds
+    BUDGET.  For k >= 2 and n_rep >= BUDGET.bit_length() that is known without k**n_rep."""
+    if k > 1 and (n_rep >= BUDGET.bit_length() or k**n_rep > BUDGET):
+        raise TooLarge(f"{k}**{n_rep} {what} exceed the enumeration budget {BUDGET}")
 
 
 # A decision slot: a node id (block schedule) or a (node, t) pair
@@ -271,10 +279,7 @@ def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
 
 def _typical_vectors(dist: FiniteDistribution, n_rep: int, epsilon: float) -> ReceptionVectors:
     support = tuple(sorted(s for s, p in dist.items() if p > 0))
-    if len(support) ** n_rep > BUDGET:
-        raise TooLarge(
-            f"{len(support)}**{n_rep} candidate vectors exceed the budget {BUDGET}"
-        )
+    _check_budget(len(support), n_rep, "candidate vectors")
     return ReceptionVectors(support, _typical_digit_rows(support, dist, n_rep, epsilon))
 
 

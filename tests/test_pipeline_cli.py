@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dsnlift import cli
+from dsnlift import channel, cli, codes, gaussian, network, pipeline, typicality
 from dsnlift.gaussian import ConfigError
 from dsnlift.lifting import EmptyResult
 from dsnlift.pipeline import (
@@ -412,6 +412,56 @@ def test_cli_pipeline_beyond_enumeration_budget_exits_2(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_cli_pipeline_n_rep_whose_codeword_count_has_thousands_of_digits_exits_2(tmp_path, capsys):
+    # 4**8000 has 4,817 digits, more than json.dumps writes for an int; the
+    # budget check comes before product_code.json is written.
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "n_rep": 8000}))
+    assert "budget" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+# 10**15 elements of int64 or float64 are 7.1 PiB, beyond any address
+# space, so the allocator refuses them at once.
+_BEYOND_MEMORY = 10**15
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"simulate": {**MINI_CONFIG["simulate"], "trials": _BEYOND_MEMORY}},
+     {"bounds": {**MINI_CONFIG["bounds"], "samples": _BEYOND_MEMORY}}],
+    ids=["simulate-trials", "bound-samples"],
+)
+def test_cli_pipeline_sample_beyond_memory_exits_2(tmp_path, capsys, changes):
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, **changes}))
+    assert "allocate" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_bounds_sample_beyond_memory_exits_2(tmp_path, capsys):
+    out = tmp_path / "bounds.json"
+    argv = ["bounds", "--network", "line", "--samples", str(_BEYOND_MEMORY), "--out", str(out)]
+    assert "allocate" in _assert_input_error(capsys, argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [channel.ChannelError, network.ParseError, network.SchemaError, codes.BitDepthMismatch,
+     codes.CausalityError, codes.TooManyErrors, typicality.TooLarge],
+)
+def test_every_input_refusal_is_a_config_error(cls):
+    assert issubclass(cls, channel.ConfigError)
+
+
+@pytest.mark.parametrize("cls", [EmptyResult, pipeline.SearchFailed])
+def test_exit_3_and_4_errors_are_not_config_errors(cls):
+    assert not issubclass(cls, channel.ConfigError)
+
+
+def test_config_error_has_one_definition():
+    assert gaussian.ConfigError is pipeline.ConfigError is ConfigError is channel.ConfigError
+
+
 def _search(rate):
     return {"search": {"block_length": 1, "rate": rate, "attempts": 2, "seed": 3}}
 
@@ -489,24 +539,34 @@ def _table_at_node_1(entries, default):
         ({"bit_depth": 0}, "bit_depth must be >= 1"),
         # Fractional values are rejected, not truncated onto the grid.
         ({"codebook": [[[0, 0], [0, 0]], [[1.5, 0], [2, 0]], [[0, 2], [0, 2]], [[2, 2], [2, 2]]]},
-         "expected an integer, got 1.5"),
+         "must be an integer, got 1.5"),
         ({"relay_maps": _table_at_node_1([[1, [0, 0], [1.5, 1]]], [0, 0])},
-         "expected an integer, got 1.5"),
+         "must be an integer, got 1.5"),
         ({"relay_maps": _table_at_node_1([[1, [0, 0], [1, 1]]], [1.5, 0])},
-         "expected an integer, got 1.5"),
-        ({"format": True}, "expected an integer, got True"),
+         "must be an integer, got 1.5"),
+        ({"format": True}, "must be an integer, got True"),
         # A non-empty string is truthy; it must not load as a causal map.
         ({"relay_maps": _relay_1_of_diamond_code(causal="false")},
          "causal must be a boolean, got 'false'"),
+        # Unknown fields are refused, as in configs and network files.
+        ({"note": "hand-edited"}, "unknown fields ['note']"),
+        ({"relay_maps": _relay_1_of_diamond_code(shift=1)}, "unknown fields ['shift']"),
     ],
     ids=["codebook-symbol", "table-entry", "table-default", "bit-depth-0",
          "fractional-codebook-bit", "fractional-table-entry", "fractional-table-default",
-         "format-true", "causal-string"],
+         "format-true", "causal-string", "unknown-top-level-field", "modulo-map-shift"],
 )
 def test_cli_pipeline_code_off_the_symbol_grid_exits_2_at_load(tmp_path, capsys, changes, message):
     path = _code_file(tmp_path, **changes)
     err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
     assert path in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_pipeline_code_without_a_map_for_a_relay_exits_2(tmp_path, capsys):
+    path = _code_file(tmp_path, relay_maps={"1": _MODULO})
+    err = _assert_input_error(capsys, _run_doc(tmp_path, {**MINI_CONFIG, "base_code": {"file": path}}))
+    assert "no relay map for node 2" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -540,6 +600,17 @@ def test_cli_unusable_paths_exit_2(tmp_path, capsys, argv):
     # No output and no staging sibling (.out-*, .file-*) is left behind.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
     assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_cli_pipeline_out_naming_a_file_exits_2_before_any_stage(tmp_path, capsys):
+    # A search that cannot succeed would exit 3; the --out check comes first.
+    doc = {**MINI_CONFIG, "base_code": {"search": {"block_length": 1, "rate": 4.0,
+                                                   "attempts": 1, "seed": 3}}}
+    argv = _run_doc(tmp_path, doc)
+    Path(argv[-1]).write_text("kept")
+    assert "not a directory" in _assert_input_error(capsys, argv)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "out"]
+    assert (tmp_path / "out").read_text() == "kept"
 
 
 def _line_file(tmp_path, *gains):

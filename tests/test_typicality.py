@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -169,6 +170,23 @@ def test_typical_enumeration_budget(diamond_net, diamond_code):
     product = ProductCode(diamond_code, 12)
     with pytest.raises(TooLarge):
         enumerate_typical_receptions(diamond_net, product, 1, epsilon=1.0)
+
+
+@pytest.mark.parametrize(
+    "k, n_rep, refused",
+    [(2, 20, False), (2, 21, True), (1024, 2, False), (1025, 2, True), (1, 10**12, False),
+     # 4**(10**12) is never built: the exponent alone settles it.
+     (4, 10**12, True)],
+)
+def test_budget_check_never_builds_a_huge_power(k, n_rep, refused):
+    assert typicality.BUDGET == 2**20
+    t0 = time.perf_counter()
+    if refused:
+        with pytest.raises(TooLarge, match="budget"):
+            typicality._check_budget(k, n_rep, "vectors")
+    else:
+        typicality._check_budget(k, n_rep, "vectors")
+    assert time.perf_counter() - t0 < 1.0
 
 
 def _reference_typical_vectors(dist, n_rep, epsilon):
