@@ -70,6 +70,12 @@ class CausalityError(ConfigError):
     """A non-causal relay map was scheduled on a non-layered network."""
 
 
+def _require_scalar(net: RelayNetwork) -> None:
+    """CausalityError unless codes can run on net: scalar links only."""
+    if net.antenna_mode != "scalar":
+        raise CausalityError("code execution is defined for scalar networks only")
+
+
 def _check_symbols(symbols: Iterable[Zint], bit_depth: int) -> None:
     """ChannelError unless bit_depth >= 1 and both bits of every symbol lie
     in [0, 2**bit_depth)."""
@@ -235,8 +241,7 @@ def run_dsn(net: RelayNetwork, code: RelayCode, message: int) -> NetworkTrace:
     ConfigError: on a MIMO network, of another bit depth, without a map
     for some relay, or with a block map on a non-layered network.
     """
-    if net.antenna_mode != "scalar":
-        raise CausalityError("code execution is defined for scalar networks only")
+    _require_scalar(net)
     if code.bit_depth != net.bit_depth:
         raise BitDepthMismatch(
             f"code bit depth {code.bit_depth} vs network bit depth {net.bit_depth}"
@@ -480,8 +485,7 @@ def search_base_code(
     if block_length < 1:
         raise ValueError("block_length must be >= 1")
     bits = message_bits(block_length, rate)
-    if net.antenna_mode != "scalar":
-        raise CausalityError("code execution is defined for scalar networks only")
+    _require_scalar(net)
     n = net.bit_depth
     if 2 * n > 63:
         raise ChannelError(f"bit depth {n} has 4^{n} symbols, beyond the int64 draw range")

@@ -110,10 +110,6 @@ class KappaParams:
         )
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
 @dataclass
 class PrunedSets:
     """Per-slot random subsets of the typical reception vectors.
@@ -136,6 +132,16 @@ class PrunedSets:
     symbols_per_slot: int
 
 
+def _formula_kappa_advice(kappa_params: KappaParams) -> str:
+    """Why a result at the formula kappa is empty; "" under an override."""
+    if kappa_params.override is not None:
+        return ""
+    return (
+        f"; the formula kappa ({kappa_params.reference:.3f} bits/use) starves "
+        "enumerable codes, so desk-scale runs need kappa_override"
+    )
+
+
 def prune_sets(
     typical_sets: Mapping[SlotKey, TypicalSet],
     kappa_params: KappaParams,
@@ -151,10 +157,11 @@ def prune_sets(
     policy string "epsilon2", which ties each slot's eta to that slot's
     reported epsilon_2; the policy is faithful to the construction but
     its finite-length term alone starves every slot at enumerable sizes,
-    so desk-scale runs pass an explicit small number instead.  Set sizes
-    are rounded half away from zero; a slot whose size rounds to zero
-    raises EmptyResult naming every starved slot.  The slots must be all
-    node ids or all (node, t) pairs.
+    so desk-scale runs pass an explicit small number instead.  Sizes are
+    rounded half up.  If any rounds to zero, EmptyResult names every
+    starved slot before any set is drawn, and without a kappa override
+    its message says that the formula kappa needs one.  The slots must be
+    all node ids or all (node, t) pairs.
     """
     if not typical_sets:
         raise ValueError("no typical sets to prune")
@@ -164,42 +171,34 @@ def prune_sets(
     if len(n_reps) != 1:
         raise ValueError("typical sets disagree on n_rep")
     n_rep = n_reps.pop()
-    k_eff = kappa_params.effective
     if isinstance(eta, str) and eta != "epsilon2":
         raise ValueError(f"unknown eta policy {eta!r}")
-
-    def eta_for(ts: TypicalSet) -> float:
-        return ts.epsilon_2 if isinstance(eta, str) else float(eta)
-
-    sizes: dict[SlotKey, int] = {}
-    exponents: dict[SlotKey, float] = {}
-    starved: list[SlotKey] = []
-    for slot in sorted(typical_sets):
-        ts = typical_sets[slot]
-        exponent = n_rep * (symbols_per_slot * k_eff + 2.0 * eta_for(ts))
-        exponents[slot] = exponent
-        size = _round_half_away(len(ts.vectors) * 2.0 ** (-exponent))
-        sizes[slot] = size
-        if size == 0:
-            starved.append(slot)
+    cost = symbols_per_slot * kappa_params.effective
+    etas = {
+        slot: typical_sets[slot].epsilon_2 if isinstance(eta, str) else float(eta)
+        for slot in sorted(typical_sets)
+    }
+    exponents = {slot: n_rep * (cost + 2.0 * e) for slot, e in etas.items()}
+    sizes = {
+        slot: math.floor(len(typical_sets[slot].vectors) * 2.0 ** (-x) + 0.5)
+        for slot, x in exponents.items()
+    }
+    starved = [slot for slot, size in sizes.items() if size == 0]
     if starved:
-        raise EmptyResult(starved)
+        raise EmptyResult(
+            starved, f"pruned sets empty at slots {starved}" + _formula_kappa_advice(kappa_params)
+        )
 
     sets: dict[SlotKey, ReceptionVectors] = {}
     bounds: dict[SlotKey, tuple[float, float]] = {}
-    for slot, ts in typical_sets.items():
-        rng = np.random.default_rng(
-            np.random.SeedSequence([master_seed] + _slot_key(slot))
-        )
-        order = rng.permutation(len(ts.vectors))[: sizes[slot]]
+    for slot, size in sizes.items():
+        ts = typical_sets[slot]
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed] + _slot_key(slot)))
+        order = rng.permutation(len(ts.vectors))[:size]
         sets[slot] = ReceptionVectors(ts.vectors.alphabet, ts.vectors.digits[np.sort(order)])
         h = entropy(ts.dist)
-        lo = 2.0 ** (
-            n_rep * (h - symbols_per_slot * k_eff - 3.0 * ts.epsilon_2)
-        )
-        hi = 2.0 ** (
-            n_rep * (h + ts.epsilon_2 - symbols_per_slot * k_eff - 2.0 * eta_for(ts))
-        )
+        lo = 2.0 ** (n_rep * (h - cost - 3.0 * ts.epsilon_2))
+        hi = 2.0 ** (n_rep * (h + ts.epsilon_2 - cost - 2.0 * etas[slot]))
         bounds[slot] = (lo, hi)
     return PrunedSets(
         sets=sets,

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# The antenna modes a network document may name.
+_ANTENNA_MODES = ("scalar", "mimo2x2")
+
+
 class ParseError(ConfigError):
     """The document is not valid JSON."""
 
@@ -155,7 +159,7 @@ def validate(net: RelayNetwork) -> list[str]:
     if net.node_count < 2:
         problems.append(f"need at least 2 nodes, got {net.node_count}")
         return problems
-    if net.antenna_mode not in ("scalar", "mimo2x2"):
+    if net.antenna_mode not in _ANTENNA_MODES:
         problems.append(f"unknown antenna_mode {net.antenna_mode!r}")
 
     seen: set[tuple[int, int]] = set()
@@ -244,8 +248,8 @@ def load_network(text: str) -> RelayNetwork:
     _require_keys(doc, {"nodes", "antenna_mode", "edges"}, set(), "network")
     nodes = _int(doc["nodes"], "nodes")
     mode = doc["antenna_mode"]
-    if mode not in ("scalar", "mimo2x2"):
-        raise SchemaError(f"antenna_mode must be 'scalar' or 'mimo2x2', got {mode!r}")
+    if mode not in _ANTENNA_MODES:
+        raise SchemaError(f"antenna_mode must be one of {list(_ANTENNA_MODES)}, got {mode!r}")
     if not isinstance(doc["edges"], list):
         raise SchemaError("edges must be a list")
 

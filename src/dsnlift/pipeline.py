@@ -54,6 +54,7 @@ from .gaussian import (
 from .lifting import (
     EmptyResult,
     KappaParams,
+    _formula_kappa_advice,
     build_lifted_code,
     prune_sets,
     rate_report,
@@ -399,10 +400,6 @@ def _typical_sets(
     return sets, 1, "interleaved"
 
 
-def _slot_doc(slot) -> Any:
-    return slot if isinstance(slot, int) else list(slot)
-
-
 @contextmanager
 def _staged(out_dir: Path) -> Iterator[Path]:
     """A new temporary sibling of out_dir to write into.  Its files move
@@ -468,10 +465,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                 "scheduling": scheduling,
                 "slots": [
                     {
-                        "slot": _slot_doc(slot),
+                        "slot": slot,
                         "count": len(ts.vectors),
                         "epsilon_2": ts.epsilon_2,
-                        "envelope": list(ts.envelope),
+                        "envelope": ts.envelope,
                     }
                     for slot, ts in sorted(tsets.items())
                 ],
@@ -479,17 +476,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
         )
 
         kp = KappaParams.for_network(net, override=cfg.kappa_override)
-        try:
-            pruned = prune_sets(tsets, kp, cfg.eta, cfg.prune_seed, symbols_per_slot)
-        except EmptyResult as exc:
-            if cfg.kappa_override is None:
-                raise EmptyResult(
-                    exc.slots,
-                    "every pruned set rounds to zero at the formula kappa "
-                    f"({kp.reference:.3f} bits/use); enumerable codes cannot survive that "
-                    "fraction, so desk-scale runs need kappa_override",
-                ) from None
-            raise
+        pruned = prune_sets(tsets, kp, cfg.eta, cfg.prune_seed, symbols_per_slot)
         emit(
             "pruned_sets.json",
             {
@@ -504,9 +491,9 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                 },
                 "slots": [
                     {
-                        "slot": _slot_doc(slot),
+                        "slot": slot,
                         "exponent": pruned.exponents[slot],
-                        "count_bounds": list(pruned.bounds[slot]),
+                        "count_bounds": pruned.bounds[slot],
                         "vectors": pruned.sets[slot],
                     }
                     for slot in sorted(pruned.sets)
@@ -526,7 +513,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
                     {
                         "index": ci,
                         "slots": [
-                            {"slot": _slot_doc(s), "member": m}
+                            {"slot": s, "member": m}
                             for s, m in sorted(lifted.provenance[ci].items())
                         ],
                     }
@@ -538,12 +525,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: Path) -> PipelineResult:
             raise EmptyResult(
                 (),
                 "the lifted code is empty: no codeword's receptions land in every "
-                "pruned set"
-                + (
-                    ""
-                    if cfg.kappa_override is not None
-                    else " (formula kappa leaves no room at enumerable sizes; set kappa_override)"
-                ),
+                "pruned set" + _formula_kappa_advice(kp),
             )
 
         report = rate_report(lifted, product, tsets)
@@ -597,10 +579,10 @@ def _simulation_doc(sim: SimulationResult) -> dict:
         "message_errors": sim.message_errors,
         "message_error_rate": sim.message_error_rate,
         "block_errors": [
-            {"slot": _slot_doc(s), "errors": v} for s, v in sorted(sim.block_errors.items())
+            {"slot": s, "errors": v} for s, v in sorted(sim.block_errors.items())
         ],
         "decode_failures": [
-            {"slot": _slot_doc(s), "failures": v} for s, v in sorted(sim.decode_failures.items())
+            {"slot": s, "failures": v} for s, v in sorted(sim.decode_failures.items())
         ],
         "avg_power": {str(k): v for k, v in sorted(sim.avg_power.items())},
         "noise_seed": sim.noise_seed,

@@ -263,6 +263,8 @@ def _typical_digit_rows(
         rep for rep in itertools.combinations_with_replacement(range(k), n_rep)
         if is_strongly_typical(tuple(support[d] for d in rep), dist, epsilon)
     ]
+    if k == 1:  # one row of any length, past the 64 axes np.indices takes
+        return np.zeros((len(kept), n_rep), dtype=np.int64)
     rows = np.indices((k,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
     kept_types = _radix_codes(np.asarray(kept, dtype=np.int64).reshape(-1, n_rep), k)
     return rows[np.isin(_radix_codes(np.sort(rows, axis=1), k), kept_types)]

@@ -25,6 +25,8 @@ from dsnlift.typicality import (
     FiniteDistribution,
     ReceptionVectors,
     TypicalSet,
+    _slot_key,
+    entropy,
     enumerate_typical_receptions,
     is_strongly_typical,
 )
@@ -147,6 +149,102 @@ def test_prune_eta_policy_uses_per_slot_epsilon2():
     starving = _manual_set(16, n_rep=1, eps2=3.0)
     with pytest.raises(EmptyResult):
         prune_sets({1: starving}, params, eta="epsilon2", master_seed=1, symbols_per_slot=1)
+
+
+def _round_half_away(x: float) -> int:
+    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
+
+
+def _reference_prune_sets(typical_sets, kappa_params, eta, master_seed, symbols_per_slot):
+    """prune_sets as it was written before sizing, drawing and pricing were
+    merged: two loops that each price a slot, and a bare EmptyResult."""
+    if not typical_sets:
+        raise ValueError("no typical sets to prune")
+    if len({isinstance(slot, int) for slot in typical_sets}) != 1:
+        raise ValueError("typical sets mix node slots and (node, t) slots")
+    n_reps = {ts.n_rep for ts in typical_sets.values()}
+    if len(n_reps) != 1:
+        raise ValueError("typical sets disagree on n_rep")
+    n_rep = n_reps.pop()
+    k_eff = kappa_params.effective
+    if isinstance(eta, str) and eta != "epsilon2":
+        raise ValueError(f"unknown eta policy {eta!r}")
+
+    def eta_for(ts):
+        return ts.epsilon_2 if isinstance(eta, str) else float(eta)
+
+    sizes, exponents, starved = {}, {}, []
+    for slot in sorted(typical_sets):
+        ts = typical_sets[slot]
+        exponent = n_rep * (symbols_per_slot * k_eff + 2.0 * eta_for(ts))
+        exponents[slot] = exponent
+        size = _round_half_away(len(ts.vectors) * 2.0 ** (-exponent))
+        sizes[slot] = size
+        if size == 0:
+            starved.append(slot)
+    if starved:
+        raise EmptyResult(starved)
+
+    sets, bounds = {}, {}
+    for slot, ts in typical_sets.items():
+        rng = np.random.default_rng(np.random.SeedSequence([master_seed] + _slot_key(slot)))
+        order = rng.permutation(len(ts.vectors))[: sizes[slot]]
+        sets[slot] = ReceptionVectors(ts.vectors.alphabet, ts.vectors.digits[np.sort(order)])
+        h = entropy(ts.dist)
+        lo = 2.0 ** (n_rep * (h - symbols_per_slot * k_eff - 3.0 * ts.epsilon_2))
+        hi = 2.0 ** (n_rep * (h + ts.epsilon_2 - symbols_per_slot * k_eff - 2.0 * eta_for(ts)))
+        bounds[slot] = (lo, hi)
+    return sets, exponents, bounds
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    n_rep=st.sampled_from([1, 2]),
+    pairs=st.booleans(),
+    override=st.sampled_from([None, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+    eta=st.sampled_from([0, 0.0, 0.125, 0.5, 1.0, "epsilon2"]),
+    symbols_per_slot=st.integers(1, 3),
+    master_seed=st.integers(0, 2**32 - 1),
+)
+def test_prune_sets_matches_the_two_loop_reference(
+    data, n_rep, pairs, override, eta, symbols_per_slot, master_seed
+):
+    sides = data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=4), label="sides")
+    eps2s = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+    keys = [(j, 1 + j % 2) if pairs else j for j in range(1, len(sides) + 1)]
+    sets = {
+        key: dataclasses.replace(_manual_set(side**n_rep, n_rep, data.draw(eps2s)), slot=key)
+        for key, side in zip(data.draw(st.permutations(keys), label="order"), sides)
+    }
+    params = KappaParams(node_count_m=len(sides), override=override)
+    args = (sets, params, eta, master_seed, symbols_per_slot)
+    try:
+        expected = _reference_prune_sets(*args)
+    except EmptyResult as exc:
+        with pytest.raises(EmptyResult) as got:
+            prune_sets(*args)
+        assert got.value.slots == exc.slots
+        return
+    pruned = prune_sets(*args)
+    assert (pruned.sets, pruned.exponents, pruned.bounds) == expected
+
+
+def test_prune_formula_kappa_refusal_says_to_override():
+    ts = _manual_set(16, n_rep=1)
+    formula = KappaParams(node_count_m=3)
+    with pytest.raises(EmptyResult) as exc:
+        prune_sets({1: ts, 2: ts}, formula, eta=0.0, master_seed=1, symbols_per_slot=1)
+    assert exc.value.slots == (1, 2)
+    assert "kappa_override" in str(exc.value)
+    assert f"{formula.reference:.3f}" in str(exc.value)
+
+    overridden = KappaParams(node_count_m=3, override=6.0)
+    with pytest.raises(EmptyResult) as exc:
+        prune_sets({1: ts, 2: ts}, overridden, eta=0.0, master_seed=1, symbols_per_slot=1)
+    assert exc.value.slots == (1, 2)
+    assert "kappa_override" not in str(exc.value)
+    assert f"{formula.reference:.3f}" not in str(exc.value)
 
 
 def test_prune_input_validation():

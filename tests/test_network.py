@@ -52,6 +52,9 @@ def test_validate_flags_structural_problems():
     unreachable = RelayNetwork(node_count=3, edges=(Edge(0, 1, gain),))
     assert any("no path" in p for p in validate(unreachable))
 
+    siso = RelayNetwork(node_count=2, edges=(Edge(0, 1, gain),), antenna_mode="siso")
+    assert validate(siso) == ["unknown antenna_mode 'siso'"]
+
 
 def test_layer_decomposition_shapes(line_net, diamond_net, nonlayered_net):
     line_levels = layer_decomposition(line_net)
@@ -91,6 +94,8 @@ def test_load_rejects_malformed_documents():
         load_network(_doc(3, [(1, 1, 2, 0)]))
     with pytest.raises(SchemaError):
         load_network(_doc(3, [(0, 5, 2, 0)]))
+    with pytest.raises(SchemaError, match="antenna_mode must be one of"):
+        load_network(_doc(3, [(0, 1, 2, 0), (1, 2, 2, 0)], mode="siso"))
 
 
 def test_load_rejects_networks_validate_rejects():

@@ -570,6 +570,22 @@ def test_cli_pipeline_code_without_a_map_for_a_relay_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "override, rc, text",
+    [(0, 0, "lifted codewords: 1"), (0.25, cli.EXIT_EMPTY, "pruned sets empty at slots [1, 2, 3]")],
+    ids=["override-0", "override-0.25-starves"],
+)
+def test_cli_pipeline_one_codeword_code_at_n_rep_100(tmp_path, capsys, override, rc, text):
+    # One codeword has one digit row of any length, also past the 64 axes
+    # np.indices allows.  At override 0.25 each set's size is 2^-50.
+    doc = json.loads(read_input_text("diamond_code"))
+    path = _code_file(tmp_path, codebook=doc["codebook"][:1],
+                      decoder=[entry for entry in doc["decoder"] if entry[1] == 0])
+    run = {**MINI_CONFIG, "base_code": {"file": path}, "n_rep": 100, "kappa_override": override}
+    assert cli.main(_run_doc(tmp_path, run)) == rc
+    assert text in "".join(capsys.readouterr())
+
+
 def test_cli_pipeline_writes_into_an_existing_out_dir(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
