@@ -35,10 +35,12 @@ buffer (16 MB at |S| = 4096), whatever the trial count; D adds
 |alphabet| * trials * n_rep floats.  The one-hot matrix holds n_rep *
 |alphabet| rows, where a real candidate matrix would hold 2 * n_rep *
 width; every shipped config has |alphabet| <= 2 * width.  A slot's
-candidate, offset and re-encode rows are built once per value of the
-pruned set's alphabet, a reception block or symbol, and gathered with the
-set's (|S|, n_rep) digit rows; the destination decodes each distinct
-reception once.
+candidate, offset and re-encode rows are read once per value of the
+pruned set's alphabet, a reception block or symbol, from the base trace
+that first produces it (run_dsn's receptions and transmissions, and the
+v of decompose_received's genie split), and gathered with the set's
+(|S|, n_rep) digit rows; the destination decodes each distinct reception
+once.
 
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
@@ -55,7 +57,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    ComplexGain, ConfigError, _add_keeping_floor, check_batch_range, decompose_batch, symbol_value,
+    ComplexGain, ConfigError, _add_keeping_floor, check_batch_range, decompose_batch,
+    decompose_received, symbol_value,
 )
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
@@ -203,36 +206,6 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return table[index].reshape(len(index), -1)
 
 
-def _perturbations(net: RelayNetwork, traces: Sequence[NetworkTrace], node: int) -> np.ndarray:
-    """v = sum of gain times sent symbol - y', per base message and time: (K, N).
-
-    The perturbation is a function of what the in-neighbours actually
-    transmitted.  Decoders use, per reception value, the v of the lowest
-    base message that produces it (see _offset_rows); this is exact
-    whenever the reception determines the in-neighbour transmissions and
-    a bounded approximation otherwise.
-    """
-    in_edges, n = net.in_edges(node), net.bit_depth
-    rows = []
-    for tr in traces:
-        row = []
-        for t, (re, im) in enumerate(tr.received[node]):
-            acc = 0j
-            for e in in_edges:
-                acc += e.gain.as_complex() * symbol_value(tr.transmitted[e.src][t], n)  # type: ignore[union-attr]
-            row.append(acc - complex(re, im))
-        rows.append(row)
-    return np.asarray(rows, dtype=np.complex128)
-
-
-def _offset_rows(v: np.ndarray, received: Sequence, values: Sequence) -> np.ndarray:
-    """Row of ``v`` of the lowest base message whose reception is each value."""
-    first: dict = {}
-    for m, r in enumerate(received):
-        first.setdefault(r, m)
-    return v[[first[x] for x in values]]
-
-
 def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
     """Source symbols of every lifted codeword: (count, n_rep, N) complex."""
     n = product.base.bit_depth
@@ -243,15 +216,6 @@ def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
         [product.message_tuple(ci) for ci in lifted.codeword_indices], dtype=np.int64
     )
     return book[digits.reshape(lifted.count, product.n_rep)]
-
-
-def _slot_symbols(slot: SlotKey, alphabet: Sequence, N: int) -> tuple[slice, list[tuple]]:
-    """The base-block times ``slot`` covers (0-based), and each value of its
-    alphabet spelled as the symbols received at those times."""
-    if isinstance(slot, int):
-        return slice(0, N), list(alphabet)
-    t = slot[1]
-    return slice(t - 1, t), [(value,) for value in alphabet]
 
 
 @dataclass(frozen=True)
@@ -297,34 +261,47 @@ def _slot_tables(
     traces: Sequence[NetworkTrace],
     use_offsets: bool,
 ) -> dict[SlotKey, _SlotTable]:
-    """The table of every slot, each row built once per value of the slot's
+    """The table of every slot, each row read once per value of the slot's
     alphabet and gathered with the set's (|S|, n_rep) digit rows.
 
-    A relay map's symbol at time u reads the reception at u (block maps)
-    or at u - 1 (causal maps), so a decision over some times sets every u
-    whose read falls among them.  A causal map's time 1 reads nothing and
-    is no slot's to set.
+    Each value is read off the trace of the lowest base message that
+    produces it: its rows are the node's receptions at the slot's times,
+    its offsets the genie split's v of those receptions, and its re-encode
+    rows the node's transmissions at the times the decision sets.  The
+    offset is exact whenever the reception determines the in-neighbour
+    transmissions, and a bounded approximation otherwise.  A relay map's
+    symbol at time u reads the reception at u (block maps) or at u - 1
+    (causal maps), so a decision over some times sets every u whose read
+    falls among them; a causal map's time 1 reads nothing and is no
+    slot's to set.
     """
-    N = base.block_length
-    v = {j: _perturbations(net, traces, j) for j in range(1, net.node_count)} if use_offsets else {}
+    N, n = base.block_length, base.bit_depth
     tables: dict[SlotKey, _SlotTable] = {}
     for slot, vectors in pruned.sets.items():
-        node, index = _slot_node(slot), vectors.digits
-        times, blocks = _slot_symbols(slot, vectors.alphabet, N)
-        rows = np.asarray([[complex(re, im) for re, im in b] for b in blocks], dtype=np.complex128)
+        node = _slot_node(slot)
+        # The 0-based base-block times the slot covers: all N, or its t.
+        times = slice(0, N) if isinstance(slot, int) else slice(slot[1] - 1, slot[1])
+        first: dict = {}
+        for tr, value in zip(traces, _slot_values(traces, slot)):
+            first.setdefault(value, tr)
+        picked = [first[value] for value in vectors.alphabet]
+        rows = np.asarray([[complex(*y) for y in tr.received[node][times]] for tr in picked])
         if use_offsets:
-            rows = rows + _offset_rows(v[node][:, times], _slot_values(traces, slot), vectors.alphabet)
+            edges = net.in_edges(node)
+            gains = [e.gain for e in edges]
+            rows = rows + np.asarray([
+                [decompose_received([tr.transmitted[e.src][t] for e in edges], gains, 0j, n).v
+                 for t in range(N)[times]]
+                for tr in picked
+            ])
         sends = reencode = None
         if node != net.destination:
-            rm = base.relay_maps[node]
-            lag = int(rm.causal)
-            us = range(times.start + lag, min(times.stop + lag, N))
-            if us:
-                # The i-th time set reads the i-th symbol the slot covers.
-                sent = [[symbol_value(rm.emit_from(u + 1, y), base.bit_depth) for u, y in zip(us, b)]
-                        for b in blocks]
-                sends, reencode = slice(us.start, us.stop), _gather(np.asarray(sent), index)
-        tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, index), sends, reencode)
+            lag = int(base.relay_maps[node].causal)
+            us = slice(times.start + lag, min(times.stop + lag, N))
+            if us.start < us.stop:
+                sent = [[symbol_value(x, n) for x in tr.transmitted[node][us]] for tr in picked]
+                sends, reencode = us, _gather(np.asarray(sent), vectors.digits)
+        tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, vectors.digits), sends, reencode)
     return tables
 
 
@@ -378,7 +355,9 @@ def _destination_messages(
     for s, d in zip(slots, digits):
         _, key = np.unique(key * len(sets[s].alphabet) + d, return_inverse=True)
     _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    blocks = [_slot_symbols(s, sets[s].alphabet, base.block_length)[1] for s in slots]
+    # Each value spelled as its received symbols: a block slot's is one
+    # already, an interleaved slot's is one symbol.
+    blocks = [sets[s].alphabet if isinstance(s, int) else [(x,) for x in sets[s].alphabet] for s in slots]
     uses = zip(*(d[first].tolist() for d in digits))
     digit = np.asarray(
         [base.decoder.get(tuple(y for b, k in zip(blocks, ks) for y in b[k]), -1) for ks in uses],
@@ -443,7 +422,8 @@ def simulate_lifted(
     tx[net.source] = _source_symbols(product, lifted)[pick]
     for j in net.relays:
         if base.relay_maps[j].causal:
-            tx[j][:, :, 0] = symbol_value(base.relay_maps[j].emit_from(1, None), base.bit_depth)
+            # Time 1 of a causal map reads nothing, so every trace sends the same symbol.
+            tx[j][:, :, 0] = symbol_value(traces[0].transmitted[j][0], base.bit_depth)
     # The last slot that reads or writes each node's transmissions.  After
     # it the node's power is taken and its array dropped.
     last = dict.fromkeys(tx, 0)

@@ -54,9 +54,9 @@ class EmptyResult(ValueError):
     the mechanics at reduced scale.
     """
 
-    def __init__(self, slots: Sequence[SlotKey] = (), message: str | None = None):
+    def __init__(self, slots: Sequence[SlotKey], message: str):
         self.slots = tuple(slots)
-        super().__init__(message or f"pruned sets empty at slots {list(self.slots)}")
+        super().__init__(message)
 
 
 def kappa(node_count_m: int) -> float:

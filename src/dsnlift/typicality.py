@@ -248,6 +248,16 @@ def _slot_values(traces: Sequence[NetworkTrace], slot: SlotKey) -> list:
     return [tr.received[node][t - 1] for tr in traces]
 
 
+def _check_receiver_slot(net: RelayNetwork, slot: SlotKey, block_length: int) -> None:
+    """ValueError naming ``slot`` unless its node receives in ``net`` (any
+    node but the source) and its time, if it has one, is in 1..block_length."""
+    t = None if isinstance(slot, int) else slot[1]
+    if _slot_node(slot) not in net.order[1:] or not (t is None or 1 <= t <= block_length):
+        raise ValueError(
+            f"slot {slot!r} is not a receiver slot: nodes {list(net.order[1:])}, times 1..{block_length}"
+        )
+
+
 def _typical_digit_rows(
     support: Sequence[Hashable], dist: FiniteDistribution, n_rep: int, epsilon: float
 ) -> np.ndarray:
@@ -312,8 +322,10 @@ def enumerate_typical_receptions(
     law.  The returned vectors are exactly the epsilon-typical elements of
     the product image.  A node that hears nothing (for instance one that
     is unreachable from the source) has a point-mass law and a single
-    all-zero typical vector.
+    all-zero typical vector.  Any other node, the source included, is
+    refused with a ValueError before any trace.
     """
+    _check_receiver_slot(net, node, product.base.block_length)
     traces = trace_all(net, product.base)
     return _build_set(node, _slot_values(traces, node), product.n_rep, epsilon)
 
@@ -329,9 +341,10 @@ def enumerate_typical_symbol_vectors(
 
     Under the interleaved schedule the n_rep base uses advance in
     lockstep, so the natural decision variable at (node, t) is the vector
-    of t-th reception symbols across the uses.
+    of t-th reception symbols across the uses.  A slot whose node does
+    not receive or whose t is outside the base block is refused with a
+    ValueError before any trace.
     """
+    _check_receiver_slot(net, (node, t), product.base.block_length)
     traces = trace_all(net, product.base)
-    if not (1 <= t <= product.base.block_length):
-        raise ValueError(f"symbol index {t} out of range")
     return _build_set((node, t), _slot_values(traces, (node, t)), product.n_rep, epsilon)

@@ -8,6 +8,7 @@ and the per-trial destination loop that the tables replaced.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsnlift import gaussian
-from dsnlift.channel import symbol_value
-from dsnlift.codes import ProductCode, trace_all
+from dsnlift.channel import ComplexGain, symbol_value
+from dsnlift.codes import ProductCode, QuantizeForward, RelayCode, deserialize_code, trace_all
 from dsnlift.gaussian import (
     _CHUNK,
     DEFAULT_THRESHOLD,
@@ -33,11 +34,11 @@ from dsnlift.gaussian import (
     simulate_lifted,
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
-from dsnlift.network import load_network
+from dsnlift.network import Edge, RelayNetwork, load_network
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
 from dsnlift.typicality import ReceptionVectors
 
-from conftest import read_at
+from conftest import derive_decoder, read_at
 
 # --- oracle: dense complex distances ------------------------------------------
 
@@ -347,15 +348,23 @@ def _reference_layered_tables(net, product, pruned, use_offsets):
             messages = np.asarray(table, dtype=np.int64)
         else:
             rm = base.relay_maps[j]
+            # A causal map's time 1 reads nothing, so no decision sets it.
+            sends = range(1 + rm.causal, N + 1)
             reencode[j] = np.asarray(
                 [
                     [symbol_value(rm.emit_from(t, read_at(rm, t, block)), base.bit_depth)
-                     for block in vec for t in range(1, N + 1)]
+                     for block in vec for t in sends]
                     for vec in pruned.sets[j]
                 ],
                 dtype=np.complex128,
             )
     return effective, reencode, messages
+
+
+def _first_copies(effective):
+    """Each member's first member with the same effective row."""
+    _, first, same = np.unique(effective, axis=0, return_index=True, return_inverse=True)
+    return first[same.reshape(-1)]
 
 
 def _reference_interleaved_tables(net, base, pruned, use_offsets):
@@ -412,24 +421,64 @@ def _tables(tables, pruned):
     return effective, {s: tb.reencode for s, tb in tables.items() if tb.sends is not None}
 
 
-@pytest.mark.parametrize("name", ["line", "diamond"])
+def _pruned(net, product, epsilon, kappa_override, seed):
+    sets, symbols_per_slot, _ = _typical_sets(net, product, epsilon)
+    params = KappaParams.for_network(net, override=kappa_override)
+    return prune_sets(sets, params, eta=0.0, master_seed=seed, symbols_per_slot=symbols_per_slot)
+
+
+def _layered_case(name):
+    """(network, product code, pruned sets) of a layered table case."""
+    if name in ("line", "diamond"):
+        _, net, product, lifted = _shipped(name)
+        return net, product, lifted.pruned
+    if name == "causal_line":
+        # Block slots with a causal map: the relay's decision sets t = 2 only.
+        g = ComplexGain(3.0, 0.0)
+        net = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
+        A = [(r, i) for r in range(2) for i in range(2)]
+        code = derive_decoder(net, RelayCode(
+            block_length=2, bit_depth=1, codebook=tuple((a, A[1]) for a in A),
+            relay_maps={1: QuantizeForward(1, shift=1, causal=True)}, decoder={},
+        ))
+        product = ProductCode(code, 4)
+        return net, product, _pruned(net, product, epsilon=1.0, kappa_override=0.125, seed=5)
+    # float_diamond: the shipped diamond code on non-integer gains of the same bit depth.
+    diamond = load_network(read_input_text("diamond"))
+    gains = (ComplexGain(5.1, 0.3), ComplexGain(4.7, -0.9), ComplexGain(6.9, 1.3), ComplexGain(7.3, -0.6))
+    net = dataclasses.replace(
+        diamond, edges=tuple(dataclasses.replace(e, gain=g) for e, g in zip(diamond.edges, gains))
+    )
+    code = derive_decoder(net, deserialize_code(json.loads(read_input_text("diamond_code"))))
+    product = ProductCode(code, 3)
+    return net, product, _pruned(net, product, epsilon=3.0, kappa_override=0.25, seed=77)
+
+
+@pytest.mark.parametrize("name", ["line", "diamond", "causal_line", "float_diamond"])
 @pytest.mark.parametrize("use_offsets", [True, False])
 def test_layered_tables_match_per_vector_loops(name, use_offsets):
-    _, net, product, lifted = _shipped(name)
-    pruned, dest, N = lifted.pruned, net.destination, product.base.block_length
-    traces = trace_all(net, product.base)
-    tables = _slot_tables(net, product.base, pruned, traces, use_offsets)
+    net, product, pruned = _layered_case(name)
+    base, dest, N = product.base, net.destination, product.base.block_length
+    tables = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
     want = _reference_layered_tables(net, product, pruned, use_offsets)
     effective, reencode = _tables(tables, pruned)
-    _same(effective, want[0])
+    if name == "float_diamond" and use_offsets:
+        # The tables read the exact genie split's v, the oracle sums floats.
+        assert effective.keys() == want[0].keys()
+        for s, rows in effective.items():
+            ulp = np.spacing(np.abs(want[0][s]).max())
+            np.testing.assert_allclose(rows, want[0][s], rtol=0, atol=4 * ulp)
+    else:
+        _same(effective, want[0])
     _same(reencode, want[1])
-    # The shipped layered codes use block maps: a decision sets its whole block.
+    _same({s: tb.first_copy for s, tb in tables.items()}, {s: _first_copies(e) for s, e in want[0].items()})
+    # Layered slots decide whole blocks; a decision sets every time its map reads from it.
     assert all(tb.times == slice(0, N) for tb in tables.values())
     assert {s: tb.sends for s, tb in tables.items()} == {
-        s: None if s == dest else slice(0, N) for s in pruned.sets
+        s: None if s == dest else slice(int(base.relay_maps[s].causal), N) for s in pruned.sets
     }
     # The destination deciding each candidate once gives each candidate's message.
-    messages = _destination_messages(product.base, pruned.sets, {dest: np.arange(len(pruned.sets[dest]))})
+    messages = _destination_messages(base, pruned.sets, {dest: np.arange(len(pruned.sets[dest]))})
     assert np.array_equal(messages, want[2])
     assert (messages >= 0).any()
 

@@ -157,7 +157,7 @@ def _round_half_away(x: float) -> int:
 
 def _reference_prune_sets(typical_sets, kappa_params, eta, master_seed, symbols_per_slot):
     """prune_sets as it was written before sizing, drawing and pricing were
-    merged: two loops that each price a slot, and a bare EmptyResult."""
+    merged: two loops that each price a slot, and an EmptyResult without advice."""
     if not typical_sets:
         raise ValueError("no typical sets to prune")
     if len({isinstance(slot, int) for slot in typical_sets}) != 1:
@@ -183,7 +183,7 @@ def _reference_prune_sets(typical_sets, kappa_params, eta, master_seed, symbols_
         if size == 0:
             starved.append(slot)
     if starved:
-        raise EmptyResult(starved)
+        raise EmptyResult(starved, f"pruned sets empty at slots {starved}")
 
     sets, bounds = {}, {}
     for slot, ts in typical_sets.items():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -164,6 +165,19 @@ def test_typical_symbol_vectors_for_interleaving(diamond_net, diamond_code):
     assert len(ts.vectors) == 24
     with pytest.raises(ValueError):
         enumerate_typical_symbol_vectors(diamond_net, product, 1, t=3, epsilon=0.0)
+
+
+@pytest.mark.parametrize("slot", [0, 7, (9, 1), (1, 5)])
+def test_enumerators_refuse_a_slot_that_does_not_receive(diamond_net, diamond_code, slot, monkeypatch):
+    # The source, a node past the network and a time past the base block
+    # are refused by name, before any trace is run.
+    monkeypatch.setattr(typicality, "trace_all", None)
+    product = ProductCode(diamond_code, 2)
+    with pytest.raises(ValueError, match=re.escape(f"slot {slot!r} is not a receiver slot")):
+        if isinstance(slot, int):
+            enumerate_typical_receptions(diamond_net, product, slot, epsilon=1.0)
+        else:
+            enumerate_typical_symbol_vectors(diamond_net, product, *slot, epsilon=1.0)
 
 
 def test_typical_enumeration_budget(diamond_net, diamond_code):
