@@ -9,13 +9,16 @@ order.  At each slot the node decodes its noisy reception to a member of
 its pruned decision set.  A relay re-encodes deterministically every
 time whose relay-map read falls in the slot, and the destination joins
 its decisions, in time order, into receptions it maps back to a message.
-The verification half estimates, per node, the entropies of the floored
+The verification half prices every node by the entropies of the floored
 perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
-stay under the node-count constant kappa.  It counts the samples
-_BOUND_CHUNK at a time, so past the four sample-long draws of a
-reception its memory does not grow with the sample count, and the
-bootstrap estimates its 200 resamples together.
+stay under the node-count constant kappa.  _gap_estimates estimates the
+three terms of one reception (a node, or a node and receive antenna) and
+knows no node or price; _gap_histograms behind it counts the samples
+_BOUND_CHUNK at a time, so past the four sample-long draws its memory does
+not grow with the sample count, and the bootstrap estimates its 200
+resamples together.  verify_genie_bounds lists the receptions and prices
+them, doubling the per-antenna gap on two-antenna networks.
 
 Every decision reads one per-use cost table.  A slot's candidates are
 digit rows over per-value rows of its alphabet, so the squared distance
@@ -313,9 +316,13 @@ def _decide(
     Stage 1 (ML only) codes each trial's per-use argmin of the cost table
     and looks it up in the set's codes; a hit is the ML decision.  Stage 2
     sums the table per member for the misses, and for every trial of
-    another method, and decides with _choose.
+    another method, and decides with _choose.  Costs past float64 would
+    decide every trial alike, so they raise ConfigError.
     """
-    costs = _use_costs(y, table.rows)
+    with np.errstate(over="ignore"):
+        costs = _use_costs(y, table.rows)
+    if not np.isfinite(costs).all():
+        raise ConfigError("decision costs overflow float64; the noise scale is too large")
     trials, L = y.shape
     chosen = np.zeros(trials, dtype=np.int64)
     failed = np.zeros(trials, dtype=bool)
@@ -648,7 +655,9 @@ def _gap_histograms(
     counts into a (row, bits) table and a noise-cell table, whose sums
     over rows of equal floor v, cells and rows of equal carry are the
     histograms.  Otherwise decompose_batch runs on one chunk of samples at
-    a time and the per-chunk pair counts are summed.
+    a time and the per-chunk pair counts are summed.  Both ways give the
+    same counts, and past the four draws the memory is a few chunk-long
+    arrays and the tables, whatever the sample count.
     """
     radix, k, samples = 1 << bit_depth, len(gains), len(zr)
     chunks = [slice(lo, lo + _BOUND_CHUNK) for lo in range(0, samples, _BOUND_CHUNK)]
@@ -678,79 +687,46 @@ def _gap_histograms(
         joint += np.bincount(4 * code + (2 * bit_re + bit_im).astype(np.int64), minlength=len(joint))
         cell = (fz_re - z_lo[0]) * z_cols + (fz_im - z_lo[1])
         cells += np.bincount(cell.astype(np.int64), minlength=z_cells)
-    vf_re, vf_im = t.v_floor
-    c_re = (fa_re.astype(np.int64) - t.yp_re - vf_re)[:, None] + np.array([0, 0, 1, 1])
-    c_im = (fa_im.astype(np.int64) - t.yp_im - vf_im)[:, None] + np.array([0, 1, 0, 1])
+    c_re = t.c_re[:, None] + np.array([0, 0, 1, 1])
+    c_im = t.c_im[:, None] + np.array([0, 1, 0, 1])
     return (
-        _key_counts(_pair_keys(vf_re, vf_im), joint.reshape(-1, 4).sum(axis=1))[1],
+        _key_counts(_pair_keys(*t.v_floor), joint.reshape(-1, 4).sum(axis=1))[1],
         cells[cells > 0],
         _key_counts(_pair_keys(c_re, c_im).reshape(-1), joint)[1],
     )
 
 
-def _bound_entry(
-    node: int,
-    antenna: int | None,
-    gains: Sequence[ComplexGain],
-    samples: int,
-    bit_depth: int,
-    rng: np.random.Generator,
-    ci_seed: int,
-    mimo: bool,
-    reference: float,
-) -> BoundEntry:
+def _gap_estimates(
+    gains: Sequence[ComplexGain], samples: int, bit_depth: int, rng: np.random.Generator, ci_seed: int
+) -> list[tuple[float, tuple[float, float]]]:
+    """Miller-Madow estimate and bootstrap interval (seeds ci_seed + 0, 1, 2)
+    of H(floor V), H(floor Z) and H(C), in that order, for one reception of
+    ``gains`` over ``samples`` uniform inputs and CN(0, 1) noise from ``rng``."""
     k = len(gains)
     xr = rng.integers(0, 1 << bit_depth, size=(samples, k))
     xi = rng.integers(0, 1 << bit_depth, size=(samples, k))
-    sd = math.sqrt(0.5)
-    zr = rng.normal(0.0, sd, samples)
-    zi = rng.normal(0.0, sd, samples)
-    hists = dict(zip("vzc", _gap_histograms(gains, xr, xi, bit_depth, zr, zi)))
-    ests = {kk: miller_madow_entropy(h) for kk, h in hists.items()}
-    cis = {
-        kk: bootstrap_entropy_ci(h, seed=ci_seed + i)
-        for i, (kk, h) in enumerate(hists.items())
-    }
-    gap = ests["v"] + ests["z"] + ests["c"]
-    halfwidth = sum((hi - lo) / 2.0 for lo, hi in cis.values())
-    estimate = 2.0 * gap if mimo else gap
-    return BoundEntry(
-        node=node,
-        antenna=antenna,
-        links=k if not mimo else k // 2,
-        h_v=ests["v"],
-        h_z=ests["z"],
-        h_c=ests["c"],
-        ci_v=cis["v"],
-        ci_z=cis["z"],
-        ci_c=cis["c"],
-        gap_sum=gap,
-        bound_estimate=estimate,
-        margin=reference - estimate,
-        ci_halfwidth=halfwidth,
-    )
+    zr = rng.normal(0.0, math.sqrt(0.5), samples)
+    zi = rng.normal(0.0, math.sqrt(0.5), samples)
+    hists = _gap_histograms(gains, xr, xi, bit_depth, zr, zi)
+    return [(miller_madow_entropy(h), bootstrap_entropy_ci(h, ci_seed + i)) for i, h in enumerate(hists)]
 
 
 def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundReport:
     """Monte Carlo check of the per-node noise-gap entropy sums.
 
     Inputs are drawn uniformly from the discrete alphabet at the network
-    bit depth, noise is CN(0, 1), and all gap terms come from the channel
-    decomposition.  Two-antenna edges are flattened into
-    per-receive-antenna scalar link lists (each in-edge contributes its
-    two transmit antennas), which is exactly how the two-antenna gap
-    bound is defined.
-
-    A reception with K links at bit depth n has 2^(2nK) distinct input
-    rows.  When they number no more than ``samples``, each distinct row is
-    decomposed once, and each sample adds one count to a table indexed by
-    its row and its two carry bits and one to a table of noise cells;
-    otherwise every sample is decomposed.  Either way the samples are taken
-    _BOUND_CHUNK at a time, so past the four draws (xr, xi, zr, zi) the
-    memory is a few chunk-long arrays and the tables, whatever ``samples``
-    is.  Both ways give the same histograms, so the report does not depend
-    on the choice.  Every reception passes check_batch_range before the
-    first draw, so a network beyond int64 raises ChannelError at once.
+    bit depth and noise is CN(0, 1).  The receptions are the nodes with
+    in-edges, in node order; on a two-antenna network each such node has
+    one per receive antenna, whose links are its in-edges' two transmit
+    antennas each, which is exactly how the two-antenna gap bound is
+    defined.  _gap_estimates estimates each reception's three terms from
+    its own SeedSequence stream.  An entry's gap_sum is their sum, and its
+    bound_estimate, the price held against kappa, is the gap_sum, or twice
+    the per-antenna gap_sum on a two-antenna network.  Its margin is kappa
+    minus that price, its ci_halfwidth the sum of the three bootstrap
+    half-widths, and links counts the node's in-edges.  Every reception
+    passes check_batch_range before the first draw, so a network beyond
+    int64 raises ChannelError at once.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -774,11 +750,18 @@ def verify_genie_bounds(net: RelayNetwork, samples: int, seed: int) -> BoundRepo
             receptions.append((j, None, [e.gain for e in in_edges], [seed, j], seed * 1000 + j))
     for _, _, gains, _, _ in receptions:
         check_batch_range(gains, n)
-    entries = [
-        _bound_entry(j, ant, gains, samples, n, np.random.default_rng(np.random.SeedSequence(key)),
-                     ci_seed, mimo, reference)
-        for j, ant, gains, key, ci_seed in receptions
-    ]
+    entries = []
+    for j, ant, gains, key, ci_seed in receptions:
+        rng = np.random.default_rng(np.random.SeedSequence(key))
+        (h_v, ci_v), (h_z, ci_z), (h_c, ci_c) = _gap_estimates(gains, samples, n, rng, ci_seed)
+        gap = h_v + h_z + h_c
+        estimate = 2.0 * gap if mimo else gap
+        entries.append(BoundEntry(
+            node=j, antenna=ant, links=len(net.in_edges(j)), h_v=h_v, h_z=h_z, h_c=h_c,
+            ci_v=ci_v, ci_z=ci_z, ci_c=ci_c, gap_sum=gap, bound_estimate=estimate,
+            margin=reference - estimate,
+            ci_halfwidth=sum((hi - lo) / 2.0 for lo, hi in (ci_v, ci_z, ci_c)),
+        ))
     return BoundReport(
         mode=net.antenna_mode,
         samples=samples,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
-from conftest import derive_decoder
+from conftest import derive_decoder, small_networks
 from test_decode_kernel import _whole
 
 from dsnlift import gaussian
@@ -285,6 +285,14 @@ def test_simulation_input_validation(diamond_net, diamond_code):
         simulate_lifted(diamond_net, product3, empty, trials=10, noise=NoiseSpec(seed=1))
 
 
+def test_simulation_refuses_decision_costs_past_float64(diamond_net, diamond_code):
+    # Squared distances of noise at scale 1e200 overflow to inf, and would
+    # decide every trial alike.
+    product, lifted = _diamond_lifted(diamond_net, diamond_code, n_rep=2)
+    with pytest.raises(ConfigError, match="overflow float64"):
+        simulate_lifted(diamond_net, product, lifted, trials=100, noise=NoiseSpec(seed=1, scale=1e200))
+
+
 def test_simulation_rejects_mismatched_networks(diamond_net, diamond_code):
     product, lifted = _diamond_lifted(diamond_net, diamond_code, n_rep=2)
 
@@ -444,6 +452,29 @@ def test_genie_bounds_mimo_doubles_the_per_antenna_gap():
         assert e.links == 1
         assert e.bound_estimate == pytest.approx(2 * e.gap_sum, abs=1e-12)
     assert report.all_within_kappa()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    net=st.one_of(small_networks(max_nodes=5, mimo=False), small_networks(max_nodes=3, mimo=True)),
+    samples=st.integers(1, 2_000),
+    seed=st.integers(0, 1_000),
+)
+def test_genie_bound_entries_price_their_three_estimates(net, samples, seed):
+    # One entry per receiving node, or per node and antenna on 2x2, each
+    # priced from its own three estimates: the gap once on a scalar
+    # network, twice per antenna on a two-antenna one.
+    report = verify_genie_bounds(net, samples=samples, seed=seed)
+    mimo = net.antenna_mode == "mimo2x2"
+    receiving = [j for j in range(1, net.node_count) if net.in_edges(j)]
+    antennas = (0, 1) if mimo else (None,)
+    assert [(e.node, e.antenna) for e in report.entries] == [(j, a) for j in receiving for a in antennas]
+    for e in report.entries:
+        assert e.gap_sum == e.h_v + e.h_z + e.h_c
+        assert e.bound_estimate == (2.0 * e.gap_sum if mimo else e.gap_sum)
+        assert e.margin == report.kappa_reference - e.bound_estimate
+        assert e.ci_halfwidth == sum((hi - lo) / 2.0 for lo, hi in (e.ci_v, e.ci_z, e.ci_c))
+        assert e.links == len(net.in_edges(e.node))
 
 
 def _pair_histogram(re, im):

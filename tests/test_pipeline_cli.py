@@ -1,10 +1,14 @@
 """Experiment pipeline and command-line interface tests."""
 
 import json
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from conftest import network_document, small_networks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsnlift import channel, cli, codes, gaussian, network, pipeline, typicality
 from dsnlift.gaussian import ConfigError
@@ -484,6 +488,17 @@ def test_cli_pipeline_out_of_range_config_numbers_exit_2(tmp_path, capsys, chang
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale, rc", [(1e200, cli.EXIT_INPUT), (1e150, 0)])
+def test_cli_pipeline_noise_scale_past_float64_costs_exits_2(tmp_path, capsys, scale, rc):
+    doc = {**MINI_CONFIG, "simulate": {**MINI_CONFIG["simulate"], "noise_scale": scale}}
+    argv = _run_doc(tmp_path, doc)
+    if rc:
+        assert "overflow float64" in _assert_input_error(capsys, argv)
+        assert not (tmp_path / "out").exists()
+    else:
+        assert cli.main(argv) == 0
+
+
 def test_load_config_keeps_noise_scale_zero():
     cfg = _mini_cfg(simulate={**MINI_CONFIG["simulate"], "noise_scale": 0})
     assert cfg.simulate.noise_scale == 0.0
@@ -661,3 +676,51 @@ def test_cli_bounds_checks_int64_range_before_drawing(tmp_path, capsys, gains):
         tracemalloc.stop()
     assert "overflow int64" in err
     assert peak < 1 << 22
+
+
+@st.composite
+def _cli_runs(draw):
+    """A generated network's file text and a config that searches its base
+    code: at most 5 nodes (3 on 2x2), n_rep <= 4, a kappa_override, at
+    most 50 trials and 500 bound samples."""
+    mimo = draw(st.booleans())
+    net = draw(small_networks(max_nodes=3 if mimo else 5, mimo=mimo))
+    block_length = draw(st.integers(1, 2))
+    config = {
+        "format": 1,
+        "base_code": {"search": {
+            "block_length": block_length,
+            "rate": draw(st.integers(0, 3)) / block_length,
+            "attempts": draw(st.integers(1, 20)),
+            "seed": draw(st.integers(0, 1000)),
+        }},
+        "n_rep": draw(st.integers(1, 4)),
+        "epsilon": draw(st.sampled_from([3.0, 0.5, 0.0])),
+        "prune_seed": draw(st.integers(0, 1000)),
+        "purify": draw(st.booleans()),
+        "eta": draw(st.sampled_from([0, 0.125, "epsilon2"])),
+        "kappa_override": draw(st.sampled_from([0.0, 0.125, 0.25])),
+        "simulate": {"trials": draw(st.integers(1, 50)), "noise_seed": draw(st.integers(0, 1000)),
+                     "method": draw(st.sampled_from(["ml", "threshold"]))},
+        "bounds": {"samples": draw(st.integers(1, 500)), "seed": draw(st.integers(0, 1000))},
+    }
+    return network_document(net), config
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(run=_cli_runs())
+def test_cli_on_generated_networks_exits_with_a_documented_code(run):
+    # pipeline exits 0, 2, 3 or 4 and bounds 0 or 2: never 1, never an
+    # escaped exception, and every artifact of a run that succeeds.
+    net_text, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path, cfg_path, out = Path(tmp, "net.json"), Path(tmp, "cfg.json"), Path(tmp, "out")
+        net_path.write_text(net_text)
+        cfg_path.write_text(json.dumps({**config, "network": str(net_path)}))
+        rc = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)])
+        assert rc in (0, cli.EXIT_INPUT, cli.EXIT_SEARCH, cli.EXIT_EMPTY)
+        if rc == 0:
+            assert {p.name for p in out.iterdir()} == EXPECTED_FULL_ARTIFACTS
+        samples, seed = config["bounds"]["samples"], config["bounds"]["seed"]
+        rc = cli.main(["bounds", "--network", str(net_path), "--samples", str(samples), "--seed", str(seed)])
+        assert rc in (0, cli.EXIT_INPUT)
