@@ -111,8 +111,11 @@ class NoiseSpec:
 
 
 def _noise(rng: np.random.Generator, shape: tuple[int, ...], scale: float) -> np.ndarray:
+    # A scale near the float64 maximum overflows here; _decide refuses the
+    # costs that follow, so the overflow itself is not warned about.
     sd = math.sqrt(0.5) * scale
-    return rng.normal(0.0, 1.0, shape) * sd + 1j * (rng.normal(0.0, 1.0, shape) * sd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rng.normal(0.0, 1.0, shape) * sd + 1j * (rng.normal(0.0, 1.0, shape) * sd)
 
 
 # --- decoding --------------------------------------------------------------
@@ -702,9 +705,11 @@ def _gap_estimates(
     """Miller-Madow estimate and bootstrap interval (seeds ci_seed + 0, 1, 2)
     of H(floor V), H(floor Z) and H(C), in that order, for one reception of
     ``gains`` over ``samples`` uniform inputs and CN(0, 1) noise from ``rng``."""
-    k = len(gains)
-    xr = rng.integers(0, 1 << bit_depth, size=(samples, k))
-    xi = rng.integers(0, 1 << bit_depth, size=(samples, k))
+    # Each draw is narrowed to the smallest unsigned type of its digits as
+    # soon as it is made, so only one int64 draw is ever held.
+    k, digit = len(gains), np.min_scalar_type((1 << bit_depth) - 1)
+    xr = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
+    xi = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
     zr = rng.normal(0.0, math.sqrt(0.5), samples)
     zi = rng.normal(0.0, math.sqrt(0.5), samples)
     hists = _gap_histograms(gains, xr, xi, bit_depth, zr, zi)

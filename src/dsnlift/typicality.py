@@ -5,14 +5,18 @@ decisions are never at the mercy of float rounding; only the final
 entropy values are floats.  Typicality uses the robust
 multiplicative criterion: a sequence is epsilon-typical for a law p when
 every symbol frequency f(a) satisfies |f(a)/L - p(a)| <= epsilon * p(a),
-and symbols of probability zero never occur.
+and symbols of probability zero never occur.  The test is made by integer
+cross-multiplication of the numerators and denominators, so it is exact
+without any rational arithmetic.
 
 The criterion depends on a sequence only through its type, the histogram
 of its symbols.  Typical sets are therefore decided once per type class:
-the exact rational test runs on one representative vector per class, and
-the kept classes are expanded with numpy over int64 digit rows.  With the
-slot's alphabet in tuple order (``sorted(support)``) those rows make a
-ReceptionVectors, the one form every later stage reads reception vectors in.
+the exact test runs on one representative vector per class, and the kept
+classes are expanded with numpy over int64 digit rows.  When every class
+is kept, the rows are all the vectors in their natural order and no row
+is sorted or matched.  With the slot's alphabet in tuple order
+(``sorted(support)``) those rows make a ReceptionVectors, the one form
+every later stage reads reception vectors in.
 """
 
 from __future__ import annotations
@@ -134,7 +138,11 @@ def _as_exact(epsilon: float) -> Fraction:
 def is_strongly_typical(
     seq: Sequence[Hashable], dist: FiniteDistribution, epsilon: float
 ) -> bool:
-    """Robust strong typicality with exact rational comparisons."""
+    """Robust strong typicality, decided in exact integers.
+
+    With p(a) = a/b and epsilon = e/f, |c/L - a/b| <= (e/f) * (a/b) is, times
+    b * L * f > 0, the integer test |c * b - a * L| * f <= e * a * L.
+    """
     L = len(seq)
     if L == 0:
         raise ValueError("empty sequence")
@@ -144,10 +152,10 @@ def is_strongly_typical(
         p = prob_of.get(sym)
         if p is None or p == 0:
             return False
-    eps = _as_exact(epsilon)
+    e, f = _as_exact(epsilon).as_integer_ratio()
     for sym, p in dist.items():
-        c = counts.get(sym, 0)
-        if abs(Fraction(c, L) - p) > eps * p:
+        a, b = p.numerator, p.denominator
+        if abs(counts.get(sym, 0) * b - a * L) * f > e * a * L:
             return False
     return True
 
@@ -263,19 +271,21 @@ def _typical_digit_rows(
 ) -> np.ndarray:
     """Rows of ``support``-digits, length n_rep, whose vectors are typical.
 
-    All ``len(support)**n_rep`` rows are scanned in lexicographic order.
+    All ``len(support)**n_rep`` rows are taken in lexicographic order.
     is_strongly_typical decides once per type class, on the class's
-    non-decreasing representative; a row's class is found by sorting its
-    digits.  Returns the kept rows as an int64 array in row order.
+    non-decreasing representative.  When it keeps every class, every row
+    is returned as np.indices lays it out; otherwise a row's class is
+    found by sorting its digits.  Returns the kept rows as an int64 array
+    in row order.
     """
     k = len(support)
-    kept = [
-        rep for rep in itertools.combinations_with_replacement(range(k), n_rep)
-        if is_strongly_typical(tuple(support[d] for d in rep), dist, epsilon)
-    ]
+    reps = list(itertools.combinations_with_replacement(range(k), n_rep))
+    kept = [rep for rep in reps if is_strongly_typical(tuple(support[d] for d in rep), dist, epsilon)]
     if k == 1:  # one row of any length, past the 64 axes np.indices takes
         return np.zeros((len(kept), n_rep), dtype=np.int64)
     rows = np.indices((k,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
+    if len(kept) == len(reps):
+        return rows
     kept_types = _radix_codes(np.asarray(kept, dtype=np.int64).reshape(-1, n_rep), k)
     return rows[np.isin(_radix_codes(np.sort(rows, axis=1), k), kept_types)]
 

@@ -565,14 +565,18 @@ def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
 
 
 def test_genie_bounds_memory_stays_at_the_draws_plus_one_chunk(nonlayered_net):
-    # The largest reception's four draws (xr, xi of shape (samples, K) and
-    # zr, zi) are the only sample-long arrays.  Past them the count, its
-    # tables and the bootstrap peak at 1.2 MB (measured); the allowance is
-    # 4 MB.  Keeping the gathers, floors, carries and pair keys of all
-    # 200,000 samples at once adds 14.4 MB.
-    samples = 200_000
+    # The largest reception's draws are the only sample-long arrays: one
+    # int64 input draw of shape (samples, K) while it is narrowed, the
+    # narrowed digits xr and xi (one byte each at this bit depth) and the
+    # float64 zr and zi.  Past them the count, its tables and the bootstrap
+    # peak at 1.2 MB (measured); the allowance is 4 MB, so the budget here
+    # is 22 MB.  Keeping xr and xi in int64 peaks at 25.2 MB (measured),
+    # and keeping the gathers, floors, carries and pair keys of all samples
+    # at once adds 36 MB.
+    samples = 500_000
     links = max(len(nonlayered_net.in_edges(j)) for j in range(1, nonlayered_net.node_count))
-    draws = samples * 8 * (2 * links + 2)
+    narrow = np.min_scalar_type((1 << nonlayered_net.bit_depth) - 1).itemsize
+    draws = samples * (8 * links + 2 * narrow * links + 2 * 8)
     allowance = 4_000_000
     tracemalloc.start()
     try:
@@ -581,6 +585,28 @@ def test_genie_bounds_memory_stays_at_the_draws_plus_one_chunk(nonlayered_net):
     finally:
         tracemalloc.stop()
     assert peak < draws + allowance
+
+
+def _int64_gap_estimates(gains, samples, bit_depth, rng, ci_seed):
+    """_gap_estimates with its input digits kept as the int64 draws."""
+    k = len(gains)
+    xr = rng.integers(0, 1 << bit_depth, size=(samples, k))
+    xi = rng.integers(0, 1 << bit_depth, size=(samples, k))
+    zr = rng.normal(0.0, math.sqrt(0.5), samples)
+    zi = rng.normal(0.0, math.sqrt(0.5), samples)
+    hists = _gap_histograms(gains, xr, xi, bit_depth, zr, zi)
+    return [(miller_madow_entropy(h), bootstrap_entropy_ci(h, ci_seed + i)) for i, h in enumerate(hists)]
+
+
+@pytest.mark.parametrize("bit_depth", [1, 2, 8, 9])
+def test_gap_estimates_equal_their_int64_digit_twin(bit_depth):
+    # Narrowing the digits after each draw leaves the stream, and so every
+    # estimate, as it was.  Depths 1 and 2 take the table path, 8 and 9 the
+    # per-chunk one; 9 narrows to two bytes.  The samples span two chunks.
+    gains = [ComplexGain(2.5, -1.25), ComplexGain(-0.75, 3.0)]
+    samples = gaussian._BOUND_CHUNK + 1000
+    got = gaussian._gap_estimates(gains, samples, bit_depth, np.random.default_rng(11), 40)
+    assert got == _int64_gap_estimates(gains, samples, bit_depth, np.random.default_rng(11), 40)
 
 
 def test_genie_bounds_validation(diamond_net):

@@ -488,7 +488,9 @@ def test_cli_pipeline_out_of_range_config_numbers_exit_2(tmp_path, capsys, chang
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("scale, rc", [(1e200, cli.EXIT_INPUT), (1e150, 0)])
+# The refusal is the only report: no RuntimeWarning of the overflow comes first.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale, rc", [(1e308, cli.EXIT_INPUT), (1e200, cli.EXIT_INPUT), (1e150, 0)])
 def test_cli_pipeline_noise_scale_past_float64_costs_exits_2(tmp_path, capsys, scale, rc):
     doc = {**MINI_CONFIG, "simulate": {**MINI_CONFIG["simulate"], "noise_scale": scale}}
     argv = _run_doc(tmp_path, doc)

@@ -7,6 +7,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,26 @@ def test_point_mass_law_from_single_codeword_code(diamond_net, diamond_code):
         decoder={},
     )
     assert entropy(_joint_law(diamond_net, single)) == 0.0
+
+
+def _rational_is_strongly_typical(seq, dist, epsilon):
+    """The rational reference of is_strongly_typical: each frequency is
+    compared with its probability as an exact Fraction."""
+    L = len(seq)
+    if L == 0:
+        raise ValueError("empty sequence")
+    counts = Counter(seq)
+    prob_of = dict(dist.items())
+    for sym in counts:
+        p = prob_of.get(sym)
+        if p is None or p == 0:
+            return False
+    eps = typicality._as_exact(epsilon)
+    for sym, p in dist.items():
+        c = counts.get(sym, 0)
+        if abs(Fraction(c, L) - p) > eps * p:
+            return False
+    return True
 
 
 def test_strong_typicality_boundary_is_exact():
@@ -236,26 +257,48 @@ def _laws(draw):
 
 HALF = FiniteDistribution((9, 10), (Fraction(1, 2), Fraction(1, 2)))
 
+EPSILONS = st.one_of(
+    st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.5, 1.0, 3.0)),
+    st.floats(min_value=0.0, max_value=4.0),
+)
+
+
+@st.composite
+def _sequences_and_laws(draw):
+    """A law and a sequence of length 1..12 over its support plus one
+    symbol outside it."""
+    dist = draw(_laws())
+    symbols = st.sampled_from(dist.support + ("outside",))
+    return draw(st.lists(symbols, min_size=1, max_size=12)), dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sequences_and_laws(), epsilon=EPSILONS)
+# On the closed boundary: |3/4 - 1/2| = 0.5 * 1/2, |3/5 - 1/2| = 0.2 * 1/2
+# and |5/8 - 1/2| = 0.25 * 1/2.
+@example(case=((9, 9, 9, 10), HALF), epsilon=0.5)
+@example(case=((9, 9, 9, 10, 10), HALF), epsilon=0.2)
+@example(case=((9, 9, 9, 9, 9, 10, 10, 10), HALF), epsilon=0.25)
+def test_integer_typicality_matches_the_rational_reference(case, epsilon):
+    seq, dist = case
+    assert is_strongly_typical(seq, dist, epsilon) == _rational_is_strongly_typical(seq, dist, epsilon)
+
 
 @settings(max_examples=150, deadline=None)
-@given(
-    dist=_laws(),
-    n_rep=st.integers(1, 5),
-    epsilon=st.one_of(
-        st.sampled_from((0.0, 0.1, 0.2, 0.25, 0.5, 1.0, 3.0)),
-        st.floats(min_value=0.0, max_value=4.0),
-    ),
-)
+@given(dist=_laws(), n_rep=st.integers(1, 5), epsilon=EPSILONS)
 # On the closed boundary: |3/4 - 1/2| = 0.5 * 1/2 and |3/5 - 1/2| = 0.2 * 1/2.
 @example(dist=HALF, n_rep=4, epsilon=0.5)
 @example(dist=HALF, n_rep=5, epsilon=0.2)
 @example(dist=HALF, n_rep=4, epsilon=0.25)
+# Every class is kept: |0/4 - 1/2| = 1 * 1/2 is the widest gap.
+@example(dist=HALF, n_rep=4, epsilon=1.0)
 def test_typical_vectors_match_per_vector_loop(dist, n_rep, epsilon):
     got = typicality._typical_vectors(dist, n_rep, epsilon)
     assert tuple(got) == _reference_typical_vectors(dist, n_rep, epsilon)
 
 
-def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_code):
+@pytest.mark.parametrize("epsilon", [0.5, 3.0])
+def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_code, epsilon):
     calls = []
 
     def counted(seq, dist, epsilon):
@@ -264,11 +307,15 @@ def test_typicality_is_decided_once_per_type(monkeypatch, diamond_net, diamond_c
 
     monkeypatch.setattr(typicality, "is_strongly_typical", counted)
     product = ProductCode(diamond_code, 8)
-    ts = enumerate_typical_receptions(diamond_net, product, 1, epsilon=0.5)
+    ts = enumerate_typical_receptions(diamond_net, product, 1, epsilon=epsilon)
     # Four equiprobable blocks, n_rep = 8: C(11, 3) = 165 types.
     assert len(calls) == 165
     assert len({tuple(sorted(c)) for c in calls}) == 165
-    assert 0 < len(ts.vectors) < 4**8
+    if epsilon < 1.0:
+        assert 0 < len(ts.vectors) < 4**8
+    else:
+        # Every class is kept: all 4**8 rows, in lexicographic order.
+        assert np.array_equal(ts.vectors.digits, np.array(list(itertools.product(range(4), repeat=8))))
 
 
 def test_decision_slots_walk_order(diamond_net, nonlayered_net):
