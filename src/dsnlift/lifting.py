@@ -247,8 +247,8 @@ def build_lifted_code(
     deterministic and codewords are distinct, joint typicality of the
     (source, receptions) tuple sequence reduces to typicality of the
     base-message digit sequence under the uniform message law, which is
-    how it is evaluated here: once per type class of the digit rows, with
-    the exact rule on one representative per class.  Each base message
+    how it is evaluated here: a digit row is kept when each digit's count
+    lies in its per-symbol count bounds.  Each base message
     is mapped to its digit in the slot's alphabet, so a codeword's
     reception vector at the slot is a digit row of the pruned set's kind,
     and membership and provenance come from one binary search of the

@@ -5,27 +5,23 @@ decisions are never at the mercy of float rounding; only the final
 entropy values are floats.  Typicality uses the robust
 multiplicative criterion: a sequence is epsilon-typical for a law p when
 every symbol frequency f(a) satisfies |f(a)/L - p(a)| <= epsilon * p(a),
-and symbols of probability zero never occur.  The test is made by integer
-cross-multiplication of the numerators and denominators, so it is exact
-without any rational arithmetic.
+and symbols of probability zero never occur.
 
-The criterion depends on a sequence only through its type, the histogram
-of its symbols.  Typical sets are therefore decided once per type class:
-the exact test runs on one representative vector per class, and the kept
-classes are expanded with numpy over int64 digit rows.  When every class
-is kept, the rows are all the vectors in their natural order and no row
-is sorted or matched.  With the slot's alphabet in tuple order
-(``sorted(support)``) those rows make a ReceptionVectors, the one form
-every later stage reads reception vectors in.
+The criterion bounds each symbol's count by itself: at length L it is one
+closed integer interval per symbol, found by exact integer
+cross-multiplication in ``_count_bounds``, the one place the rule is
+written.  Typical sets keep, in natural order, the int64 digit rows whose
+per-digit counts all lie in their intervals.  With the slot's alphabet in
+tuple order (``sorted(support)``) those rows make a ReceptionVectors, the
+one form every later stage reads reception vectors in.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping
 
@@ -135,29 +131,32 @@ def _as_exact(epsilon: float) -> Fraction:
     return Fraction(repr(float(epsilon)))
 
 
+def _count_bounds(probs: Iterable[Fraction], length: int, epsilon: float) -> list[tuple[int, int]]:
+    """Each symbol's closed interval (lo, hi) of counts in a typical sequence of
+    ``length``, clipped to 0..length; lo > hi when no count passes.
+
+    With p = a/b and epsilon = e/f, |c/L - a/b| <= (e/f) * (a/b) is, times
+    b * L * f > 0, the integer test |c * b - a * L| * f <= e * a * L, that is
+    a * L * (f - e) <= c * b * f <= a * L * (f + e).  A p = 0 symbol gets (0, 0).
+    """
+    e, f = _as_exact(epsilon).as_integer_ratio()
+    spans = [(p.numerator * length * (f - e), p.numerator * length * (f + e), p.denominator * f) for p in probs]
+    return [(max(-(-low // bf), 0), min(high // bf, length)) for low, high, bf in spans]
+
+
 def is_strongly_typical(
     seq: Sequence[Hashable], dist: FiniteDistribution, epsilon: float
 ) -> bool:
-    """Robust strong typicality, decided in exact integers.
-
-    With p(a) = a/b and epsilon = e/f, |c/L - a/b| <= (e/f) * (a/b) is, times
-    b * L * f > 0, the integer test |c * b - a * L| * f <= e * a * L.
-    """
+    """Robust strong typicality: no symbol outside ``dist``'s support, and
+    every symbol's count within its ``_count_bounds``."""
     L = len(seq)
     if L == 0:
         raise ValueError("empty sequence")
     counts = Counter(seq)
-    prob_of = dict(dist.items())
-    for sym in counts:
-        p = prob_of.get(sym)
-        if p is None or p == 0:
-            return False
-    e, f = _as_exact(epsilon).as_integer_ratio()
-    for sym, p in dist.items():
-        a, b = p.numerator, p.denominator
-        if abs(counts.get(sym, 0) * b - a * L) * f > e * a * L:
-            return False
-    return True
+    if not counts.keys() <= set(dist.support):
+        return False
+    bounds = _count_bounds(dist.probs, L, epsilon)
+    return all(lo <= counts[s] <= hi for s, (lo, hi) in zip(dist.support, bounds))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +171,7 @@ class ReceptionVectors(Sequence):
 
     alphabet: tuple
     digits: np.ndarray
+    codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = self.digits
@@ -183,12 +183,9 @@ class ReceptionVectors(Sequence):
             raise ValueError("codes of these rows do not fit in int64")
         if d.size and (d.min() < 0 or d.max() >= len(self.alphabet)):
             raise ValueError("digit outside the alphabet")
+        object.__setattr__(self, "codes", _radix_codes(d, len(self.alphabet)))
         if (np.diff(self.codes) <= 0).any():
             raise ValueError("rows must be distinct and in ascending code order")
-
-    @property
-    def codes(self) -> np.ndarray:
-        return _radix_codes(self.digits, len(self.alphabet))
 
     def __len__(self) -> int:
         return len(self.digits)
@@ -271,23 +268,25 @@ def _typical_digit_rows(
 ) -> np.ndarray:
     """Rows of ``support``-digits, length n_rep, whose vectors are typical.
 
-    All ``len(support)**n_rep`` rows are taken in lexicographic order.
-    is_strongly_typical decides once per type class, on the class's
-    non-decreasing representative.  When it keeps every class, every row
-    is returned as np.indices lays it out; otherwise a row's class is
-    found by sorting its digits.  Returns the kept rows as an int64 array
-    in row order.
+    ``support`` holds every symbol of ``dist`` of positive probability.  Of
+    all ``len(support)**n_rep`` rows, in lexicographic order, those whose
+    per-digit counts lie in their _count_bounds are kept as an int64 array;
+    when every bound is all of 0..n_rep, that is np.indices' rows as they are.
     """
+    prob_of = dict(dist.items())
+    bounds = _count_bounds([prob_of[s] for s in support], n_rep, epsilon)
     k = len(support)
-    reps = list(itertools.combinations_with_replacement(range(k), n_rep))
-    kept = [rep for rep in reps if is_strongly_typical(tuple(support[d] for d in rep), dist, epsilon)]
     if k == 1:  # one row of any length, past the 64 axes np.indices takes
-        return np.zeros((len(kept), n_rep), dtype=np.int64)
+        lo, hi = bounds[0]
+        return np.zeros((int(lo <= n_rep <= hi), n_rep), dtype=np.int64)
     rows = np.indices((k,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
-    if len(kept) == len(reps):
+    if all(b == (0, n_rep) for b in bounds):
         return rows
-    kept_types = _radix_codes(np.asarray(kept, dtype=np.int64).reshape(-1, n_rep), k)
-    return rows[np.isin(_radix_codes(np.sort(rows, axis=1), k), kept_types)]
+    keep = np.ones(len(rows), dtype=bool)
+    for d, (lo, hi) in enumerate(bounds):
+        counts = (rows == d).sum(axis=1)
+        keep &= (lo <= counts) & (counts <= hi)
+    return rows[keep]
 
 
 def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
