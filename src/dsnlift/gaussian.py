@@ -9,16 +9,20 @@ order.  At each slot the node decodes its noisy reception to a member of
 its pruned decision set.  A relay re-encodes deterministically every
 time whose relay-map read falls in the slot, and the destination joins
 its decisions, in time order, into receptions it maps back to a message.
+Each node's transmissions are a narrow (trials, n_rep, N) array of
+indices into its complex symbol table, built from what the walk can
+write: the source's codebook symbols, or a relay's re-encode symbols.
 The verification half prices every node by the entropies of the floored
 perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
 stay under the node-count constant kappa.  _gap_estimates estimates the
 three terms of one reception (a node, or a node and receive antenna) and
-knows no node or price; _gap_histograms behind it counts the samples
-_BOUND_CHUNK at a time, so past the four sample-long draws its memory does
-not grow with the sample count, and the bootstrap estimates its 200
-resamples together.  verify_genie_bounds lists the receptions and prices
-them, doubling the per-antenna gap on two-antenna networks.
+knows no node or price; _gap_histograms behind it draws and counts the
+samples _BOUND_CHUNK at a time, holding per sample only narrow digits and
+a narrow state (or, when inputs have more rows than there are samples,
+the real noise), and the bootstrap estimates its 200 resamples together.
+verify_genie_bounds lists the receptions and prices them, doubling the
+per-antenna gap on two-antenna networks.
 
 Every decision reads one per-use cost table.  A slot's candidates are
 digit rows over per-value rows of its alphabet, so the squared distance
@@ -60,8 +64,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    ComplexGain, ConfigError, _add_keeping_floor, check_batch_range, decompose_batch,
-    decompose_received, symbol_value,
+    ComplexGain, ConfigError, _add_keeping_floor, _decompose, check_batch_range, decompose_batch,
+    quantize_gain, symbol_value,
 )
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
@@ -212,16 +216,30 @@ def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return table[index].reshape(len(index), -1)
 
 
-def _source_symbols(product: ProductCode, lifted: LiftedCode) -> np.ndarray:
-    """Source symbols of every lifted codeword: (count, n_rep, N) complex."""
+def _index_type(bit_depth: int) -> np.dtype:
+    """The unsigned type of a symbol index.  A node sends symbols of the
+    bit_depth grid, so it has at most 4**bit_depth distinct ones."""
+    return np.min_scalar_type(4**bit_depth - 1)
+
+
+def _symbol_table(index: Mapping, bit_depth: int) -> np.ndarray:
+    """The complex values of the symbols ``index`` numbers, in index order."""
+    return np.asarray([symbol_value(x, bit_depth) for x in index], dtype=np.complex128)
+
+
+def _source_symbols(product: ProductCode, lifted: LiftedCode) -> tuple[np.ndarray, np.ndarray]:
+    """The source's symbol table, and the symbols of every lifted codeword
+    as indices into it: (count, n_rep, N)."""
     n = product.base.bit_depth
+    index: dict = {}
     book = np.asarray(
-        [[symbol_value(s, n) for s in cw] for cw in product.base.codebook], dtype=np.complex128
+        [[index.setdefault(x, len(index)) for x in cw] for cw in product.base.codebook],
+        dtype=_index_type(n),
     )
     digits = np.asarray(
         [product.message_tuple(ci) for ci in lifted.codeword_indices], dtype=np.int64
     )
-    return book[digits.reshape(lifted.count, product.n_rep)]
+    return _symbol_table(index, n), book[digits.reshape(lifted.count, product.n_rep)]
 
 
 @dataclass(frozen=True)
@@ -236,7 +254,7 @@ class _SlotTable:
     ``first_copy`` maps each member to the first member with the same
     effective rows.  A relay's decision sets its symbols at ``sends``
     (None if at no time), and ``reencode`` holds them per member (|S|,
-    n_rep * width of sends).
+    n_rep * width of sends), as indices into the relay's symbol table.
     """
 
     times: slice
@@ -266,9 +284,10 @@ def _slot_tables(
     pruned: PrunedSets,
     traces: Sequence[NetworkTrace],
     use_offsets: bool,
-) -> dict[SlotKey, _SlotTable]:
+) -> tuple[dict[SlotKey, _SlotTable], dict[int, np.ndarray]]:
     """The table of every slot, each row read once per value of the slot's
-    alphabet and gathered with the set's (|S|, n_rep) digit rows.
+    alphabet and gathered with the set's (|S|, n_rep) digit rows, and the
+    symbol table of every relay.
 
     Each value is read off the trace of the lowest base message that
     produces it: its rows are the node's receptions at the slot's times,
@@ -279,9 +298,16 @@ def _slot_tables(
     symbol at time u reads the reception at u (block maps) or at u - 1
     (causal maps), so a decision over some times sets every u whose read
     falls among them; a causal map's time 1 reads nothing and is no
-    slot's to set.
+    slot's to set.  A relay's symbol table holds the symbols its re-encode
+    rows can write, numbered as met after entry 0, which is what it sends
+    at the times no decision sets: a causal map's time-1 symbol, the same
+    in every trace, or 0j.
     """
     N, n = base.block_length, base.bit_depth
+    symbols = {
+        j: {traces[0].transmitted[j][0] if base.relay_maps[j].causal else (0, 0): 0}
+        for j in net.relays
+    }
     tables: dict[SlotKey, _SlotTable] = {}
     for slot, vectors in pruned.sets.items():
         node = _slot_node(slot)
@@ -295,8 +321,9 @@ def _slot_tables(
         if use_offsets:
             edges = net.in_edges(node)
             gains = [e.gain for e in edges]
+            quantized = [quantize_gain(g) for g in gains]
             rows = rows + np.asarray([
-                [decompose_received([tr.transmitted[e.src][t] for e in edges], gains, 0j, n).v
+                [_decompose([tr.transmitted[e.src][t] for e in edges], gains, quantized, 0j, n).v
                  for t in range(N)[times]]
                 for tr in picked
             ])
@@ -305,10 +332,11 @@ def _slot_tables(
             lag = int(base.relay_maps[node].causal)
             us = slice(times.start + lag, min(times.stop + lag, N))
             if us.start < us.stop:
-                sent = [[symbol_value(x, n) for x in tr.transmitted[node][us]] for tr in picked]
-                sends, reencode = us, _gather(np.asarray(sent), vectors.digits)
+                index = symbols[node]
+                sent = [[index.setdefault(x, len(index)) for x in tr.transmitted[node][us]] for tr in picked]
+                sends, reencode = us, _gather(np.asarray(sent, dtype=_index_type(n)), vectors.digits)
         tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, vectors.digits), sends, reencode)
-    return tables
+    return tables, {j: _symbol_table(index, n) for j, index in symbols.items()}
 
 
 def _decide(
@@ -421,19 +449,16 @@ def simulate_lifted(
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
     pick = msg_rng.integers(lifted.count, size=trials)
     true_codewords = np.asarray(lifted.codeword_indices, dtype=np.int64)[pick]
-    tables = _slot_tables(net, base, pruned, traces, use_offsets)
+    tables, symbols = _slot_tables(net, base, pruned, traces, use_offsets)
 
-    # Every node's transmissions over the trials, uses and base-block times.
-    # The destination's stay zero and are kept only for its out-edges.
-    tx = {
-        j: np.zeros((trials, n_rep, N), dtype=np.complex128)
-        for j in range(net.node_count) if j != dest or net.out_edges(dest)
-    }
-    tx[net.source] = _source_symbols(product, lifted)[pick]
-    for j in net.relays:
-        if base.relay_maps[j].causal:
-            # Time 1 of a causal map reads nothing, so every trace sends the same symbol.
-            tx[j][:, :, 0] = symbol_value(traces[0].transmitted[j][0], base.bit_depth)
+    # Every node's transmissions over the trials, uses and base-block times,
+    # as indices into its symbol table; entry 0 is what it sends where no
+    # decision writes.  The destination sends only 0j, kept for its out-edges.
+    symbols[net.source], codewords = _source_symbols(product, lifted)
+    if net.out_edges(dest):
+        symbols[dest] = np.zeros(1, dtype=np.complex128)
+    tx = {j: np.zeros((trials, n_rep, N), dtype=_index_type(base.bit_depth)) for j in symbols}
+    tx[net.source] = codewords[pick]
     # The last slot that reads or writes each node's transmissions.  After
     # it the node's power is taken and its array dropped.
     last = dict.fromkeys(tx, 0)
@@ -451,7 +476,9 @@ def simulate_lifted(
         rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1] + _slot_key(slot)))
         y = _noise(rng, (trials, n_rep * table.rows.shape[1]), noise.scale)
         for e in net.in_edges(j):
-            y = y + e.gain.as_complex() * tx[e.src][:, :, table.times].reshape(trials, -1)
+            # Gained symbols, gathered from the gained table: the same products.
+            gained = e.gain.as_complex() * symbols[e.src]
+            y += gained[tx[e.src][:, :, table.times]].reshape(trials, -1)
         chosen, failed = _decide(y, table, method, threshold_val)
         true_idx = [lifted.provenance[ci][slot] for ci in lifted.codeword_indices]
         block_errors[slot] = int((chosen != np.asarray(true_idx, dtype=np.int64)[pick]).sum())
@@ -463,7 +490,9 @@ def simulate_lifted(
         for node in [node for node, at in last.items() if at == i]:
             x = tx.pop(node)
             if node != dest:
-                power[node] = float(np.mean(np.abs(x) ** 2))
+                # The mean over the full-shape array: np.mean's pairwise sums
+                # depend on the shape, so counting each symbol would change bits.
+                power[node] = float(np.mean((np.abs(symbols[node]) ** 2)[x]))
 
     msg_errors = _destination_messages(base, pruned.sets, decided) != true_codewords
     batches: list[tuple[int, int, int]] = []
@@ -636,38 +665,75 @@ def _key_counts(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     return keys, np.bincount(inverse, weights[live], len(keys)).astype(np.int64)
 
 
+def _chunks(samples: int):
+    """Slices of _BOUND_CHUNK samples over ``samples``, made one at a time."""
+    return (slice(lo, min(lo + _BOUND_CHUNK, samples)) for lo in range(0, samples, _BOUND_CHUNK))
+
+
+def _noise_cells(z: np.ndarray) -> np.ndarray:
+    """floor(z), each cell an int8 value.  A cell past int8 would wrap where
+    it is stored, so it raises instead; floor(Z) of N(0, 1/2) noise, as
+    numpy draws it, stays within -10..9."""
+    fz = np.floor(z)
+    if fz.min() < -128 or fz.max() > 127:
+        raise RuntimeError(f"noise cells {fz.min()}..{fz.max()} do not fit in int8")
+    return fz
+
+
 def _gap_histograms(
-    gains: Sequence[ComplexGain],
-    xr: np.ndarray,
-    xi: np.ndarray,
-    bit_depth: int,
-    zr: np.ndarray,
-    zi: np.ndarray,
+    gains: Sequence[ComplexGain], samples: int, bit_depth: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Counts of the distinct (re, im) pairs of floor V, floor Z and C over
-    the samples, each in sorted pair order.
+    ``samples`` draws from ``rng``, each in sorted pair order.
+
+    The draws are, in this order, the (samples, K) real and imaginary input
+    digits of K links at bit depth n, uniform, and the real and imaginary
+    N(0, 1/2) noise.  Each is drawn _BOUND_CHUNK samples at a time, which
+    gives the values of one draw, and the digits are narrowed to their
+    smallest unsigned type at once.  Every per-sample array is allocated
+    before the first draw.
 
     y', v and the deterministic float sum a of y depend only on a sample's
-    input row.  When the 2^(2nK) rows of K links at bit depth n number no
-    more than the samples, so that their codes also fit in int64,
-    decompose_batch runs once on every row, with zero noise.  A sample then
-    needs only its row, its noise cell and its carry bits
-    floor(a + z) - floor(a) - floor(z), in {0, 1} per part, with the sum
-    taken as decompose_batch takes it; its carry is that of the row with
-    zero noise plus the bits.  _BOUND_CHUNK samples at a time add their
-    counts into a (row, bits) table and a noise-cell table, whose sums
-    over rows of equal floor v, cells and rows of equal carry are the
-    histograms.  Otherwise decompose_batch runs on one chunk of samples at
-    a time and the per-chunk pair counts are summed.  Both ways give the
-    same counts, and past the four draws the memory is a few chunk-long
+    input row.  When the 2^(2nK) rows number no more than the samples, so
+    that their codes also fit in int64, decompose_batch runs once on every
+    row, with zero noise.  A sample then needs only its row, its noise cell
+    and its carry bits floor(a + z) - floor(a) - floor(z), in {0, 1} per
+    part, with the sum taken as decompose_batch takes it; its carry is that
+    of the row with zero noise plus the bits.  The real noise, one chunk at
+    a time, reduces each sample to a narrow state, twice its row code plus
+    the real bit, and its int8 real noise cell.  The imaginary noise, one
+    chunk at a time, then adds the counts into a (row, bits) table and a
+    noise-cell table, whose sums over rows of equal floor v, cells and rows
+    of equal carry are the histograms.  Otherwise the real noise is kept
+    whole and decompose_batch runs on one chunk of samples and imaginary
+    noise at a time; the per-chunk pair counts are summed.  Both ways give
+    the same counts.  Only the second way holds float64 noise of every
+    sample; past the per-sample arrays the memory is a few chunk-long
     arrays and the tables, whatever the sample count.
     """
-    radix, k, samples = 1 << bit_depth, len(gains), len(zr)
-    chunks = [slice(lo, lo + _BOUND_CHUNK) for lo in range(0, samples, _BOUND_CHUNK)]
-    if radix ** (2 * k) > samples:
+    radix, k = 1 << bit_depth, len(gains)
+    digit = np.min_scalar_type(radix - 1)
+    table = radix ** (2 * k) <= samples
+    xr = np.empty((samples, k), dtype=digit)
+    xi = np.empty((samples, k), dtype=digit)
+    if table:
+        state = np.empty(samples, dtype=np.min_scalar_type(2 * radix ** (2 * k) - 1))
+        cell_re = np.empty(samples, dtype=np.int8)
+    else:
+        zr = np.empty(samples)
+    for x in (xr, xi):
+        for c in _chunks(samples):
+            x[c] = rng.integers(0, radix, size=(c.stop - c.start, k))
+
+    def normal(c: slice) -> np.ndarray:
+        return rng.normal(0.0, math.sqrt(0.5), c.stop - c.start)
+
+    if not table:
+        for c in _chunks(samples):
+            zr[c] = normal(c)
         parts: list[list[tuple[np.ndarray, np.ndarray]]] = [[], [], []]
-        for c in chunks:
-            b = decompose_batch(gains, xr[c], xi[c], bit_depth, zr[c], zi[c])
+        for c in _chunks(samples):
+            b = decompose_batch(gains, xr[c], xi[c], bit_depth, zr[c], normal(c))
             for part, pair in zip(parts, (b.v_floor, b.z_floor, (b.c_re, b.c_im))):
                 part.append(_key_counts(_pair_keys(*pair), np.ones(len(pair[0]))))
         return tuple(_key_counts(*map(np.concatenate, zip(*part)))[1] for part in parts)
@@ -676,20 +742,27 @@ def _gap_histograms(
     zero = np.zeros(len(rows))
     t = decompose_batch(gains, rows[:, :k], rows[:, k:], bit_depth, zero, zero)
     fa_re, fa_im = np.floor(t.y_re), np.floor(t.y_im)
-    z_lo = (math.floor(zr.min()), math.floor(zi.min()))
-    z_cols = math.floor(zi.max()) - z_lo[1] + 1
-    z_cells = (math.floor(zr.max()) - z_lo[0] + 1) * z_cols
-    joint = np.zeros(4 * len(rows), dtype=np.int64)
-    cells = np.zeros(z_cells, dtype=np.int64)
-    for c in chunks:
+    for c in _chunks(samples):
         # The radix code of the row [xr, xi], without copying the two together.
         code = (_radix_codes(xr[c], radix) << (bit_depth * k)) | _radix_codes(xi[c], radix)
-        fz_re, fz_im = np.floor(zr[c]), np.floor(zi[c])
-        bit_re = np.floor(_add_keeping_floor(t.y_re[code], zr[c])) - fz_re - fa_re[code]
-        bit_im = np.floor(_add_keeping_floor(t.y_im[code], zi[c])) - fz_im - fa_im[code]
-        joint += np.bincount(4 * code + (2 * bit_re + bit_im).astype(np.int64), minlength=len(joint))
-        cell = (fz_re - z_lo[0]) * z_cols + (fz_im - z_lo[1])
-        cells += np.bincount(cell.astype(np.int64), minlength=z_cells)
+        z = normal(c)
+        fz = _noise_cells(z)
+        bit = np.floor(_add_keeping_floor(t.y_re[code], z)) - fz - fa_re[code]
+        state[c] = 2 * code + bit
+        cell_re[c] = fz
+    # Real cells span lo..hi; an imaginary cell f sits in column f + 128.
+    lo, hi = int(cell_re.min()), int(cell_re.max())
+    joint = np.zeros(4 * len(rows), dtype=np.int64)
+    cells = np.zeros((hi - lo + 1) * 256, dtype=np.int64)
+    for c in _chunks(samples):
+        s = state[c].astype(np.int64)
+        code = s >> 1
+        z = normal(c)
+        fz = _noise_cells(z)
+        bit = np.floor(_add_keeping_floor(t.y_im[code], z)) - fz - fa_im[code]
+        joint += np.bincount(2 * s + bit.astype(np.int64), minlength=len(joint))
+        cell = cell_re[c] * 256.0 + (fz + (128 - 256 * lo))
+        cells += np.bincount(cell.astype(np.int64), minlength=len(cells))
     c_re = t.c_re[:, None] + np.array([0, 0, 1, 1])
     c_im = t.c_im[:, None] + np.array([0, 1, 0, 1])
     return (
@@ -705,14 +778,7 @@ def _gap_estimates(
     """Miller-Madow estimate and bootstrap interval (seeds ci_seed + 0, 1, 2)
     of H(floor V), H(floor Z) and H(C), in that order, for one reception of
     ``gains`` over ``samples`` uniform inputs and CN(0, 1) noise from ``rng``."""
-    # Each draw is narrowed to the smallest unsigned type of its digits as
-    # soon as it is made, so only one int64 draw is ever held.
-    k, digit = len(gains), np.min_scalar_type((1 << bit_depth) - 1)
-    xr = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
-    xi = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
-    zr = rng.normal(0.0, math.sqrt(0.5), samples)
-    zi = rng.normal(0.0, math.sqrt(0.5), samples)
-    hists = _gap_histograms(gains, xr, xi, bit_depth, zr, zi)
+    hists = _gap_histograms(gains, samples, bit_depth, rng)
     return [(miller_madow_entropy(h), bootstrap_entropy_ci(h, ci_seed + i)) for i, h in enumerate(hists)]
 
 

@@ -272,6 +272,10 @@ def _typical_digit_rows(
     all ``len(support)**n_rep`` rows, in lexicographic order, those whose
     per-digit counts lie in their _count_bounds are kept as an int64 array;
     when every bound is all of 0..n_rep, that is np.indices' rows as they are.
+    A row passes when the digit at each position counts within its bounds
+    and every digit whose lower bound is positive occurs.  Each position's
+    count comes from comparing it with every other position, so the cost
+    grows with n_rep**2 per row, not with the support size.
     """
     prob_of = dict(dist.items())
     bounds = _count_bounds([prob_of[s] for s in support], n_rep, epsilon)
@@ -279,13 +283,25 @@ def _typical_digit_rows(
     if k == 1:  # one row of any length, past the 64 axes np.indices takes
         lo, hi = bounds[0]
         return np.zeros((int(lo <= n_rep <= hi), n_rep), dtype=np.int64)
+    lo, hi = np.asarray(bounds, dtype=np.int64).T
+    if (lo > hi).any() or lo.sum() > n_rep:  # no count passes, or too many digits must occur
+        return np.zeros((0, n_rep), dtype=np.int64)
     rows = np.indices((k,) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
     if all(b == (0, n_rep) for b in bounds):
         return rows
+    cols = rows.T  # n_rep contiguous columns
+    # counts[j] is how often the digit at position j occurs in its row.
+    counts = np.ones(cols.shape, dtype=np.min_scalar_type(n_rep))
+    for j in range(n_rep):
+        for i in range(j):
+            same = cols[i] == cols[j]
+            counts[i] += same
+            counts[j] += same
     keep = np.ones(len(rows), dtype=bool)
-    for d, (lo, hi) in enumerate(bounds):
-        counts = (rows == d).sum(axis=1)
-        keep &= (lo <= counts) & (counts <= hi)
+    for col, count in zip(cols, counts):
+        keep &= (lo[col] <= count) & (count <= hi[col])
+    for d in np.flatnonzero(lo > 0).tolist():  # at most n_rep digits, as lo.sum() <= n_rep
+        keep &= (cols == d).any(axis=0)
     return rows[keep]
 
 

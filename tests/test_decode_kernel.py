@@ -36,7 +36,7 @@ from dsnlift.gaussian import (
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
 from dsnlift.network import Edge, RelayNetwork, load_network
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
-from dsnlift.typicality import ReceptionVectors
+from dsnlift.typicality import ReceptionVectors, _slot_node
 
 from conftest import derive_decoder, read_at
 
@@ -415,10 +415,11 @@ def _same(a, b):
         assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
 
 
-def _tables(tables, pruned):
+def _tables(tables, symbols, pruned):
     """Effective rows of every slot, and re-encode rows of every slot that sends."""
     effective = {s: _gather(tb.rows, pruned.sets[s].digits) for s, tb in tables.items()}
-    return effective, {s: tb.reencode for s, tb in tables.items() if tb.sends is not None}
+    reencode = {s: symbols[_slot_node(s)][tb.reencode] for s, tb in tables.items() if tb.sends is not None}
+    return effective, reencode
 
 
 def _pruned(net, product, epsilon, kappa_override, seed):
@@ -459,9 +460,9 @@ def _layered_case(name):
 def test_layered_tables_match_per_vector_loops(name, use_offsets):
     net, product, pruned = _layered_case(name)
     base, dest, N = product.base, net.destination, product.base.block_length
-    tables = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
+    tables, symbols = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
     want = _reference_layered_tables(net, product, pruned, use_offsets)
-    effective, reencode = _tables(tables, pruned)
+    effective, reencode = _tables(tables, symbols, pruned)
     if name == "float_diamond" and use_offsets:
         # The tables read the exact genie split's v, the oracle sums floats.
         assert effective.keys() == want[0].keys()
@@ -489,7 +490,7 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
     base, pruned, dest = product.base, lifted.pruned, net.destination
     N = base.block_length
     traces = trace_all(net, base)
-    effective, reencode = _tables(_slot_tables(net, base, pruned, traces, use_offsets), pruned)
+    effective, reencode = _tables(*_slot_tables(net, base, pruned, traces, use_offsets), pruned)
     want_effective, want_reencode = _reference_interleaved_tables(net, base, pruned, use_offsets)
     _same(effective, want_effective)
     _same(reencode, want_reencode)

@@ -1,6 +1,8 @@
 """Noisy-network tests: decoding, entropy estimation, simulation, bounds."""
 
 import dataclasses
+import functools
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -11,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 from conftest import derive_decoder, small_networks
-from test_decode_kernel import _whole
+from test_decode_kernel import _shipped, _whole
 
 from dsnlift import gaussian
-from dsnlift.channel import ComplexGain, decompose_batch
+from dsnlift.channel import ComplexGain, _add_keeping_floor, decompose_batch
 from dsnlift.codes import (
     ProductCode,
     QuantizeForward,
@@ -25,8 +27,11 @@ from dsnlift.gaussian import (
     DEFAULT_THRESHOLD,
     ConfigError,
     NoiseSpec,
+    _BOUND_CHUNK,
     _decide,
     _gap_histograms,
+    _key_counts,
+    _pair_keys,
     bootstrap_entropy_ci,
     exact_gaussian_cell_entropy,
     gaussian_cell_probabilities,
@@ -39,6 +44,7 @@ from dsnlift.lifting import KappaParams, build_lifted_code, kappa_mimo, prune_se
 from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network, validate
 from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
 from dsnlift.typicality import (
+    _radix_codes,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
 )
@@ -350,18 +356,39 @@ def _lift(net, product, epsilon, kappa_override, seed):
     return build_lifted_code(net, product, pruned, epsilon=epsilon)
 
 
-def test_layered_simulation_with_a_destination_out_edge():
-    # The destination (node 3) sits on level 1 and feeds node 2; like
-    # run_dsn, the simulation pads its transmissions with zeros.
+def _out_edge_case():
+    """A layered network whose destination (node 3) sits on level 1 and
+    feeds node 2, with a lifted code: (network, product code, lifted code)."""
     g = ComplexGain(3.0, 0.0)
     net = RelayNetwork(
         node_count=4, edges=(Edge(0, 1, g), Edge(0, 3, g), Edge(1, 2, g), Edge(3, 2, g))
     )
-    assert validate(net) == []
-    assert layer_decomposition(net) == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
     base = search_base_code(net, block_length=1, rate=1, attempts=100, seed=3)
     product = ProductCode(base, 2)
-    lifted = _lift(net, product, epsilon=3.0, kappa_override=0.0, seed=1)
+    return net, product, _lift(net, product, epsilon=3.0, kappa_override=0.0, seed=1)
+
+
+def _causal_line_case():
+    """A layered line whose relay map is causal, with a lifted code:
+    (network, product code, lifted code).  The relay sends emit_from(1, None)
+    at t = 1 and a map of its decided y(1) at t = 2."""
+    g = ComplexGain(3.0, 0.0)
+    line = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
+    A = [(r, i) for r in range(2) for i in range(2)]
+    code = derive_decoder(line, RelayCode(
+        block_length=2, bit_depth=1, codebook=tuple((a, A[1]) for a in A),
+        relay_maps={1: QuantizeForward(1, shift=1, causal=True)}, decoder={},
+    ))
+    product = ProductCode(code, 4)
+    return line, product, _lift(line, product, epsilon=1.0, kappa_override=0.125, seed=5)
+
+
+def test_layered_simulation_with_a_destination_out_edge():
+    # The destination (node 3) sits on level 1 and feeds node 2; like
+    # run_dsn, the simulation pads its transmissions with zeros.
+    net, product, lifted = _out_edge_case()
+    assert validate(net) == []
+    assert layer_decomposition(net) == (frozenset({0}), frozenset({1, 3}), frozenset({2}))
     res = simulate_lifted(net, product, lifted, trials=200, noise=NoiseSpec(1, scale=0.0))
     assert res.scheduling == "layered"
     assert res.message_errors == 0
@@ -375,17 +402,8 @@ def test_layered_simulation_with_a_destination_out_edge():
 def test_layered_simulation_with_causal_relay_maps(
     use_offsets, message_errors, block_errors, relay_power
 ):
-    # Block scheduling with a causal map: the relay sends emit_from(1, None)
-    # at t = 1 and a map of its decided y(1) at t = 2.
-    g = ComplexGain(3.0, 0.0)
-    line = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
-    A = [(r, i) for r in range(2) for i in range(2)]
-    code = derive_decoder(line, RelayCode(
-        block_length=2, bit_depth=1, codebook=tuple((a, A[1]) for a in A),
-        relay_maps={1: QuantizeForward(1, shift=1, causal=True)}, decoder={},
-    ))
-    product = ProductCode(code, 4)
-    lifted = _lift(line, product, epsilon=1.0, kappa_override=0.125, seed=5)
+    # Block scheduling with a causal map.
+    line, product, lifted = _causal_line_case()
     assert lifted.count == 56
     res = simulate_lifted(
         line, product, lifted, trials=3000, noise=NoiseSpec(7), use_offsets=use_offsets
@@ -394,6 +412,68 @@ def test_layered_simulation_with_causal_relay_maps(
     assert res.message_errors == message_errors
     assert res.block_errors == block_errors
     assert res.avg_power == {0: 0.2564895833333333, 1: relay_power}
+
+
+def test_simulation_memory_holds_transmissions_as_symbol_indices():
+    # Each node's transmissions take one byte per trial, use and time here
+    # (16,384 x 8 x 2), where complex values took 16.  The walk then peaks
+    # at 9.1 MB, in one slot's cost table, reception and their parts, and
+    # the destination's count of distinct receptions adds 9.6 MB to the
+    # 3.0 MB still held, for 12.6 MB (measured); the budget is 16 MB.
+    # Complex transmissions peak at 20.9 MB in the walk (measured).  A first
+    # small call makes the lazy imports before the trace starts.
+    net, product, lifted = _simulation_case("nonlayered")
+    simulate_lifted(net, product, lifted, trials=100, noise=NoiseSpec(seed=9))
+    tracemalloc.start()
+    try:
+        simulate_lifted(net, product, lifted, trials=16_384, noise=NoiseSpec(seed=9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
+
+
+@functools.cache
+def _simulation_case(name):
+    """(network, product code, lifted code) of a simulation pin."""
+    if name == "out_edge":
+        return _out_edge_case()
+    if name == "causal_line":
+        return _causal_line_case()
+    _, net, product, lifted = _shipped(name)
+    return net, product, lifted
+
+
+# sha256 of repr(SimulationResult) for the variants the shipped digests
+# miss: the threshold method, no offsets, noise scale 0.5, and 1 and 777
+# trials, on the shipped codes, a layered line with a causal relay and a
+# destination with an out-edge.  Recorded while every node's transmissions
+# were still held as complex arrays.
+_SIMULATION_PINS = {
+    ("diamond", 777, 3, 1.0, "threshold", True): "969aa3d657af99f566e1e10d487231e3f3b452dc7d07577d39aa126b12d54bbd",
+    ("diamond", 777, 3, 1.0, "ml", False): "41e0e2ad3351a2fb3a6891f6df3a49bd5718bbffd1ee2447ba91c52b89c252a6",
+    ("diamond", 777, 4, 0.5, "ml", True): "2a196bbab2757862ba8182991686067829da2db476c6184a320f8676dcb71934",
+    ("diamond", 1, 3, 1.0, "ml", True): "94c83224e39e4ca2b8963cb3b7c21331ec316cce30609ae7555165c511689185",
+    ("line", 777, 2, 0.5, "threshold", False): "9e4976c64875e1441777751a5ba2b9ec822a7ca6fe64827088633faaed1a282d",
+    ("nonlayered", 777, 9, 1.0, "threshold", True): "d37040b6a8a85a69e97bfea50ddad038b5bf5c90c687e972def0761caae23613",
+    ("nonlayered", 777, 9, 1.0, "ml", False): "8b0f76ea8b8eb023c5072cc6e7bbfcfdf00b409d8df00c22f051aae296279b82",
+    ("nonlayered", 777, 5, 0.5, "ml", True): "581b0b358fdddaf2a5ea72767939d1d6e8a69a708e7df42eca36932e2c145c97",
+    ("nonlayered", 1, 9, 1.0, "threshold", True): "53478b183092ee31e7028d5f8ed3635c6b5fc530e28dbaa27f1458effc3a2faf",
+    ("causal_line", 777, 7, 1.0, "ml", True): "3eca681ef67670f3962bbd071455057574cac6d4e3f337ad3e1c00c787a54195",
+    ("causal_line", 777, 7, 0.5, "threshold", False): "81f2b8d5c0f8775656a4c0727c9bbe07d84a2e0060101b1c3c7810c399502917",
+    ("causal_line", 1, 2, 1.0, "ml", True): "4bfff0bbfb252a13b3c4b5086ef2b8a3e77d4ac7784b66a23f93c87294f7eb0e",
+    ("out_edge", 777, 1, 0.5, "ml", True): "508d8dc740cc83b3590d9ef925cb2d18314b5817df7b31bf8d864d799c2e79d9",
+    ("out_edge", 1, 6, 1.0, "threshold", False): "171f19052dc231ca0f249ba0bd6c4bc05e62eda98e61fcbe6557aca0ca8e9c75",
+}
+
+
+@pytest.mark.parametrize("case", list(_SIMULATION_PINS), ids=lambda c: "-".join(map(str, c)))
+def test_simulation_results_match_their_pins(case):
+    name, trials, seed, scale, method, use_offsets = case
+    net, product, lifted = _simulation_case(name)
+    res = simulate_lifted(net, product, lifted, trials=trials, noise=NoiseSpec(seed, scale=scale),
+                          method=method, use_offsets=use_offsets)
+    assert hashlib.sha256(repr(res).encode()).hexdigest() == _SIMULATION_PINS[case]
 
 
 # --- genie bound verification ------------------------------------------------
@@ -488,17 +568,43 @@ def _pair_histogram(re, im):
 _TEST_CHUNK = 7
 
 
+class _Replay:
+    """A stand-in generator that deals out given draws in the order
+    _gap_histograms makes them: from ``integers`` the rows of xr, then of
+    xi; from ``normal`` the values of zr, then of zi."""
+
+    def __init__(self, xr, xi, zr, zi):
+        self.draws = {"integers": np.concatenate([xr, xi]), "normal": np.concatenate([zr, zi])}
+        self.dealt = dict.fromkeys(self.draws, 0)
+
+    def _deal(self, kind, size):
+        count = size[0] if isinstance(size, tuple) else size
+        lo = self.dealt[kind]
+        self.dealt[kind] += count
+        return self.draws[kind][lo : lo + count]
+
+    def integers(self, low, high, size):
+        return self._deal("integers", size)
+
+    def normal(self, loc, scale, size):
+        return self._deal("normal", size)
+
+
 def _gap_histograms_and_rows(gains, xr, xi, n, zr, zi):
-    """_gap_histograms' counts and the row count of each decompose_batch call."""
+    """_gap_histograms' counts over the given draws and the row count of each
+    decompose_batch call."""
     rows = []
 
     def spy(gains, x_re, *rest):
         rows.append(len(x_re))
         return decompose_batch(gains, x_re, *rest)
 
+    replay = _Replay(xr, xi, zr, zi)
     with mock.patch.object(gaussian, "decompose_batch", spy), \
             mock.patch.object(gaussian, "_BOUND_CHUNK", _TEST_CHUNK):
-        return _gap_histograms(gains, xr, xi, n, zr, zi), rows
+        got = _gap_histograms(gains, len(zr), n, replay)
+    assert replay.dealt == {kind: len(draw) for kind, draw in replay.draws.items()}
+    return got, rows
 
 
 def _assert_gap_histograms_match_per_sample(gains, xr, xi, n, zr, zi):
@@ -565,48 +671,123 @@ def test_gap_floors_past_the_int64_code_range_decompose_per_sample():
 
 
 def test_genie_bounds_memory_stays_at_the_draws_plus_one_chunk(nonlayered_net):
-    # The largest reception's draws are the only sample-long arrays: one
-    # int64 input draw of shape (samples, K) while it is narrowed, the
-    # narrowed digits xr and xi (one byte each at this bit depth) and the
-    # float64 zr and zi.  Past them the count, its tables and the bootstrap
-    # peak at 1.2 MB (measured); the allowance is 4 MB, so the budget here
-    # is 22 MB.  Keeping xr and xi in int64 peaks at 25.2 MB (measured),
-    # and keeping the gathers, floors, carries and pair keys of all samples
-    # at once adds 36 MB.
+    # The draws stream one chunk at a time, so the largest reception holds
+    # per sample only its narrowed digits xr and xi (one byte per link each
+    # at this bit depth), then its narrow state, twice its row code plus the
+    # real carry bit, and its int8 real noise cell.  Past them the chunk's
+    # arrays, the count, its tables and the bootstrap peak at 1.2 MB
+    # (measured); the allowance is 2 MB, so the budget here is 5 MB.  One
+    # int64 input draw held while it is narrowed, and the float64 noise of
+    # all samples, peak at 11.2 MB (measured).  A first small call makes the
+    # lazy imports of the estimates, 1.8 MB, before the trace starts.
+    verify_genie_bounds(nonlayered_net, samples=1_000, seed=5)
     samples = 500_000
+    n = nonlayered_net.bit_depth
     links = max(len(nonlayered_net.in_edges(j)) for j in range(1, nonlayered_net.node_count))
-    narrow = np.min_scalar_type((1 << nonlayered_net.bit_depth) - 1).itemsize
-    draws = samples * (8 * links + 2 * narrow * links + 2 * 8)
-    allowance = 4_000_000
+    narrow = np.min_scalar_type((1 << n) - 1).itemsize
+    state = np.min_scalar_type(2 * (1 << n) ** (2 * links) - 1).itemsize + 1
+    per_sample = samples * (2 * narrow * links + state)
+    allowance = 2_000_000
     tracemalloc.start()
     try:
         verify_genie_bounds(nonlayered_net, samples=samples, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < draws + allowance
+    assert peak < per_sample + allowance
 
 
-def _int64_gap_estimates(gains, samples, bit_depth, rng, ci_seed):
-    """_gap_estimates with its input digits kept as the int64 draws."""
+def _one_draw_gap_histograms(gains, xr, xi, bit_depth, zr, zi):
+    """_gap_histograms' counts from whole draws, as the count was before its
+    draws were streamed: the oracle of the streamed count."""
+    radix, k, samples = 1 << bit_depth, len(gains), len(zr)
+    chunks = [slice(lo, lo + _BOUND_CHUNK) for lo in range(0, samples, _BOUND_CHUNK)]
+    if radix ** (2 * k) > samples:
+        parts = [[], [], []]
+        for c in chunks:
+            b = decompose_batch(gains, xr[c], xi[c], bit_depth, zr[c], zi[c])
+            for part, pair in zip(parts, (b.v_floor, b.z_floor, (b.c_re, b.c_im))):
+                part.append(_key_counts(_pair_keys(*pair), np.ones(len(pair[0]))))
+        return tuple(_key_counts(*map(np.concatenate, zip(*part)))[1] for part in parts)
+    rows = np.indices((radix,) * (2 * k), dtype=np.int64).reshape(2 * k, -1).T
+    zero = np.zeros(len(rows))
+    t = decompose_batch(gains, rows[:, :k], rows[:, k:], bit_depth, zero, zero)
+    fa_re, fa_im = np.floor(t.y_re), np.floor(t.y_im)
+    z_lo = (math.floor(zr.min()), math.floor(zi.min()))
+    z_cols = math.floor(zi.max()) - z_lo[1] + 1
+    z_cells = (math.floor(zr.max()) - z_lo[0] + 1) * z_cols
+    joint = np.zeros(4 * len(rows), dtype=np.int64)
+    cells = np.zeros(z_cells, dtype=np.int64)
+    for c in chunks:
+        code = (_radix_codes(xr[c], radix) << (bit_depth * k)) | _radix_codes(xi[c], radix)
+        fz_re, fz_im = np.floor(zr[c]), np.floor(zi[c])
+        bit_re = np.floor(_add_keeping_floor(t.y_re[code], zr[c])) - fz_re - fa_re[code]
+        bit_im = np.floor(_add_keeping_floor(t.y_im[code], zi[c])) - fz_im - fa_im[code]
+        joint += np.bincount(4 * code + (2 * bit_re + bit_im).astype(np.int64), minlength=len(joint))
+        cell = (fz_re - z_lo[0]) * z_cols + (fz_im - z_lo[1])
+        cells += np.bincount(cell.astype(np.int64), minlength=z_cells)
+    c_re = t.c_re[:, None] + np.array([0, 0, 1, 1])
+    c_im = t.c_im[:, None] + np.array([0, 1, 0, 1])
+    return (
+        _key_counts(_pair_keys(*t.v_floor), joint.reshape(-1, 4).sum(axis=1))[1],
+        cells[cells > 0],
+        _key_counts(_pair_keys(c_re, c_im).reshape(-1), joint)[1],
+    )
+
+
+def _one_draw_gap_estimates(gains, samples, bit_depth, rng, ci_seed, digit=None):
+    """_gap_estimates with each draw made whole, its digits narrowed to
+    ``digit`` (by default their smallest unsigned type)."""
     k = len(gains)
-    xr = rng.integers(0, 1 << bit_depth, size=(samples, k))
-    xi = rng.integers(0, 1 << bit_depth, size=(samples, k))
+    digit = digit or np.min_scalar_type((1 << bit_depth) - 1)
+    xr = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
+    xi = rng.integers(0, 1 << bit_depth, size=(samples, k)).astype(digit)
     zr = rng.normal(0.0, math.sqrt(0.5), samples)
     zi = rng.normal(0.0, math.sqrt(0.5), samples)
-    hists = _gap_histograms(gains, xr, xi, bit_depth, zr, zi)
+    hists = _one_draw_gap_histograms(gains, xr, xi, bit_depth, zr, zi)
     return [(miller_madow_entropy(h), bootstrap_entropy_ci(h, ci_seed + i)) for i, h in enumerate(hists)]
 
 
 @pytest.mark.parametrize("bit_depth", [1, 2, 8, 9])
 def test_gap_estimates_equal_their_int64_digit_twin(bit_depth):
-    # Narrowing the digits after each draw leaves the stream, and so every
+    # Narrowing the digits as they are drawn leaves the stream, and so every
     # estimate, as it was.  Depths 1 and 2 take the table path, 8 and 9 the
     # per-chunk one; 9 narrows to two bytes.  The samples span two chunks.
     gains = [ComplexGain(2.5, -1.25), ComplexGain(-0.75, 3.0)]
     samples = gaussian._BOUND_CHUNK + 1000
     got = gaussian._gap_estimates(gains, samples, bit_depth, np.random.default_rng(11), 40)
-    assert got == _int64_gap_estimates(gains, samples, bit_depth, np.random.default_rng(11), 40)
+    want = _one_draw_gap_estimates(gains, samples, bit_depth, np.random.default_rng(11), 40, np.int64)
+    assert got == want
+
+
+# Samples per chunk in the streamed-draw property: small, but no fewer
+# than the 64 input rows of one link at bit depth 3.
+_STREAM_CHUNK = 64
+
+
+@pytest.mark.parametrize("samples", [1, _STREAM_CHUNK - 1, _STREAM_CHUNK, _STREAM_CHUNK + 1,
+                                     2 * _STREAM_CHUNK + 123])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(data=st.data(), links=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_streamed_gap_estimates_equal_the_one_draw_body(n, samples, data, links, seed):
+    # Drawing one chunk at a time gives the values of one whole draw, so the
+    # streamed estimates equal those of whole draws.  The sample counts are
+    # one, a chunk less one, one chunk, one more, and two chunks and a part.
+    # Depths 1-3 take the table path once the 2^(2nK) rows number no more
+    # than the samples, and 8-9 always take the per-chunk one.
+    gains = [ComplexGain(data.draw(_gain_part), data.draw(_gain_part)) for _ in range(links)]
+    with mock.patch.object(gaussian, "_BOUND_CHUNK", _STREAM_CHUNK):
+        got = gaussian._gap_estimates(gains, samples, n, np.random.default_rng(seed), 40)
+    assert got == _one_draw_gap_estimates(gains, samples, n, np.random.default_rng(seed), 40)
+
+
+def test_noise_cells_past_int8_raise():
+    # A cell that int8 cannot hold is refused, not wrapped.
+    assert np.array_equal(gaussian._noise_cells(np.array([-128.0, -0.5, 127.9])), [-128.0, -1.0, 127.0])
+    for z in (-128.5, 128.0):
+        with pytest.raises(RuntimeError, match="int8"):
+            gaussian._noise_cells(np.array([0.0, z]))
 
 
 def test_genie_bounds_validation(diamond_net):
