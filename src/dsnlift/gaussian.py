@@ -7,11 +7,10 @@ one time t for an interleaved slot (j, t).  Layered networks walk block
 slots level by level; other networks walk interleaved slots in (t, node)
 order.  At each slot the node decodes its noisy reception to a member of
 its pruned decision set.  A relay re-encodes deterministically every
-time whose relay-map read falls in the slot, and the destination joins
-its decisions, in time order, into receptions it maps back to a message.
+time whose relay-map read falls in the slot, and the destination walks
+its decisions, slot by slot, down the decoder to a message digit per use.
 Each node's transmissions are a narrow (trials, n_rep, N) array of
-indices into its complex symbol table, built from what the walk can
-write: the source's codebook symbols, or a relay's re-encode symbols.
+indices into its complex symbol table, numbered by one rule for all.
 The verification half prices every node by the entropies of the floored
 perturbation, the floored noise and the carry, whose sum upper-bounds the
 information gap between the discrete and the noisy reception and must
@@ -46,8 +45,8 @@ candidate, offset and re-encode rows are read once per value of the
 pruned set's alphabet, a reception block or symbol, from the base trace
 that first produces it (run_dsn's receptions and transmissions, and the
 v of decompose_received's genie split), and gathered with the set's
-(|S|, n_rep) digit rows; the destination decodes each distinct reception
-once.
+(|S|, n_rep) digit rows; the destination reads the decoder through one
+step table per slot.
 
 Randomness is derived from explicit integer seeds via SeedSequence
 streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
@@ -227,19 +226,17 @@ def _symbol_table(index: Mapping, bit_depth: int) -> np.ndarray:
     return np.asarray([symbol_value(x, bit_depth) for x in index], dtype=np.complex128)
 
 
-def _source_symbols(product: ProductCode, lifted: LiftedCode) -> tuple[np.ndarray, np.ndarray]:
-    """The source's symbol table, and the symbols of every lifted codeword
-    as indices into it: (count, n_rep, N)."""
-    n = product.base.bit_depth
-    index: dict = {}
+def _source_symbols(product: ProductCode, lifted: LiftedCode, index: dict) -> np.ndarray:
+    """The symbols of every lifted codeword, (count, n_rep, N), as indices
+    into the source's numbering ``index``, which the codebook extends."""
     book = np.asarray(
         [[index.setdefault(x, len(index)) for x in cw] for cw in product.base.codebook],
-        dtype=_index_type(n),
+        dtype=_index_type(product.base.bit_depth),
     )
     digits = np.asarray(
         [product.message_tuple(ci) for ci in lifted.codeword_indices], dtype=np.int64
     )
-    return _symbol_table(index, n), book[digits.reshape(lifted.count, product.n_rep)]
+    return book[digits.reshape(lifted.count, product.n_rep)]
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ class _SlotTable:
     ``first_copy`` maps each member to the first member with the same
     effective rows.  A relay's decision sets its symbols at ``sends``
     (None if at no time), and ``reencode`` holds them per member (|S|,
-    n_rep * width of sends), as indices into the relay's symbol table.
+    n_rep * width of sends), as indices into the relay's symbol numbering.
     """
 
     times: slice
@@ -284,10 +281,10 @@ def _slot_tables(
     pruned: PrunedSets,
     traces: Sequence[NetworkTrace],
     use_offsets: bool,
-) -> tuple[dict[SlotKey, _SlotTable], dict[int, np.ndarray]]:
+) -> tuple[dict[SlotKey, _SlotTable], dict[int, dict]]:
     """The table of every slot, each row read once per value of the slot's
     alphabet and gathered with the set's (|S|, n_rep) digit rows, and the
-    symbol table of every relay.
+    symbol numbering of every node.
 
     Each value is read off the trace of the lowest base message that
     produces it: its rows are the node's receptions at the slot's times,
@@ -298,16 +295,15 @@ def _slot_tables(
     symbol at time u reads the reception at u (block maps) or at u - 1
     (causal maps), so a decision over some times sets every u whose read
     falls among them; a causal map's time 1 reads nothing and is no
-    slot's to set.  A relay's symbol table holds the symbols its re-encode
-    rows can write, numbered as met after entry 0, which is what it sends
-    at the times no decision sets: a causal map's time-1 symbol, the same
-    in every trace, or 0j.
+    slot's to set.  Every node's numbering starts with entry 0, its time-1
+    symbol of base message 0, which stands wherever no decision writes; a
+    relay's goes on with what its re-encode rows write, as met.  Entry 0 is
+    exact: a causal map's time 1 reads nothing; a block map's decision
+    writes all N times before an out-neighbour, a level on, reads them; the
+    destination always sends (0, 0); the source's times hold codewords.
     """
     N, n = base.block_length, base.bit_depth
-    symbols = {
-        j: {traces[0].transmitted[j][0] if base.relay_maps[j].causal else (0, 0): 0}
-        for j in net.relays
-    }
+    numberings = {j: {x[0]: 0} for j, x in traces[0].transmitted.items()}
     tables: dict[SlotKey, _SlotTable] = {}
     for slot, vectors in pruned.sets.items():
         node = _slot_node(slot)
@@ -332,11 +328,11 @@ def _slot_tables(
             lag = int(base.relay_maps[node].causal)
             us = slice(times.start + lag, min(times.stop + lag, N))
             if us.start < us.stop:
-                index = symbols[node]
+                index = numberings[node]
                 sent = [[index.setdefault(x, len(index)) for x in tr.transmitted[node][us]] for tr in picked]
                 sends, reencode = us, _gather(np.asarray(sent, dtype=_index_type(n)), vectors.digits)
         tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, vectors.digits), sends, reencode)
-    return tables, {j: _symbol_table(index, n) for j, index in symbols.items()}
+    return tables, numberings
 
 
 def _decide(
@@ -379,28 +375,33 @@ def _destination_messages(
     """Message decoded per trial from the destination's decisions.
 
     ``chosen`` holds, per destination slot, the decided index into the
-    slot's pruned set ``sets[slot]`` for every trial.  Taken in time
-    order, the slots' decided values join into each use's length-N
-    reception; the decoder runs once per distinct reception.  -1 marks a
-    trial with a use the decoder does not know.
+    slot's pruned set ``sets[slot]`` for every trial.  Every use walks
+    the decoder as a trie over the slots in time order: a state numbers a
+    known prefix of the decoder's receptions, and a slot's (prefixes + 1,
+    |alphabet|) step table maps a state and the decided value to the next
+    state, or at the last slot to the message digit.  Unknown extensions
+    and the last row, the dead row that state -1 indexes, hold -1, so -1
+    marks a trial with a use the decoder does not know.
     """
     slots = sorted(chosen)
-    digits = [sets[s].digits[chosen[s]].reshape(-1) for s in slots]
     trials = len(chosen[slots[0]])
-    # Number the distinct receptions one slot at a time, so that the key
-    # stays below trials * n_rep * max alphabet size for any N.
-    key = np.zeros(len(digits[0]), dtype=np.int64)
-    for s, d in zip(slots, digits):
-        _, key = np.unique(key * len(sets[s].alphabet) + d, return_inverse=True)
-    _, first, key = np.unique(key, return_index=True, return_inverse=True)
-    # Each value spelled as its received symbols: a block slot's is one
-    # already, an interleaved slot's is one symbol.
-    blocks = [sets[s].alphabet if isinstance(s, int) else [(x,) for x in sets[s].alphabet] for s in slots]
-    uses = zip(*(d[first].tolist() for d in digits))
-    digit = np.asarray(
-        [base.decoder.get(tuple(y for b, k in zip(blocks, ks) for y in b[k]), -1) for ks in uses],
-        dtype=np.int64,
-    )[key.reshape(-1)].reshape(trials, -1)
+    # (reception, message digit, prefix state) of every decoder entry whose
+    # parts so far lie in their slots' alphabets; all start at the root.
+    live = [(y, m, 0) for y, m in base.decoder.items()]
+    known, state = 1, np.zeros(1, dtype=np.int64)
+    for s in slots:
+        value = {x: a for a, x in enumerate(sets[s].alphabet)}
+        step = np.full((known + 1, len(value)), -1, dtype=np.int64)
+        ids: dict = {}
+        extended = []
+        for y, m, at in live:
+            a = value.get(y if isinstance(s, int) else y[s[1] - 1])
+            if a is not None:
+                step[at, a] = nxt = m if s == slots[-1] else ids.setdefault((at, a), len(ids))
+                extended.append((y, m, nxt))
+        live, known = extended, len(ids)
+        state = step[state, sets[s].digits[chosen[s]].reshape(-1)]
+    digit = state.reshape(trials, -1)
     return np.where((digit >= 0).all(axis=1), _radix_codes(digit, base.message_count), -1)
 
 
@@ -449,29 +450,19 @@ def simulate_lifted(
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
     pick = msg_rng.integers(lifted.count, size=trials)
     true_codewords = np.asarray(lifted.codeword_indices, dtype=np.int64)[pick]
-    tables, symbols = _slot_tables(net, base, pruned, traces, use_offsets)
+    tables, numberings = _slot_tables(net, base, pruned, traces, use_offsets)
+    codewords = _source_symbols(product, lifted, numberings[net.source])
+    symbols = {j: _symbol_table(index, base.bit_depth) for j, index in sorted(numberings.items())}
 
     # Every node's transmissions over the trials, uses and base-block times,
     # as indices into its symbol table; entry 0 is what it sends where no
-    # decision writes.  The destination sends only 0j, kept for its out-edges.
-    symbols[net.source], codewords = _source_symbols(product, lifted)
-    if net.out_edges(dest):
-        symbols[dest] = np.zeros(1, dtype=np.complex128)
+    # decision writes.
     tx = {j: np.zeros((trials, n_rep, N), dtype=_index_type(base.bit_depth)) for j in symbols}
     tx[net.source] = codewords[pick]
-    # The last slot that reads or writes each node's transmissions.  After
-    # it the node's power is taken and its array dropped.
-    last = dict.fromkeys(tx, 0)
-    for i, slot in enumerate(order):
-        j = _slot_node(slot)
-        last.update((e.src, i) for e in net.in_edges(j))
-        if j != dest and tables[slot].sends is not None:
-            last[j] = i
-    power: dict[int, float] = {}
     block_errors = dict.fromkeys(sorted(order), 0)
     failures = dict.fromkeys(sorted(order), 0)
     decided: dict[SlotKey, np.ndarray] = {}
-    for i, slot in enumerate(order):
+    for slot in order:
         j, table = _slot_node(slot), tables[slot]
         rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 1] + _slot_key(slot)))
         y = _noise(rng, (trials, n_rep * table.rows.shape[1]), noise.scale)
@@ -487,12 +478,10 @@ def simulate_lifted(
             decided[slot] = chosen
         elif table.sends is not None:
             tx[j][:, :, table.sends] = table.reencode[chosen].reshape(trials, n_rep, -1)
-        for node in [node for node, at in last.items() if at == i]:
-            x = tx.pop(node)
-            if node != dest:
-                # The mean over the full-shape array: np.mean's pairwise sums
-                # depend on the shape, so counting each symbol would change bits.
-                power[node] = float(np.mean((np.abs(symbols[node]) ** 2)[x]))
+    # The mean over the full-shape array: np.mean's pairwise sums depend on
+    # the shape, so counting each symbol would change bits.
+    power = {j: float(np.mean((np.abs(symbols[j]) ** 2)[x])) for j, x in tx.items() if j != dest}
+    del tx
 
     msg_errors = _destination_messages(base, pruned.sets, decided) != true_codewords
     batches: list[tuple[int, int, int]] = []
@@ -506,7 +495,7 @@ def simulate_lifted(
         message_error_rate=total_errors / trials,
         block_errors=block_errors,
         decode_failures=failures,
-        avg_power=dict(sorted(power.items())),
+        avg_power=power,
         noise_seed=noise.seed,
         noise_scale=noise.scale,
         method=method,

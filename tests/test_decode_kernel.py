@@ -31,6 +31,7 @@ from dsnlift.gaussian import (
     _set_layout,
     _slot_tables,
     _SlotTable,
+    _symbol_table,
     simulate_lifted,
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
@@ -389,24 +390,26 @@ def _reference_interleaved_tables(net, base, pruned, use_offsets):
     return effective, reencode
 
 
-def _reference_destination(product, pruned, dest, chosen_by_t, true_codewords):
-    base = product.base
-    N = base.block_length
-    trials = len(true_codewords)
-    msg_errors = np.ones(trials, dtype=bool)
-    for trial in range(trials):
+def _reference_destination(product, sets, chosen):
+    """Message decoded per trial, or -1, one trial and use at a time: each
+    use's reception joins, in time order, a block slot's decided block or
+    an interleaved slot's decided symbol."""
+    slots = sorted(chosen)
+    messages = np.full(len(chosen[slots[0]]), -1, dtype=np.int64)
+    for trial in range(len(messages)):
         digits = []
         for use in range(product.n_rep):
-            reception = tuple(
-                pruned.sets[(dest, t)][int(chosen_by_t[t - 1][trial])][use] for t in range(1, N + 1)
-            )
-            d = base.decoder.get(reception)
+            reception = ()
+            for s in slots:
+                value = sets[s][int(chosen[s][trial])][use]
+                reception += value if isinstance(s, int) else (value,)
+            d = product.base.decoder.get(reception)
             if d is None:
                 break
             digits.append(d)
         else:
-            msg_errors[trial] = product.message_index(digits) != int(true_codewords[trial])
-    return msg_errors
+            messages[trial] = product.message_index(digits)
+    return messages
 
 
 def _same(a, b):
@@ -415,10 +418,14 @@ def _same(a, b):
         assert a[k].dtype == b[k].dtype and np.array_equal(a[k], b[k]), k
 
 
-def _tables(tables, symbols, pruned):
-    """Effective rows of every slot, and re-encode rows of every slot that sends."""
+def _tables(tables, numberings, pruned, bit_depth):
+    """Effective rows of every slot, and re-encode rows of every slot that
+    sends, read through its node's symbol numbering."""
     effective = {s: _gather(tb.rows, pruned.sets[s].digits) for s, tb in tables.items()}
-    reencode = {s: symbols[_slot_node(s)][tb.reencode] for s, tb in tables.items() if tb.sends is not None}
+    reencode = {
+        s: _symbol_table(numberings[_slot_node(s)], bit_depth)[tb.reencode]
+        for s, tb in tables.items() if tb.sends is not None
+    }
     return effective, reencode
 
 
@@ -462,7 +469,7 @@ def test_layered_tables_match_per_vector_loops(name, use_offsets):
     base, dest, N = product.base, net.destination, product.base.block_length
     tables, symbols = _slot_tables(net, base, pruned, trace_all(net, base), use_offsets)
     want = _reference_layered_tables(net, product, pruned, use_offsets)
-    effective, reencode = _tables(tables, symbols, pruned)
+    effective, reencode = _tables(tables, symbols, pruned, base.bit_depth)
     if name == "float_diamond" and use_offsets:
         # The tables read the exact genie split's v, the oracle sums floats.
         assert effective.keys() == want[0].keys()
@@ -490,7 +497,7 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
     base, pruned, dest = product.base, lifted.pruned, net.destination
     N = base.block_length
     traces = trace_all(net, base)
-    effective, reencode = _tables(*_slot_tables(net, base, pruned, traces, use_offsets), pruned)
+    effective, reencode = _tables(*_slot_tables(net, base, pruned, traces, use_offsets), pruned, base.bit_depth)
     want_effective, want_reencode = _reference_interleaved_tables(net, base, pruned, use_offsets)
     _same(effective, want_effective)
     _same(reencode, want_reencode)
@@ -508,11 +515,65 @@ def test_interleaved_tables_and_destination_match_loops(use_offsets):
             rng.random(trials) < 0.5, decoded[-1], rng.integers(product.codeword_count, size=trials)
         )
         true = np.maximum(true, 0)
-        want = _reference_destination(
-            ProductCode(code, product.n_rep), pruned, dest, list(chosen.values()), true
-        )
-        assert np.array_equal(decoded[-1] != true, want)
+        want = _reference_destination(ProductCode(code, product.n_rep), pruned.sets, chosen)
+        assert np.array_equal(decoded[-1] != true, want != true)
     assert (decoded[0] >= 0).all() and (decoded[1] < 0).any()
+
+
+_OUTSIDE = (3, 3)  # a received symbol no alphabet of the property below holds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    block=st.booleans(),
+    N=st.integers(1, 3),
+    n_rep=st.integers(1, 3),
+    message_count=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_destination_messages_equal_the_per_trial_loop(block, N, n_rep, message_count, seed):
+    # One block slot, or N interleaved slots, over a few symbols, so that
+    # decoder receptions share prefixes; some receptions hold a part
+    # outside their slot's alphabet, and every member is decided.
+    rng = np.random.default_rng(seed)
+    pool = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def word():
+        return tuple(pool[k] for k in rng.integers(len(pool), size=N))
+
+    receptions = {word() for _ in range(2 * message_count)}
+    first = next(iter(receptions))
+    # A sibling of one reception that differs only at its last time.
+    receptions.add(first[:-1] + (pool[(pool.index(first[-1]) + 1) % len(pool)],))
+    if rng.random() < 0.5:
+        receptions.add(first[:-1] + (_OUTSIDE,))
+    decoder = {y: int(rng.integers(message_count)) for y in receptions}
+    code = RelayCode(
+        block_length=N, bit_depth=3,
+        codebook=tuple(((m, 0),) + ((0, 0),) * (N - 1) for m in range(message_count)),
+        relay_maps={}, decoder=decoder,
+    )
+    dest = 4
+    if block:
+        # Blocks: some of the decoder's receptions and some others.
+        values = {y for y in receptions if _OUTSIDE not in y and rng.random() < 0.8}
+        alphabets = {dest: sorted(values | {word() for _ in range(3)})}
+    else:
+        # Symbols: a nonempty subset of the pool per time.
+        alphabets = {
+            (dest, t): [pool[k] for k in sorted(rng.permutation(len(pool))[: rng.integers(1, len(pool) + 1)])]
+            for t in range(1, N + 1)
+        }
+    sets = {}
+    for s, alphabet in alphabets.items():
+        every = np.indices((len(alphabet),) * n_rep, dtype=np.int64).reshape(n_rep, -1).T
+        keep = np.sort(rng.choice(len(every), rng.integers(1, min(len(every), 12) + 1), replace=False))
+        sets[s] = ReceptionVectors(tuple(alphabet), every[keep])
+    trials = max(len(v) for v in sets.values()) + int(rng.integers(0, 20))
+    chosen = {s: rng.permutation(np.resize(np.arange(len(v)), trials)) for s, v in sets.items()}
+    got = _destination_messages(code, sets, chosen)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_destination(ProductCode(code, n_rep), sets, chosen))
 
 
 # --- golden counts of the shipped configurations -----------------------------

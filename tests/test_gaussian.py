@@ -22,6 +22,7 @@ from dsnlift.codes import (
     QuantizeForward,
     RelayCode,
     search_base_code,
+    trace_all,
 )
 from dsnlift.gaussian import (
     DEFAULT_THRESHOLD,
@@ -30,6 +31,7 @@ from dsnlift.gaussian import (
     _BOUND_CHUNK,
     _decide,
     _gap_histograms,
+    _index_type,
     _key_counts,
     _pair_keys,
     bootstrap_entropy_ci,
@@ -383,6 +385,42 @@ def _causal_line_case():
     return line, product, _lift(line, product, epsilon=1.0, kappa_override=0.125, seed=5)
 
 
+def _line_case(gain, re_parts, im_parts, relay_map):
+    """A layered line of equal real ``gain``s whose base code sends (a, A[1])
+    for each a of A = ``re_parts`` x ``im_parts`` through ``relay_map``,
+    with a lifted code: (network, product code, lifted code)."""
+    g = ComplexGain(gain, 0.0)
+    line = RelayNetwork(node_count=3, edges=(Edge(0, 1, g), Edge(1, 2, g)))
+    A = [(r, i) for r in re_parts for i in im_parts]
+    code = derive_decoder(line, RelayCode(
+        block_length=2, bit_depth=relay_map.bit_depth, codebook=tuple((a, A[1]) for a in A),
+        relay_maps={1: relay_map}, decoder={},
+    ))
+    product = ProductCode(code, 4)
+    return line, product, _lift(line, product, epsilon=1.0, kappa_override=0.125, seed=5)
+
+
+def _block_relay_case():
+    """A layered line whose block relay sends (1, 1), not (0, 0), at t = 1
+    of message 0."""
+    return _line_case(3.0, (0, 1), (0, 1), QuantizeForward(1, shift=1))
+
+
+def _deep_line_case():
+    """A layered line at bit depth 5 (gains of 40), whose symbol indices
+    take two bytes, with a causal relay."""
+    return _line_case(40.0, (0, 9), (0, 21), QuantizeForward(5, shift=1, causal=True))
+
+
+def test_pin_cases_reach_what_the_shipped_runs_miss():
+    # The block relay's time-1 symbol of message 0 is not (0, 0), and the
+    # deep line's symbol indices are two bytes wide.
+    net, product, _ = _block_relay_case()
+    assert trace_all(net, product.base)[0].transmitted[1][0] == (1, 1)
+    net, _, _ = _deep_line_case()
+    assert net.bit_depth == 5 and _index_type(net.bit_depth) == np.uint16
+
+
 def test_layered_simulation_with_a_destination_out_edge():
     # The destination (node 3) sits on level 1 and feeds node 2; like
     # run_dsn, the simulation pads its transmissions with zeros.
@@ -416,12 +454,14 @@ def test_layered_simulation_with_causal_relay_maps(
 
 def test_simulation_memory_holds_transmissions_as_symbol_indices():
     # Each node's transmissions take one byte per trial, use and time here
-    # (16,384 x 8 x 2), where complex values took 16.  The walk then peaks
-    # at 9.1 MB, in one slot's cost table, reception and their parts, and
-    # the destination's count of distinct receptions adds 9.6 MB to the
-    # 3.0 MB still held, for 12.6 MB (measured); the budget is 16 MB.
-    # Complex transmissions peak at 20.9 MB in the walk (measured).  A first
-    # small call makes the lazy imports before the trace starts.
+    # (16,384 x 8 x 2), where complex values took 16, and all four nodes'
+    # arrays, 1 MB, are held to the end of the walk.  The walk then peaks
+    # at 9.5 MB, in one slot's cost table, reception and their parts, and
+    # the destination's step-table walk adds 3.2 MB to the 2.7 MB still
+    # held (measured); the budget is 11 MB.  Numbering the distinct
+    # receptions with np.unique instead added 9.6 MB to 3.0 MB, for 12.6 MB,
+    # and complex transmissions peak at 20.9 MB in the walk (measured).  A
+    # first small call makes the lazy imports before the trace starts.
     net, product, lifted = _simulation_case("nonlayered")
     simulate_lifted(net, product, lifted, trials=100, noise=NoiseSpec(seed=9))
     tracemalloc.start()
@@ -430,7 +470,7 @@ def test_simulation_memory_holds_transmissions_as_symbol_indices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16_000_000
+    assert peak < 11_000_000
 
 
 @functools.cache
@@ -440,6 +480,10 @@ def _simulation_case(name):
         return _out_edge_case()
     if name == "causal_line":
         return _causal_line_case()
+    if name == "block_relay":
+        return _block_relay_case()
+    if name == "deep_line":
+        return _deep_line_case()
     _, net, product, lifted = _shipped(name)
     return net, product, lifted
 
@@ -448,7 +492,10 @@ def _simulation_case(name):
 # miss: the threshold method, no offsets, noise scale 0.5, and 1 and 777
 # trials, on the shipped codes, a layered line with a causal relay and a
 # destination with an out-edge.  Recorded while every node's transmissions
-# were still held as complex arrays.
+# were still held as complex arrays.  The block_relay and deep_line cases,
+# recorded while each relay's table was seeded by a rule of its own, add a
+# block relay whose time-1 symbol of message 0 is not (0, 0) and two-byte
+# symbol indices.
 _SIMULATION_PINS = {
     ("diamond", 777, 3, 1.0, "threshold", True): "969aa3d657af99f566e1e10d487231e3f3b452dc7d07577d39aa126b12d54bbd",
     ("diamond", 777, 3, 1.0, "ml", False): "41e0e2ad3351a2fb3a6891f6df3a49bd5718bbffd1ee2447ba91c52b89c252a6",
@@ -464,6 +511,12 @@ _SIMULATION_PINS = {
     ("causal_line", 1, 2, 1.0, "ml", True): "4bfff0bbfb252a13b3c4b5086ef2b8a3e77d4ac7784b66a23f93c87294f7eb0e",
     ("out_edge", 777, 1, 0.5, "ml", True): "508d8dc740cc83b3590d9ef925cb2d18314b5817df7b31bf8d864d799c2e79d9",
     ("out_edge", 1, 6, 1.0, "threshold", False): "171f19052dc231ca0f249ba0bd6c4bc05e62eda98e61fcbe6557aca0ca8e9c75",
+    ("block_relay", 777, 7, 1.0, "ml", True): "9b700f1b2001d2949c8aa1af239e9b1d8df5b78c69f2df7bcba3682f4777b646",
+    ("block_relay", 777, 7, 0.5, "threshold", False): "4429459ffe24fe03a14055dc11b731e73af4c2046c31fa3b4d2fa0834f812ab8",
+    ("block_relay", 1, 2, 1.0, "ml", True): "50604834220418110c2de623af48f3eebcbe564294934b8a2a5622a3bbbbf304",
+    ("deep_line", 777, 7, 10.0, "ml", True): "75f106c36fd0e5e3cecb7563bc88688064460bd70befbb7d35f5bcce945623f0",
+    ("deep_line", 777, 7, 10.0, "threshold", False): "82f212bdddac63fa552b8b846a7b4b1fd159a88ba8d91ab9ba08337e770236a6",
+    ("deep_line", 1, 2, 1.0, "ml", True): "d515b8d60225c62ab61d196223e149c8396990b86d672020537accde8d1af1c2",
 }
 
 
