@@ -342,8 +342,8 @@ class ProductCode:
     Codeword i is the concatenation of the base codewords indexed by the
     mixed-radix digits of i (first use is the most significant digit, so
     message order is lexicographic in the digit tuples).  Relays apply the
-    base relay map to each length-N block separately; decoding applies the
-    base decoder per block.
+    base relay map to each length-N block separately, and the destination
+    decodes each block with the base decoder.
     """
 
     base: RelayCode
@@ -375,33 +375,11 @@ class ProductCode:
             index //= K
         return tuple(reversed(digits))
 
-    def message_index(self, digits: Sequence[int]) -> int:
-        K = self.base.message_count
-        idx = 0
-        for d in digits:
-            if not (0 <= d < K):
-                raise ValueError(f"digit {d} out of range")
-            idx = idx * K + d
-        return idx
-
     def codeword(self, index: int) -> Codeword:
         parts: list[Zint] = []
         for d in self.message_tuple(index):
             parts.extend(self.base.codebook[d])
         return tuple(parts)
-
-    def decode(self, reception: Reception) -> int | None:
-        N = self.base.block_length
-        if len(reception) != N * self.n_rep:
-            return None
-        digits = []
-        for k in range(self.n_rep):
-            block = tuple(reception[k * N : (k + 1) * N])
-            d = self.base.decoder.get(block)
-            if d is None:
-                return None
-            digits.append(d)
-        return self.message_index(digits)
 
 
 def _reception_bound(net: RelayNetwork, node: int) -> int:

@@ -2,10 +2,10 @@
 
 Two halves.  The simulation half transports a lifted code through the
 Gaussian network in one walk over decision slots.  A slot is a node plus
-the base-block times it decides: all N of them for a block slot j, or
-one time t for an interleaved slot (j, t).  Layered networks walk block
-slots level by level; other networks walk interleaved slots in (t, node)
-order.  At each slot the node decodes its noisy reception to a member of
+the base-block times it decides: all N of them on a layered network, or
+one time t otherwise.  The slots, their order and every fact of one come
+from typicality, so nothing here tells a block slot from a symbol slot.
+At each slot the node decodes its noisy reception to a member of
 its pruned decision set.  A relay re-encodes deterministically every
 time whose relay-map read falls in the slot, and the destination walks
 its decisions, slot by slot, down the decoder to a message digit per use.
@@ -49,9 +49,10 @@ v of decompose_received's genie split), and gathered with the set's
 step table per slot.
 
 Randomness is derived from explicit integer seeds via SeedSequence
-streams: [seed, 0] samples messages, [seed, 1, node] (block scheduling)
-or [seed, 1, node, t] (interleaved) drives the noise at one decision
-slot.  Rerunning with the same seed reproduces every draw.
+streams: [seed, 0] samples messages, and [seed, 1] plus the slot's seed
+key, [node] (block scheduling) or [node, t] (interleaved), drives the
+noise at one decision slot.  Rerunning with the same seed reproduces
+every draw.
 """
 
 from __future__ import annotations
@@ -74,8 +75,11 @@ from .typicality import (
     SlotKey,
     _decision_slots,
     _radix_codes,
+    _schedule,
     _slot_key,
     _slot_node,
+    _slot_times,
+    _slot_value,
     _slot_values,
 )
 
@@ -306,9 +310,7 @@ def _slot_tables(
     numberings = {j: {x[0]: 0} for j, x in traces[0].transmitted.items()}
     tables: dict[SlotKey, _SlotTable] = {}
     for slot, vectors in pruned.sets.items():
-        node = _slot_node(slot)
-        # The 0-based base-block times the slot covers: all N, or its t.
-        times = slice(0, N) if isinstance(slot, int) else slice(slot[1] - 1, slot[1])
+        node, times = _slot_node(slot), _slot_times(slot, N)
         first: dict = {}
         for tr, value in zip(traces, _slot_values(traces, slot)):
             first.setdefault(value, tr)
@@ -395,7 +397,7 @@ def _destination_messages(
         ids: dict = {}
         extended = []
         for y, m, at in live:
-            a = value.get(y if isinstance(s, int) else y[s[1] - 1])
+            a = value.get(_slot_value(y, s))
             if a is not None:
                 step[at, a] = nxt = m if s == slots[-1] else ids.setdefault((at, a), len(ids))
                 extended.append((y, m, nxt))
@@ -444,7 +446,6 @@ def simulate_lifted(
     if set(pruned.sets) != set(order):
         raise ConfigError(f"pruned sets cover slots {list(pruned.sets)}, need {sorted(order)}")
     dest = net.destination
-    layered = net.levels is not None
 
     threshold_val = DEFAULT_THRESHOLD if threshold is None else float(threshold)
     msg_rng = np.random.default_rng(np.random.SeedSequence([noise.seed, 0]))
@@ -501,7 +502,7 @@ def simulate_lifted(
         method=method,
         n_rep=n_rep,
         batches=batches,
-        scheduling="layered" if layered else "interleaved",
+        scheduling=_schedule(net, N)[0],
     )
 
 

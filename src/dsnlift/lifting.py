@@ -26,6 +26,7 @@ from .typicality import (
     SlotKey,
     TypicalSet,
     _check_budget,
+    _check_one_kind,
     _radix_codes,
     _slot_key,
     _slot_values,
@@ -165,8 +166,7 @@ def prune_sets(
     """
     if not typical_sets:
         raise ValueError("no typical sets to prune")
-    if len({isinstance(slot, int) for slot in typical_sets}) != 1:
-        raise ValueError("typical sets mix node slots and (node, t) slots")
+    _check_one_kind(typical_sets)
     n_reps = {ts.n_rep for ts in typical_sets.values()}
     if len(n_reps) != 1:
         raise ValueError("typical sets disagree on n_rep")
@@ -225,7 +225,6 @@ class LiftedCode:
 
     codeword_indices: tuple[int, ...]
     provenance: dict[int, dict[SlotKey, int]]
-    epsilon: float
     pruned: PrunedSets
 
     @property
@@ -287,7 +286,6 @@ def build_lifted_code(
     return LiftedCode(
         codeword_indices=tuple(survivors),
         provenance=provenance,
-        epsilon=float(epsilon),
         pruned=pruned,
     )
 

@@ -133,9 +133,6 @@ class RelayNetwork:
     def in_edges(self, node: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.dst == node)
 
-    def out_edges(self, node: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.src == node)
-
     def all_gain_components(self) -> list[ComplexGain]:
         """Every scalar gain in the network, flattening 2x2 matrices."""
         out: list[ComplexGain] = []

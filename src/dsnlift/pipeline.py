@@ -2,9 +2,11 @@
 
 The pipeline chains the library end to end: load and validate the
 network, obtain a zero-error base code (search or a shipped file),
-build the repeated product code, enumerate typical reception sets,
-prune them, intersect to the lifted codebook, then optionally simulate
-the noisy network and estimate the per-node noise-gap entropies.
+build the repeated product code, take the typical reception set of every
+decision slot from typicality (which also names the schedule and counts
+the symbols per slot), prune them, intersect to the lifted codebook,
+then optionally simulate the noisy network and estimate the per-node
+noise-gap entropies.
 
 Every random choice is driven by a seed named in the config, so a rerun
 with the same config writes byte-identical artifacts.  Every JSON
@@ -60,13 +62,7 @@ from .lifting import (
     rate_report,
 )
 from .network import RelayNetwork, _int, _parse_json, _require_keys, load_network
-from .typicality import (
-    ReceptionVectors,
-    _check_budget,
-    _decision_slots,
-    enumerate_typical_receptions,
-    enumerate_typical_symbol_vectors,
-)
+from .typicality import ReceptionVectors, _check_budget, _typical_sets
 
 __all__ = [
     "ExperimentConfig",
@@ -383,21 +379,6 @@ class PipelineResult:
     achieved_rate: float
     message_error_rate: float | None
     scheduling: str
-
-
-def _typical_sets(
-    net: RelayNetwork, product: ProductCode, epsilon: float
-) -> tuple[dict, int, str]:
-    """Typical set per decision slot, the symbols a slot covers, and the scheduling."""
-    N = product.base.block_length
-    slots = sorted(_decision_slots(net, N))
-    if isinstance(slots[0], int):
-        sets = {j: enumerate_typical_receptions(net, product, j, epsilon) for j in slots}
-        return sets, N, "layered"
-    sets = {
-        (j, t): enumerate_typical_symbol_vectors(net, product, j, t, epsilon) for j, t in slots
-    }
-    return sets, 1, "interleaved"
 
 
 @contextmanager

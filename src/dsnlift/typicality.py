@@ -14,6 +14,15 @@ written.  Typical sets keep, in natural order, the int64 digit rows whose
 per-digit counts all lie in their intervals.  With the slot's alphabet in
 tuple order (``sorted(support)``) those rows make a ReceptionVectors, the
 one form every later stage reads reception vectors in.
+
+This module owns the decision slot, and no other module tells its two
+kinds apart.  A slot is a node id (the layered schedule, which decides a
+whole base block) or a (node, t) pair (the interleaved schedule, which
+decides the t-th symbol).  _decision_slots lists the slots of a network,
+_schedule names the schedule and counts the symbols per slot, and the
+_slot_* helpers give a slot's node, base-block times, seed key and what
+it reads of a block reception.  _typical_sets builds every slot's typical
+set through the two public enumerators, which share one body, _build_set.
 """
 
 from __future__ import annotations
@@ -212,7 +221,6 @@ class TypicalSet:
     """
 
     slot: SlotKey
-    epsilon: float
     n_rep: int
     dist: FiniteDistribution
     vectors: ReceptionVectors
@@ -235,6 +243,12 @@ def _decision_slots(net: RelayNetwork, block_length: int) -> list[SlotKey]:
     return [(j, t) for t in range(1, block_length + 1) for j in receivers]
 
 
+def _schedule(net: RelayNetwork, block_length: int) -> tuple[str, int]:
+    """The name of ``net``'s schedule and the base-block symbols each of
+    its slots decides: all ``block_length`` of them, or one."""
+    return ("layered", block_length) if net.levels is not None else ("interleaved", 1)
+
+
 def _slot_key(slot: SlotKey) -> list[int]:
     """The seed suffix of ``slot``: [node] or [node, t]."""
     return [slot] if isinstance(slot, int) else [slot[0], slot[1]]
@@ -245,12 +259,26 @@ def _slot_node(slot: SlotKey) -> int:
     return slot if isinstance(slot, int) else slot[0]
 
 
+def _slot_times(slot: SlotKey, block_length: int) -> slice:
+    """The 0-based base-block times ``slot`` decides: all of them, or t - 1."""
+    return slice(0, block_length) if isinstance(slot, int) else slice(slot[1] - 1, slot[1])
+
+
+def _slot_value(block: Sequence, slot: SlotKey):
+    """What ``slot`` reads of its node's block reception: all of it, or its t-th symbol."""
+    return block if isinstance(slot, int) else block[slot[1] - 1]
+
+
 def _slot_values(traces: Sequence[NetworkTrace], slot: SlotKey) -> list:
-    """Each base message's reception at ``slot``: its block, or its t-th symbol."""
-    if isinstance(slot, int):
-        return [tr.received[slot] for tr in traces]
-    node, t = slot
-    return [tr.received[node][t - 1] for tr in traces]
+    """Each base message's reception at ``slot``."""
+    node = _slot_node(slot)
+    return [_slot_value(tr.received[node], slot) for tr in traces]
+
+
+def _check_one_kind(slots: Iterable[SlotKey]) -> None:
+    """ValueError unless ``slots`` are all node ids or all (node, t) pairs."""
+    if len({isinstance(slot, int) for slot in slots}) != 1:
+        raise ValueError("typical sets mix node slots and (node, t) slots")
 
 
 def _check_receiver_slot(net: RelayNetwork, slot: SlotKey, block_length: int) -> None:
@@ -320,18 +348,17 @@ def _typical_vectors(dist: FiniteDistribution, n_rep: int, epsilon: float) -> Re
     return ReceptionVectors(support, _typical_digit_rows(support, dist, n_rep, epsilon))
 
 
-def _build_set(
-    slot: SlotKey, values_per_message: Sequence[Hashable], n_rep: int, epsilon: float
-) -> TypicalSet:
-    dist = FiniteDistribution.from_counts(Counter(values_per_message))
+def _build_set(net: RelayNetwork, product: ProductCode, slot: SlotKey, epsilon: float) -> TypicalSet:
+    """The typical set at ``slot``, refused with a ValueError before any
+    trace unless ``slot`` is a receiver slot of ``net``."""
+    _check_receiver_slot(net, slot, product.base.block_length)
+    n_rep = product.n_rep
+    dist = FiniteDistribution.from_counts(Counter(_slot_values(trace_all(net, product.base), slot)))
     vectors = _typical_vectors(dist, n_rep, epsilon)
     h = entropy(dist)
     e2 = epsilon2(dist, epsilon, n_rep)
     env = (2.0 ** (n_rep * (h - e2)), 2.0 ** (n_rep * (h + e2)))
-    return TypicalSet(
-        slot=slot, epsilon=float(epsilon), n_rep=n_rep, dist=dist,
-        vectors=vectors, epsilon_2=e2, envelope=env,
-    )
+    return TypicalSet(slot=slot, n_rep=n_rep, dist=dist, vectors=vectors, epsilon_2=e2, envelope=env)
 
 
 def enumerate_typical_receptions(
@@ -350,9 +377,7 @@ def enumerate_typical_receptions(
     all-zero typical vector.  Any other node, the source included, is
     refused with a ValueError before any trace.
     """
-    _check_receiver_slot(net, node, product.base.block_length)
-    traces = trace_all(net, product.base)
-    return _build_set(node, _slot_values(traces, node), product.n_rep, epsilon)
+    return _build_set(net, product, node, epsilon)
 
 
 def enumerate_typical_symbol_vectors(
@@ -370,6 +395,22 @@ def enumerate_typical_symbol_vectors(
     not receive or whose t is outside the base block is refused with a
     ValueError before any trace.
     """
-    _check_receiver_slot(net, (node, t), product.base.block_length)
-    traces = trace_all(net, product.base)
-    return _build_set((node, t), _slot_values(traces, (node, t)), product.n_rep, epsilon)
+    return _build_set(net, product, (node, t), epsilon)
+
+
+def _typical_sets(
+    net: RelayNetwork, product: ProductCode, epsilon: float
+) -> tuple[dict[SlotKey, TypicalSet], int, str]:
+    """The typical set of every decision slot, in slot order, the symbols
+    each slot decides, and the schedule's name.
+
+    Each set comes from its public enumerator, looked up by name at call
+    time, so that a wrapper bound at that name sees every call.
+    """
+    N = product.base.block_length
+    name, symbols = _schedule(net, N)
+    sets = {}
+    for slot in sorted(_decision_slots(net, N)):
+        build = enumerate_typical_receptions if isinstance(slot, int) else enumerate_typical_symbol_vectors
+        sets[slot] = build(net, product, *_slot_key(slot), epsilon)
+    return sets, symbols, name

@@ -36,8 +36,8 @@ from dsnlift.gaussian import (
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, prune_sets
 from dsnlift.network import Edge, RelayNetwork, load_network
-from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
-from dsnlift.typicality import ReceptionVectors, _slot_node
+from dsnlift.pipeline import _load_base_code, load_config, read_input_text
+from dsnlift.typicality import ReceptionVectors, _slot_node, _typical_sets
 
 from conftest import derive_decoder, read_at
 
@@ -324,6 +324,14 @@ def _v_block(net, tr, node, t):
     return acc - complex(y[0], y[1])
 
 
+def _message(digits, k):
+    """The product message of per-use base digits, first use most significant."""
+    m = 0
+    for d in digits:
+        m = m * k + d
+    return m
+
+
 def _reference_layered_tables(net, product, pruned, use_offsets):
     base = product.base
     N = base.block_length
@@ -344,8 +352,8 @@ def _reference_layered_tables(net, product, pruned, use_offsets):
         if j == net.destination:
             table = []
             for vec in pruned.sets[j]:
-                d = product.decode(tuple(pair for block in vec for pair in block))
-                table.append(-1 if d is None else d)
+                digits = [base.decoder.get(block) for block in vec]
+                table.append(-1 if None in digits else _message(digits, base.message_count))
             messages = np.asarray(table, dtype=np.int64)
         else:
             rm = base.relay_maps[j]
@@ -408,7 +416,7 @@ def _reference_destination(product, sets, chosen):
                 break
             digits.append(d)
         else:
-            messages[trial] = product.message_index(digits)
+            messages[trial] = _message(digits, product.base.message_count)
     return messages
 
 

@@ -44,9 +44,10 @@ from dsnlift.gaussian import (
 )
 from dsnlift.lifting import KappaParams, build_lifted_code, kappa_mimo, prune_sets
 from dsnlift.network import Edge, RelayNetwork, layer_decomposition, load_network, validate
-from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
+from dsnlift.pipeline import _load_base_code, load_config, read_input_text
 from dsnlift.typicality import (
     _radix_codes,
+    _typical_sets,
     enumerate_typical_receptions,
     enumerate_typical_symbol_vectors,
 )

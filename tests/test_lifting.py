@@ -20,12 +20,13 @@ from dsnlift.lifting import (
     rate_report,
 )
 from dsnlift.network import load_network
-from dsnlift.pipeline import _load_base_code, _typical_sets, load_config, read_input_text
+from dsnlift.pipeline import _load_base_code, load_config, read_input_text
 from dsnlift.typicality import (
     FiniteDistribution,
     ReceptionVectors,
     TypicalSet,
     _slot_key,
+    _typical_sets,
     entropy,
     enumerate_typical_receptions,
     is_strongly_typical,
@@ -43,7 +44,6 @@ def _manual_set(vector_count: int, n_rep: int, eps2: float = 0.5) -> TypicalSet:
     dist = FiniteDistribution.uniform(symbols)
     return TypicalSet(
         slot=1,
-        epsilon=1.0,
         n_rep=n_rep,
         dist=dist,
         vectors=vectors,

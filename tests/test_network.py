@@ -35,7 +35,7 @@ def test_shipped_networks_are_valid(line_net, diamond_net, nonlayered_net):
     assert diamond_net.node_count == 4
     assert diamond_net.destination == 3
     assert len(diamond_net.in_edges(3)) == 2
-    assert len(diamond_net.out_edges(0)) == 2
+    assert sum(e.src == 0 for e in diamond_net.edges) == 2
 
 
 def test_validate_flags_structural_problems():

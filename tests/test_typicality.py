@@ -9,13 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from dsnlift import typicality
 from dsnlift.channel import ComplexGain
-from dsnlift.codes import ProductCode, RelayCode, trace_all
-from dsnlift.network import Edge, RelayNetwork
+from dsnlift.codes import ProductCode, QuantizeForward, RelayCode, trace_all
+from dsnlift.network import Edge, RelayNetwork, load_network
+from dsnlift.pipeline import read_input_text
 from dsnlift.typicality import (
     FiniteDistribution,
     TooLarge,
@@ -25,6 +26,8 @@ from dsnlift.typicality import (
     epsilon2,
     is_strongly_typical,
 )
+
+from conftest import small_networks
 
 
 def test_distribution_validation():
@@ -335,3 +338,48 @@ def test_decision_slots_walk_order(diamond_net, nonlayered_net):
         (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)
     ]
     assert typicality._decision_slots(nonlayered_net, 1) == [(1, 1), (2, 1), (3, 1)]
+
+
+# The generated networks that are layered have no relay, so the shipped
+# line and diamond give the block slots at relays.
+_SHIPPED_LAYERED = st.sampled_from(["line", "diamond"]).map(lambda name: load_network(read_input_text(name)))
+
+
+@pytest.mark.parametrize(
+    "networks", [small_networks(max_nodes=5, mimo=False), _SHIPPED_LAYERED], ids=["generated", "shipped-layered"]
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_slot_facts_match_the_traces(networks, data):
+    # Every fact of a decision slot comes from typicality, and each must
+    # agree with what run_dsn receives: a node slot is the node's whole
+    # block, a (node, t) slot its t-th symbol.
+    net = data.draw(networks, label="net")
+    layered = net.levels is not None
+    event("layered" if layered else "interleaved")
+    n, N = net.bit_depth, data.draw(st.integers(1, 3), label="N")
+    symbol = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    codebook = data.draw(st.lists(st.tuples(*[symbol] * N), min_size=1, max_size=4, unique=True))
+    shift = data.draw(st.integers(0, 1), label="shift")
+    maps = {j: QuantizeForward(n, shift=shift, causal=not layered) for j in net.relays}
+    code = RelayCode(N, n, tuple(codebook), maps, decoder={})
+    product = ProductCode(code, data.draw(st.integers(1, 2), label="n_rep"))
+    traces = trace_all(net, code)
+
+    slots = typicality._decision_slots(net, N)
+    sets, symbols, name = typicality._typical_sets(net, product, epsilon=3.0)
+    assert (symbols, name) == ((N, "layered") if layered else (1, "interleaved"))
+    assert list(sets) == sorted(slots)
+    for slot in slots:
+        node, positions = (slot, list(range(N))) if layered else (slot[0], [slot[1] - 1])
+        assert typicality._slot_node(slot) == node
+        assert typicality._slot_key(slot) == ([slot] if layered else list(slot))
+        times = typicality._slot_times(slot, N)
+        assert list(range(N)[times]) == positions
+        blocks = [tr.received[node] for tr in traces]
+        want = blocks if layered else [block[slot[1] - 1] for block in blocks]
+        assert [typicality._slot_value(block, slot) for block in blocks] == want
+        assert typicality._slot_values(traces, slot) == want
+        assert [block[times] for block in blocks] == [tuple(b[p] for p in positions) for b in blocks]
+        assert sets[slot].slot == slot
+        assert set(sets[slot].dist.support) == set(want)
