@@ -224,21 +224,10 @@ def decompose_received(
     Empirically each component of v stays below 3K in magnitude for K
     incoming links.
     """
-    return _decompose(inputs, gains, [quantize_gain(g) for g in gains], noise, bit_depth)
-
-
-def _decompose(
-    inputs: Sequence[Zint],
-    gains: Sequence[ComplexGain],
-    quantized: Sequence[Zint],
-    noise: complex,
-    bit_depth: int,
-) -> Decomposition:
-    """decompose_received, with the quantize_gain value of each gain given."""
     if len(inputs) != len(gains):
         raise LengthMismatch(f"{len(inputs)} inputs vs {len(gains)} gains")
     n = bit_depth
-    y_prime = superposition_output(inputs, quantized, n)
+    y_prime = superposition_output(inputs, [quantize_gain(g) for g in gains], n)
 
     # (numerator, exponent) terms of sum h x, per component.
     re_terms: list[tuple[int, int]] = []

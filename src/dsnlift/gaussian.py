@@ -28,8 +28,8 @@ digit rows over per-value rows of its alphabet, so the squared distance
 splits by use: d2(y, c) = sum_u D[c_u, trial, u], with D of shape
 (|alphabet|, trials, n_rep).  D is computed elementwise, one alphabet
 value at a time, so equal per-value rows give bit-equal costs.  Stage 1
-(ML only) takes each use's first argmin, codes the digit row and looks it
-up in the set's sorted codes; a hit is the ML decision, and among exact
+(ML only) takes each use's first argmin and ranks that digit row in the
+set with ReceptionVectors.find; a hit is the ML decision, and among exact
 copies it is the lowest-index member.  Stage 2 takes the ML misses, and
 every "threshold" trial, 512 at a time: one product of D, flattened to
 (trials, |alphabet| * n_rep), with the set's 0/1 one-hot matrix of
@@ -64,8 +64,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channel import (
-    ComplexGain, ConfigError, _add_keeping_floor, _decompose, check_batch_range, decompose_batch,
-    quantize_gain, symbol_value,
+    ComplexGain, ConfigError, _add_keeping_floor, check_batch_range, decompose_batch, decompose_received,
+    symbol_value,
 )
 from .codes import NetworkTrace, ProductCode, RelayCode, trace_all
 from .lifting import KappaParams, LiftedCode, PrunedSets
@@ -76,11 +76,11 @@ from .typicality import (
     _decision_slots,
     _radix_codes,
     _schedule,
+    _slot_digits,
     _slot_key,
     _slot_node,
     _slot_times,
     _slot_value,
-    _slot_values,
 )
 
 __all__ = [
@@ -249,7 +249,7 @@ class _SlotTable:
 
     ``rows`` holds the effective row (|alphabet|, width) of each value of
     the slot's alphabet over the 0-based ``times`` the slot covers, and
-    ``codes`` the pruned set's sorted digit-row codes.  ``onehot`` is the
+    ``vectors`` the pruned set, whose find ranks a digit row.  ``onehot`` is the
     0/1 matrix (|alphabet| * n_rep, |S|) whose column s marks value a at
     use u, in row a * n_rep + u, when member s has digit a there;
     ``first_copy`` maps each member to the first member with the same
@@ -260,7 +260,7 @@ class _SlotTable:
 
     times: slice
     rows: np.ndarray
-    codes: np.ndarray
+    vectors: ReceptionVectors
     onehot: np.ndarray
     first_copy: np.ndarray
     sends: slice | None
@@ -311,17 +311,14 @@ def _slot_tables(
     tables: dict[SlotKey, _SlotTable] = {}
     for slot, vectors in pruned.sets.items():
         node, times = _slot_node(slot), _slot_times(slot, N)
-        first: dict = {}
-        for tr, value in zip(traces, _slot_values(traces, slot)):
-            first.setdefault(value, tr)
-        picked = [first[value] for value in vectors.alphabet]
+        digits = _slot_digits(traces, slot, vectors.alphabet).tolist()
+        picked = [traces[digits.index(a)] for a in range(len(vectors.alphabet))]
         rows = np.asarray([[complex(*y) for y in tr.received[node][times]] for tr in picked])
         if use_offsets:
             edges = net.in_edges(node)
             gains = [e.gain for e in edges]
-            quantized = [quantize_gain(g) for g in gains]
             rows = rows + np.asarray([
-                [_decompose([tr.transmitted[e.src][t] for e in edges], gains, quantized, 0j, n).v
+                [decompose_received([tr.transmitted[e.src][t] for e in edges], gains, 0j, n).v
                  for t in range(N)[times]]
                 for tr in picked
             ])
@@ -333,7 +330,7 @@ def _slot_tables(
                 index = numberings[node]
                 sent = [[index.setdefault(x, len(index)) for x in tr.transmitted[node][us]] for tr in picked]
                 sends, reencode = us, _gather(np.asarray(sent, dtype=_index_type(n)), vectors.digits)
-        tables[slot] = _SlotTable(times, rows, vectors.codes, *_set_layout(rows, vectors.digits), sends, reencode)
+        tables[slot] = _SlotTable(times, rows, vectors, *_set_layout(rows, vectors.digits), sends, reencode)
     return tables, numberings
 
 
@@ -342,8 +339,8 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decide each row of ``y`` (trials, L) at one slot: (set index, failure flag).
 
-    Stage 1 (ML only) codes each trial's per-use argmin of the cost table
-    and looks it up in the set's codes; a hit is the ML decision.  Stage 2
+    Stage 1 (ML only) ranks each trial's per-use argmin of the cost table
+    with the set's find; a hit is the ML decision.  Stage 2
     sums the table per member for the misses, and for every trial of
     another method, and decides with _choose.  Costs past float64 would
     decide every trial alike, so they raise ConfigError.
@@ -357,9 +354,8 @@ def _decide(
     failed = np.zeros(trials, dtype=bool)
     todo = np.arange(trials)
     if method == "ml":
-        codes = _radix_codes(_first_argmin(costs), len(table.rows))
-        chosen = np.searchsorted(table.codes, codes)
-        todo = np.flatnonzero(table.codes[np.minimum(chosen, len(table.codes) - 1)] != codes)
+        chosen = table.vectors.find(_first_argmin(costs))
+        todo = np.flatnonzero(chosen < 0)
     buf = np.empty((min(_CHUNK, len(todo)), table.onehot.shape[1]))
     for lo in range(0, len(todo), _CHUNK):
         idx = todo[lo : lo + _CHUNK]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,15 +22,14 @@ import numpy as np
 from .codes import ProductCode, trace_all
 from .network import RelayNetwork
 from .typicality import (
-    FiniteDistribution,
     ReceptionVectors,
     SlotKey,
     TypicalSet,
     _check_budget,
     _check_one_kind,
     _radix_codes,
+    _slot_digits,
     _slot_key,
-    _slot_values,
     _typical_digit_rows,
     entropy,
 )
@@ -248,32 +248,23 @@ def build_lifted_code(
     base-message digit sequence under the uniform message law, which is
     how it is evaluated here: a digit row is kept when each digit's count
     lies in its per-symbol count bounds.  Each base message
-    is mapped to its digit in the slot's alphabet, so a codeword's
-    reception vector at the slot is a digit row of the pruned set's kind,
-    and membership and provenance come from one binary search of the
-    set's sorted codes.  An empty result is valid and reported as such,
-    not an error.
+    is mapped to its digit in the slot's alphabet (-1 outside it), so a
+    codeword's reception vector at the slot is a digit row of the pruned
+    set's kind, and ReceptionVectors.find gives membership and provenance
+    at once.  A set whose rows are not n_rep long raises ValueError.  An
+    empty result is valid and reported as such, not an error.
     """
     _check_budget(product.base.message_count, product.n_rep, "codewords")
     slots = sorted(pruned.sets)
     traces = trace_all(net, product.base)
     K = product.base.message_count
-    n_rep = product.n_rep
-    uniform = FiniteDistribution.uniform(tuple(range(K)))
-    digits = _typical_digit_rows(range(K), uniform, n_rep, epsilon)
+    digits = _typical_digit_rows([Fraction(1, K)] * K, product.n_rep, epsilon)
 
     members: dict[SlotKey, np.ndarray] = {}
     for slot in slots:
         vectors = pruned.sets[slot]
-        if vectors.digits.shape[1] != n_rep:
-            raise ValueError(f"pruned set at slot {slot} has rows of another length than {n_rep}")
-        digit_of = {v: d for d, v in enumerate(vectors.alphabet)}
-        rows = np.array([digit_of.get(v, -1) for v in _slot_values(traces, slot)], dtype=np.int64)[digits]
-        codes = _radix_codes(rows, len(vectors.alphabet))
-        index = np.searchsorted(vectors.codes, codes)
-        # A message whose value is outside the alphabet is in no vector.
-        hit = (rows >= 0).all(axis=1) & (index < len(vectors))
-        hit[hit] = vectors.codes[index[hit]] == codes[hit]
+        index = vectors.find(_slot_digits(traces, slot, vectors.alphabet)[digits])
+        hit = index >= 0
         digits = digits[hit]
         members = {s: m[hit] for s, m in members.items()}
         members[slot] = index[hit]

@@ -13,7 +13,8 @@ cross-multiplication in ``_count_bounds``, the one place the rule is
 written.  Typical sets keep, in natural order, the int64 digit rows whose
 per-digit counts all lie in their intervals.  With the slot's alphabet in
 tuple order (``sorted(support)``) those rows make a ReceptionVectors, the
-one form every later stage reads reception vectors in.
+one form every later stage reads reception vectors in.  Its ``find`` is the
+one rank of a digit row, and ``_slot_digits`` the one map from values to digits.
 
 This module owns the decision slot, and no other module tells its two
 kinds apart.  A slot is a node id (the layered schedule, which decides a
@@ -196,6 +197,21 @@ class ReceptionVectors(Sequence):
         if (np.diff(self.codes) <= 0).any():
             raise ValueError("rows must be distinct and in ascending code order")
 
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The member index of each (count, n_rep) digit row, or -1, by a
+        binary search of the codes.  A digit -1 marks a value outside the
+        alphabet, so its row is in no vector; any other digit outside the
+        alphabet raises ValueError, as its code would alias another row's."""
+        if rows.ndim != 2 or rows.shape[1] != self.digits.shape[1]:
+            raise ValueError(f"rows of shape {rows.shape} are not rows of length {self.digits.shape[1]}")
+        if rows.size and (rows.min() < -1 or rows.max() >= len(self.alphabet)):
+            raise ValueError("digit outside -1 and the alphabet")
+        codes = _radix_codes(rows, len(self.alphabet))
+        index = np.searchsorted(self.codes, codes)
+        found = (rows >= 0).all(axis=1) & (index < len(self.codes))
+        found[found] = self.codes[index[found]] == codes[found]
+        return np.where(found, index, -1)
+
     def __len__(self) -> int:
         return len(self.digits)
 
@@ -275,6 +291,13 @@ def _slot_values(traces: Sequence[NetworkTrace], slot: SlotKey) -> list:
     return [_slot_value(tr.received[node], slot) for tr in traces]
 
 
+def _slot_digits(traces: Sequence[NetworkTrace], slot: SlotKey, alphabet: Sequence) -> np.ndarray:
+    """Each base message's digit at ``slot``: the index of its reception in
+    ``alphabet``, or -1 for a reception outside it, as an int64 array."""
+    digit_of = {v: d for d, v in enumerate(alphabet)}
+    return np.array([digit_of.get(v, -1) for v in _slot_values(traces, slot)], dtype=np.int64)
+
+
 def _check_one_kind(slots: Iterable[SlotKey]) -> None:
     """ValueError unless ``slots`` are all node ids or all (node, t) pairs."""
     if len({isinstance(slot, int) for slot in slots}) != 1:
@@ -291,13 +314,11 @@ def _check_receiver_slot(net: RelayNetwork, slot: SlotKey, block_length: int) ->
         )
 
 
-def _typical_digit_rows(
-    support: Sequence[Hashable], dist: FiniteDistribution, n_rep: int, epsilon: float
-) -> np.ndarray:
-    """Rows of ``support``-digits, length n_rep, whose vectors are typical.
+def _typical_digit_rows(probs: Sequence[Fraction], n_rep: int, epsilon: float) -> np.ndarray:
+    """Digit rows of length n_rep that are typical for the law ``probs``,
+    where digit d has probability probs[d].
 
-    ``support`` holds every symbol of ``dist`` of positive probability.  Of
-    all ``len(support)**n_rep`` rows, in lexicographic order, those whose
+    Of all ``len(probs)**n_rep`` rows, in lexicographic order, those whose
     per-digit counts lie in their _count_bounds are kept as an int64 array;
     when every bound is all of 0..n_rep, that is np.indices' rows as they are.
     A row passes when the digit at each position counts within its bounds
@@ -305,9 +326,8 @@ def _typical_digit_rows(
     count comes from comparing it with every other position, so the cost
     grows with n_rep**2 per row, not with the support size.
     """
-    prob_of = dict(dist.items())
-    bounds = _count_bounds([prob_of[s] for s in support], n_rep, epsilon)
-    k = len(support)
+    bounds = _count_bounds(probs, n_rep, epsilon)
+    k = len(probs)
     if k == 1:  # one row of any length, past the 64 axes np.indices takes
         lo, hi = bounds[0]
         return np.zeros((int(lo <= n_rep <= hi), n_rep), dtype=np.int64)
@@ -343,9 +363,11 @@ def _radix_codes(rows: np.ndarray, radix: int) -> np.ndarray:
 
 
 def _typical_vectors(dist: FiniteDistribution, n_rep: int, epsilon: float) -> ReceptionVectors:
-    support = tuple(sorted(s for s, p in dist.items() if p > 0))
+    """The typical vectors of ``dist``, over its positive-probability symbols in sorted order."""
+    prob_of = {s: p for s, p in dist.items() if p > 0}
+    support = tuple(sorted(prob_of))
     _check_budget(len(support), n_rep, "candidate vectors")
-    return ReceptionVectors(support, _typical_digit_rows(support, dist, n_rep, epsilon))
+    return ReceptionVectors(support, _typical_digit_rows([prob_of[s] for s in support], n_rep, epsilon))
 
 
 def _build_set(net: RelayNetwork, product: ProductCode, slot: SlotKey, epsilon: float) -> TypicalSet:

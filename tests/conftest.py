@@ -61,14 +61,25 @@ def _gain_parts(limit):
 @st.composite
 def small_networks(draw, max_nodes, mimo):
     """A network that validate accepts, of 2..max_nodes nodes, scalar or
-    2x2, at bit depth 1..3.  It has edge 0 -> 1, an edge into the
-    destination from node 0 or 1, and each other edge, into the source
-    too, by its own draw.  Some gain component is at least 1 in
-    magnitude, so the bit depth is defined."""
+    2x2, at bit depth 1..3.  It has edge 0 -> 1.  One draw picks a layered
+    build: node 0 is level 0, node 1 level 1, each later node gets a level
+    at most one past those so far and an edge from an earlier node one
+    level up, and each other edge from a level to the next comes by its
+    own draw.  Otherwise the network has an edge into the destination from
+    node 0 or 1, and each other edge, into the source too, by its own draw.
+    Some gain component is at least 1 in magnitude, so the bit depth is
+    defined."""
     node_count = draw(st.integers(2, max_nodes))
     dest = node_count - 1
-    pairs = [(u, v) for u in range(node_count) for v in range(node_count) if u != v]
-    edges = {(0, 1), (draw(st.integers(0, min(1, dest - 1))), dest)}
+    if draw(st.booleans()):
+        level, edges = [0, 1], {(0, 1)}
+        for v in range(2, node_count):
+            level.append(draw(st.integers(1, max(level) + 1)))
+            edges.add((draw(st.sampled_from([u for u in range(v) if level[u] == level[v] - 1])), v))
+        pairs = [(u, v) for u in range(node_count) for v in range(node_count) if level[v] == level[u] + 1]
+    else:
+        pairs = [(u, v) for u in range(node_count) for v in range(node_count) if u != v]
+        edges = {(0, 1), (draw(st.integers(0, min(1, dest - 1))), dest)}
     edges |= {p for p in pairs if draw(st.booleans())}
     part = _gain_parts(2 << draw(st.integers(1, 3)))
     scalar = st.builds(ComplexGain, part, part)

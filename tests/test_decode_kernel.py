@@ -96,8 +96,8 @@ def _decided_by_rounding(y, effective, method, threshold):
 
 def _table(rows, digits):
     """A decision slot over per-value ``rows`` whose set is ``digits``."""
-    codes = ReceptionVectors(tuple(range(len(rows))), digits).codes
-    return _SlotTable(slice(0, rows.shape[1]), rows, codes, *_set_layout(rows, digits), None, None)
+    vectors = ReceptionVectors(tuple(range(len(rows))), digits)
+    return _SlotTable(slice(0, rows.shape[1]), rows, vectors, *_set_layout(rows, digits), None, None)
 
 
 def _whole(effective):

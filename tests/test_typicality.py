@@ -340,8 +340,8 @@ def test_decision_slots_walk_order(diamond_net, nonlayered_net):
     assert typicality._decision_slots(nonlayered_net, 1) == [(1, 1), (2, 1), (3, 1)]
 
 
-# The generated networks that are layered have no relay, so the shipped
-# line and diamond give the block slots at relays.
+# Generated networks are layered, with relays, by one draw; the shipped
+# line and diamond add the block slots of the configs users run.
 _SHIPPED_LAYERED = st.sampled_from(["line", "diamond"]).map(lambda name: load_network(read_input_text(name)))
 
 
@@ -383,3 +383,59 @@ def test_slot_facts_match_the_traces(networks, data):
         assert [block[times] for block in blocks] == [tuple(b[p] for p in positions) for b in blocks]
         assert sets[slot].slot == slot
         assert set(sets[slot].dist.support) == set(want)
+
+
+@st.composite
+def _sets_and_rows(draw):
+    """A ReceptionVectors over 1..3 values, empty or not, and digit rows of
+    its length in -1..k-1: some hold -1, and the last row of all comes past
+    the last code whenever the set lacks it."""
+    k, n_rep = draw(st.integers(1, 3), label="k"), draw(st.integers(1, 3), label="n_rep")
+    members = sorted(draw(st.sets(st.tuples(*[st.integers(0, k - 1)] * n_rep)), label="members"))
+    vectors = typicality.ReceptionVectors(tuple(f"v{d}" for d in range(k)), _digits(members, n_rep))
+    row = st.lists(st.integers(-1, k - 1), min_size=n_rep, max_size=n_rep)
+    rows = draw(st.lists(row, max_size=6), label="rows") + [[k - 1] * n_rep, [-1] * n_rep]
+    return vectors, np.asarray(rows, dtype=np.int64)
+
+
+def _digits(rows, n_rep):
+    return np.asarray(rows, dtype=np.int64).reshape(-1, n_rep)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_sets_and_rows())
+@example(case=(typicality.ReceptionVectors(("v",), _digits([], 2)), _digits([[0, 0], [-1, 0]], 2)))
+@example(case=(typicality.ReceptionVectors(("v",), _digits([[0, 0]], 2)), _digits([[0, 0], [0, -1]], 2)))
+def test_find_equals_the_per_row_loop(case):
+    # find is the rank of a digit row: its index in the set, or -1 when the
+    # row is no member or holds a -1 digit (a value outside the alphabet).
+    vectors, rows = case
+    members = list(vectors)
+    want = []
+    for row in rows.tolist():
+        vector = None if -1 in row else tuple(vectors.alphabet[d] for d in row)
+        want.append(members.index(vector) if vector in members else -1)
+    assert vectors.find(rows).tolist() == want
+
+
+def test_find_refuses_digits_that_alias_another_row():
+    vectors = typicality.ReceptionVectors((0, 1, 2), np.asarray([[0, 2]], dtype=np.int64))
+    # [1, -1] and [0, 2] share the code 2, yet only [0, 2] is a member.
+    assert vectors.find(np.asarray([[1, -1], [0, 2]], dtype=np.int64)).tolist() == [-1, 0]
+    for bad in ([0, 3], [-2, 2], [0]):
+        with pytest.raises(ValueError):
+            vectors.find(np.asarray([bad], dtype=np.int64))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_slot_digits_map_slot_values_through_the_alphabet(diamond_net, diamond_code, data):
+    # _slot_digits is _slot_values with each value replaced by its index in
+    # the alphabet, or -1 for a value the alphabet leaves out.
+    traces = trace_all(diamond_net, diamond_code)
+    N = diamond_code.block_length
+    slot = data.draw(st.one_of(st.sampled_from([1, 2, 3]), st.tuples(st.sampled_from([1, 2, 3]), st.integers(1, N))))
+    values = typicality._slot_values(traces, slot)
+    alphabet = tuple(sorted(data.draw(st.sets(st.sampled_from(sorted(set(values)))), label="alphabet")))
+    want = [alphabet.index(v) if v in alphabet else -1 for v in values]
+    assert typicality._slot_digits(traces, slot, alphabet).tolist() == want
